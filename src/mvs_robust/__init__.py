@@ -4,8 +4,9 @@ Public surface:
 
 * market primitives: :class:`TimeGrid`, :class:`Preferences`,
   :func:`build_market`
-* backward systems: :func:`solve_system`, :func:`solve_f_picard`,
-  :func:`solve_mispec_system`, :func:`solve_all`
+* backward systems: :func:`solve_system`, :func:`solve_tables`,
+  :func:`solve_f_picard`, :func:`solve_mispec_system`, :func:`solve_all`,
+  all on one lane-batched RK4 (:func:`integrate_lanes`)
 * policy and values: :func:`equilibrium_policy`, :func:`value_at`,
   :func:`delta3_scan`
 * simulation oracles: :func:`simulate_equilibrium_wealth`,
@@ -56,16 +57,19 @@ from .solver import (
     MispecTable,
     ModelVariant,
     SolvedModel,
+    integrate_lanes,
     solve_all,
     solve_f_picard,
     solve_mispec_system,
     solve_system,
+    solve_tables,
 )
 
 __all__ = [
     "__version__",
     "build_market", "MarketCurves", "Preferences", "TimeGrid",
-    "solve_system", "solve_f_picard", "solve_mispec_system", "solve_all",
+    "solve_system", "solve_tables", "solve_f_picard", "solve_mispec_system", "solve_all",
+    "integrate_lanes",
     "CoefficientTable", "MispecTable", "SolvedModel", "ModelVariant", "MispecKind",
     "equilibrium_policy", "value_at", "value_bracket", "delta3_scan",
     "PolicyPoint", "ValueReport", "Delta3Report",

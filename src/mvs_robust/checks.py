@@ -1,8 +1,9 @@
 """Named verification checks bundled behind the ``check`` command.
 
 Every check runs at the configuration's own parameters with pinned
-tolerances and returns a machine-readable result.  The same bounds are
-asserted by the acceptance test suite.
+tolerances and returns a machine-readable result.  The checks share one
+solved FULL table (``CheckContext``).  The same bounds are asserted by
+the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -13,14 +14,21 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import MvsRobustError
-from .policy import delta3_scan
+from .market import MarketCurves, Preferences, TimeGrid
+from .policy import coefficients_at, delta3_scan
 from .simulate import (
     lognormal_moments,
     moment_bound_check,
     simulate_equilibrium_wealth,
     verify_value,
 )
-from .solver import ModelVariant, solve_f_picard, solve_system
+from .solver import (
+    CoefficientTable,
+    ModelVariant,
+    reverse_cumtrapz,
+    solve_f_picard,
+    solve_system,
+)
 
 ORACLE_SUP_TOL = 1e-6          # RK4 vs fixed-point route, sup norm on f
 CLOSED_FORM_REL_TOL = 1e-7     # quadrature reconstruction of h2, h3, g1
@@ -45,21 +53,32 @@ class CheckResult:
         return " ".join(parts)
 
 
-def _solve_context(config: RunConfig):
+@dataclass(frozen=True)
+class CheckContext:
+    """A configuration with its grid, market, preferences and FULL table."""
+
+    config: RunConfig
+    grid: TimeGrid
+    market: MarketCurves
+    prefs: Preferences
+    table: CoefficientTable
+
+
+def solve_context(config: RunConfig) -> CheckContext:
     grid = config.build_grid()
     market = config.build_market(grid)
     prefs = config.build_preferences()
     table = solve_system(
         market, prefs, grid, ModelVariant.FULL, config.solver.eps_den
     )
-    return grid, market, prefs, table
+    return CheckContext(config, grid, market, prefs, table)
 
 
-def check_terminal_conditions(config: RunConfig) -> CheckResult:
+def check_terminal_conditions(ctx: CheckContext) -> CheckResult:
     """Terminal nodes carry the exact boundary values."""
-    _, _, prefs, table = _solve_context(config)
+    table = ctx.table
     errs = [
-        abs(table.f[-1] - 1.0 / prefs.gamma0),
+        abs(table.f[-1] - 1.0 / ctx.prefs.gamma0),
         abs(table.h1[-1] - 1.0), abs(table.h2[-1] - 1.0),
         abs(table.h3[-1] - 1.0), abs(table.g1[-1] - 1.0), abs(table.k1[-1] - 1.0),
     ]
@@ -67,42 +86,34 @@ def check_terminal_conditions(config: RunConfig) -> CheckResult:
     return CheckResult("terminal_conditions", worst == 0.0, {"max_abs_err": worst})
 
 
-def check_oracle_equivalence(config: RunConfig) -> CheckResult:
+def check_oracle_equivalence(ctx: CheckContext) -> CheckResult:
     """RK4 route and integral-equation route agree on f."""
-    grid, market, prefs, table = _solve_context(config)
+    solver = ctx.config.solver
     f_pic = solve_f_picard(
-        market, prefs, grid,
-        tol=config.solver.picard_tol,
-        max_iter=config.solver.picard_max_iter,
-        eps_den=config.solver.eps_den,
+        ctx.market, ctx.prefs, ctx.grid,
+        tol=solver.picard_tol,
+        max_iter=solver.picard_max_iter,
+        eps_den=solver.eps_den,
     )
-    sup = float(np.max(np.abs(table.f - f_pic)))
+    sup = float(np.max(np.abs(ctx.table.f - f_pic)))
     return CheckResult(
         "oracle_equivalence", sup < ORACLE_SUP_TOL,
         {"sup_diff": sup, "tol": ORACLE_SUP_TOL},
     )
 
 
-def check_closed_form_consistency(config: RunConfig) -> CheckResult:
+def check_closed_form_consistency(ctx: CheckContext) -> CheckResult:
     """Exponential reconstructions from the solved f match the ODE output."""
-    grid, market, prefs, table = _solve_context(config)
-    dt = grid.dt
-    nodes = grid.nodes
-    r = np.asarray(market.risk_free_at(nodes), dtype=float)
-    th = np.asarray(market.theta_at(nodes), dtype=float)
+    table = ctx.table
+    dt = ctx.grid.dt
+    nodes = ctx.grid.nodes
+    r = np.asarray(ctx.market.risk_free_at(nodes), dtype=float)
+    th = np.asarray(ctx.market.theta_at(nodes), dtype=float)
     c = 1.0 / ((table.xi + 1.0) ** 2)
     f = table.f
-
-    def revcum(g):
-        inc = 0.5 * dt * (g[:-1] + g[1:])
-        out = np.empty_like(g)
-        out[-1] = 0.0
-        out[:-1] = np.cumsum(inc[::-1])[::-1]
-        return out
-
-    g1 = np.exp(revcum(r + th * f * c))
-    h2 = np.exp(revcum(2 * r + (2 * th * f + th * f * f) * c))
-    h3 = np.exp(revcum(3 * (r + (th * f + th * f * f) * c)))
+    g1 = np.exp(reverse_cumtrapz(r + th * f * c, dt))
+    h2 = np.exp(reverse_cumtrapz(2 * r + (2 * th * f + th * f * f) * c, dt))
+    h3 = np.exp(reverse_cumtrapz(3 * (r + (th * f + th * f * f) * c), dt))
     rel = max(
         float(np.max(np.abs(g1 / table.g1 - 1.0))),
         float(np.max(np.abs(h2 / table.h2 - 1.0))),
@@ -114,21 +125,21 @@ def check_closed_form_consistency(config: RunConfig) -> CheckResult:
     )
 
 
-def check_h2_equals_k1(config: RunConfig) -> CheckResult:
-    _, _, _, table = _solve_context(config)
+def check_h2_equals_k1(ctx: CheckContext) -> CheckResult:
+    table = ctx.table
     same = bool(np.array_equal(table.h2, table.k1))
     return CheckResult("h2_equals_k1", same, {"max_abs_diff": float(np.max(np.abs(table.h2 - table.k1)))})
 
 
-def check_lognormal_moments(config: RunConfig) -> CheckResult:
-    """Orders 1..3 of the wealth GBM reproduce g1 w, h2 w^2, h3 w^3."""
-    grid, market, prefs, table = _solve_context(config)
-    w = config.simulation.start_wealth
-    t = config.simulation.start_time
-    k = int(round(t / grid.dt))
-    targets = (table.g1[k] * w, table.h2[k] * w ** 2, table.h3[k] * w ** 3)
+def check_lognormal_moments(ctx: CheckContext) -> CheckResult:
+    """Orders 1..3 of the wealth GBM reproduce g1 w, h2 w^2, h3 w^3 at the
+    start time, with the coefficients interpolated there."""
+    w = ctx.config.simulation.start_wealth
+    t = ctx.config.simulation.start_time
+    _, _, h2, h3, g1, _ = coefficients_at(ctx.table, t)
+    targets = (g1 * w, h2 * w ** 2, h3 * w ** 3)
     rels = [
-        abs(lognormal_moments(table, market, t, w, n) / targets[n - 1] - 1.0)
+        abs(lognormal_moments(ctx.table, ctx.market, t, w, n) / targets[n - 1] - 1.0)
         for n in (1, 2, 3)
     ]
     worst = max(rels)
@@ -138,13 +149,11 @@ def check_lognormal_moments(config: RunConfig) -> CheckResult:
     )
 
 
-def check_value_verification(config: RunConfig) -> CheckResult:
+def check_value_verification(ctx: CheckContext) -> CheckResult:
     """Analytic and Monte Carlo objective reassembly hit the value function."""
-    _, market, _, table = _solve_context(config)
-    cfg = config.build_sim_config()
+    sim = ctx.config.simulation
     res = verify_value(
-        table, market, config.simulation.start_time,
-        config.simulation.start_wealth, cfg,
+        ctx.table, ctx.market, sim.start_time, sim.start_wealth, ctx.config.build_sim_config(),
     )
     ok = res.analytic_rel_err < VALUE_REL_TOL and abs(res.mc_z) <= MC_Z_BOUND
     return CheckResult(
@@ -157,19 +166,17 @@ def check_value_verification(config: RunConfig) -> CheckResult:
     )
 
 
-def check_delta3_positivity(config: RunConfig) -> CheckResult:
-    _, _, _, table = _solve_context(config)
-    scan = delta3_scan(table)
+def check_delta3_positivity(ctx: CheckContext) -> CheckResult:
+    scan = delta3_scan(ctx.table)
     return CheckResult(
         "delta3_positivity", scan.all_positive,
         {"min_delta3": scan.min_value, "argmin_time": scan.argmin_time},
     )
 
 
-def check_moment_bound(config: RunConfig) -> CheckResult:
-    _, market, _, table = _solve_context(config)
-    cfg = config.build_sim_config()
-    res = moment_bound_check(table, market, cfg, FOURTH_MOMENT_BAND)
+def check_moment_bound(ctx: CheckContext) -> CheckResult:
+    cfg = ctx.config.build_sim_config()
+    res = moment_bound_check(ctx.table, ctx.market, cfg, FOURTH_MOMENT_BAND)
     return CheckResult(
         "moment_bound", res.finite and res.consistent,
         {
@@ -180,12 +187,11 @@ def check_moment_bound(config: RunConfig) -> CheckResult:
     )
 
 
-def check_determinism(config: RunConfig) -> CheckResult:
+def check_determinism(ctx: CheckContext) -> CheckResult:
     """Two identical simulation runs agree bitwise."""
-    _, market, _, table = _solve_context(config)
-    cfg = config.build_sim_config()
-    a = simulate_equilibrium_wealth(table, market, cfg)
-    b = simulate_equilibrium_wealth(table, market, cfg)
+    cfg = ctx.config.build_sim_config()
+    a = simulate_equilibrium_wealth(ctx.table, ctx.market, cfg)
+    b = simulate_equilibrium_wealth(ctx.table, ctx.market, cfg)
     same = all(
         a.moments[i].value == b.moments[i].value
         and a.moments[i].std_error == b.moments[i].std_error
@@ -208,13 +214,20 @@ ALL_CHECKS = (
 
 
 def run_checks(config: RunConfig) -> list[CheckResult]:
+    """Every check on one shared solve; a failed solve fails every check."""
+    names = [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
+    try:
+        ctx = solve_context(config)
+    except MvsRobustError as exc:
+        return [CheckResult(name, False, message=_failure(exc)) for name in names]
     results = []
-    for fn in ALL_CHECKS:
-        name = fn.__name__.removeprefix("check_")
+    for name, fn in zip(names, ALL_CHECKS):
         try:
-            results.append(fn(config))
+            results.append(fn(ctx))
         except MvsRobustError as exc:
-            results.append(
-                CheckResult(name, False, message=f"{type(exc).__name__}: {exc}")
-            )
+            results.append(CheckResult(name, False, message=_failure(exc)))
     return results
+
+
+def _failure(exc: MvsRobustError) -> str:
+    return f"{type(exc).__name__}: {exc}"

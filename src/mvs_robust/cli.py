@@ -25,7 +25,7 @@ from .errors import ConfigError, MvsRobustError
 from .policy import value_bracket
 from .presets import FIGURE_PRESETS, preset_config
 from .simulate import lognormal_moments, simulate_equilibrium_wealth
-from .solver import ModelVariant, solve_system
+from .solver import ModelVariant, solve_system, solve_tables
 from .sweep import rows_to_csv, run_sweep
 
 EXIT_OK = 0
@@ -65,8 +65,10 @@ def cmd_solve(config: RunConfig, out_dir: Path, variants: list[str], argv) -> in
     grid = config.build_grid()
     market = config.build_market(grid)
     prefs = config.build_preferences()
-    for name in variants:
-        table = solve_system(market, prefs, grid, _VARIANTS[name], config.solver.eps_den)
+    tables = solve_tables(
+        market, prefs, grid, [_VARIANTS[name] for name in variants], config.solver.eps_den
+    )
+    for name, table in zip(variants, tables):
         lines = ["t,f,h1,h2,h3,g1,k1,delta3"]
         for i, t in enumerate(grid.nodes):
             lines.append(",".join(_fmt(v) for v in (

@@ -2,10 +2,10 @@
 
 Sections appear in square brackets, entries as ``key = value`` lines,
 lists comma-separated; a volatility matrix uses semicolons between
-rows.  Unknown sections or keys are rejected, and every numeric field
-is validated against the module preconditions at load time.  Missing
-keys fall back to the base experiment defaults (five-year horizon,
-one risky asset).
+rows.  Unknown sections or keys are rejected, every number must be
+finite, and every numeric field is validated against the module
+preconditions at load time.  Missing keys fall back to the base
+experiment defaults (five-year horizon, one risky asset).
 
 Example::
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,6 +153,11 @@ class RunConfig:
             raise ConfigError("picard_max_iter must be >= 1")
         if self.solver.eps_den <= 0.0:
             raise ConfigError(f"eps_den must be positive, got {self.solver.eps_den}")
+        if not 0.0 <= self.simulation.start_time < self.market.T:
+            raise ConfigError(
+                f"start_time must lie in [0, T) = [0, {self.market.T:g}), "
+                f"got {self.simulation.start_time}"
+            )
         if self.sweep is not None:
             self._validate_sweep(self.sweep)
         return self
@@ -231,9 +237,12 @@ class RunConfig:
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:

@@ -10,7 +10,7 @@ Derived quantities cached at every grid node:
 
 * excess return ``beta = mu - r * 1``
 * Gram matrix ``Sigma = sigma' sigma`` (must be symmetric positive
-  definite), and its inverse
+  definite)
 * squared market price of risk ``theta = beta' Sigma^{-1} beta``
 """
 
@@ -121,13 +121,12 @@ class MarketCurves:
     volatility_nodes: np.ndarray   # (N+1, M, M)
     excess_nodes: np.ndarray       # (N+1, M)
     gram_nodes: np.ndarray         # (N+1, M, M)
-    gram_inv_nodes: np.ndarray     # (N+1, M, M)
     theta_nodes: np.ndarray        # (N+1,)
 
     def __post_init__(self):
         for name in (
             "risk_free_nodes", "drift_nodes", "volatility_nodes",
-            "excess_nodes", "gram_nodes", "gram_inv_nodes", "theta_nodes",
+            "excess_nodes", "gram_nodes", "theta_nodes",
         ):
             getattr(self, name).flags.writeable = False
 
@@ -138,35 +137,28 @@ class MarketCurves:
         if np.any(t < 0.0) or np.any(t > self.horizon):
             raise OutOfHorizon(f"time {t} outside [0, {self.horizon}]")
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        """Index of the left node and the interpolation weight."""
-        x = t / self.grid.dt
-        k = min(int(x), self.grid.num_steps - 1)
-        return k, x - k
+    def _interp(self, t, nodes: np.ndarray) -> np.ndarray:
+        """Linear interpolation of a per-node array at a time or an array of times."""
+        x = np.asarray(t, dtype=float) / self.grid.dt
+        k = np.minimum(x.astype(int), self.grid.num_steps - 1)
+        w = (x - k).reshape(x.shape + (1,) * (nodes.ndim - 1))
+        return (1.0 - w) * nodes[k] + w * nodes[k + 1]
 
     def risk_free_at(self, t):
         self._check_time(t)
         return np.interp(t, self.grid.nodes, self.risk_free_nodes)
 
-    def drift_at(self, t: float) -> np.ndarray:
-        self._check_time(t)
-        k, w = self._locate(float(t))
-        return (1.0 - w) * self.drift_nodes[k] + w * self.drift_nodes[k + 1]
-
     def volatility_at(self, t: float) -> np.ndarray:
         self._check_time(t)
-        k, w = self._locate(float(t))
-        return (1.0 - w) * self.volatility_nodes[k] + w * self.volatility_nodes[k + 1]
+        return self._interp(t, self.volatility_nodes)
 
     def excess_at(self, t: float) -> np.ndarray:
         self._check_time(t)
-        k, w = self._locate(float(t))
-        return (1.0 - w) * self.excess_nodes[k] + w * self.excess_nodes[k + 1]
+        return self._interp(t, self.excess_nodes)
 
     def gram_at(self, t: float) -> np.ndarray:
         self._check_time(t)
-        k, w = self._locate(float(t))
-        return (1.0 - w) * self.gram_nodes[k] + w * self.gram_nodes[k + 1]
+        return self._interp(t, self.gram_nodes)
 
     def gram_solve(self, t: float, rhs: np.ndarray) -> np.ndarray:
         """Solve ``Sigma(t) x = rhs`` at interpolated Sigma."""
@@ -184,11 +176,25 @@ class MarketCurves:
             gram = np.interp(ts, self.grid.nodes, self.gram_nodes[:, 0, 0])
             out = beta * beta / gram
         else:
-            out = np.empty_like(ts)
-            for i, ti in enumerate(ts):
-                beta = self.excess_at(ti)
-                out[i] = float(beta @ self.gram_solve(ti, beta))
+            beta = self._interp(ts, self.excess_nodes)
+            x = np.linalg.solve(self._interp(ts, self.gram_nodes), beta[..., None])[..., 0]
+            out = np.einsum("ti,ti->t", beta, x)
         return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def _solve_gram(gram: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """``Sigma^{-1} beta`` at every node; ``LinAlgError`` unless every
+    ``Sigma`` factors by Cholesky and is nonsingular."""
+    np.linalg.cholesky(gram)
+    return np.linalg.solve(gram, excess[..., None])[..., 0]
+
+
+def _solves(gram: np.ndarray, excess: np.ndarray) -> bool:
+    try:
+        _solve_gram(gram, excess)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def build_market(
@@ -242,18 +248,15 @@ def build_market(
     gram = np.einsum("tji,tjk->tik", vol_nodes, vol_nodes)
     gram = 0.5 * (gram + np.transpose(gram, (0, 2, 1)))  # enforce exact symmetry
 
-    gram_inv = np.empty_like(gram)
-    theta = np.empty(n)
-    for k in range(n):
-        try:
-            np.linalg.cholesky(gram[k])
-            gram_inv[k] = np.linalg.inv(gram[k])
-        except np.linalg.LinAlgError:
-            raise SingularGram(
-                f"Gram matrix singular or not positive definite at node {k} "
-                f"(t = {grid.nodes[k]:g})"
-            ) from None
-        theta[k] = float(excess[k] @ gram_inv[k] @ excess[k])
+    try:
+        x = _solve_gram(gram, excess)
+    except np.linalg.LinAlgError:
+        bad = next(k for k in range(n) if not _solves(gram[k:k + 1], excess[k:k + 1]))
+        raise SingularGram(
+            f"Gram matrix singular or not positive definite at node {bad} "
+            f"(t = {grid.nodes[bad]:g})"
+        ) from None
+    theta = np.einsum("ti,ti->t", excess, x)
 
     return MarketCurves(
         num_assets=num_assets,
@@ -264,6 +267,5 @@ def build_market(
         volatility_nodes=vol_nodes,
         excess_nodes=excess,
         gram_nodes=gram,
-        gram_inv_nodes=gram_inv,
         theta_nodes=theta,
     )

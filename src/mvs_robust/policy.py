@@ -65,11 +65,25 @@ def equilibrium_policy(
     ``delta1 = f * delta3`` and ``delta3 = -w * delta2`` are genuine
     cross-checks of the solution rather than restatements.
     """
+    return policy_point(
+        market, t, w, table.gamma0, table.phi0, table.xi, coefficients_at(table, t)
+    )
+
+
+def policy_point(
+    market: MarketCurves,
+    t: float,
+    w: float,
+    gamma0: float,
+    phi0: float,
+    xi: float,
+    coefficients: tuple[float, ...],
+) -> PolicyPoint:
+    """``equilibrium_policy`` from the coefficients ``(f, h1, h2, h3, g1, k1)`` at t."""
     if w <= 0.0:
         raise NonPositiveWealth(f"wealth must be positive, got {w}")
-    _check_time(table, t)
-    f, h1, h2, h3, g1, k1 = coefficients_at(table, t)
-    g0, p0, xi = table.gamma0, table.phi0, table.xi
+    f, h1, h2, h3, g1, k1 = coefficients
+    g0, p0 = gamma0, phi0
 
     beta = market.excess_at(t)
     sig = market.volatility_at(t)
@@ -94,14 +108,19 @@ def equilibrium_policy(
     )
 
 
+def bracket(gamma0: float, phi0: float, h1: float, h2: float, h3: float, g1: float) -> float:
+    """Coefficient multiplying wealth in a value function; a
+    misspecified-strategy table passes ``(a1, a2, a3, b1)``."""
+    return (
+        h1 - 0.5 * gamma0 * (h2 - g1 * g1)
+        + phi0 / 3.0 * (2.0 * g1 ** 3 - 3.0 * g1 * h2 + h3)
+    )
+
+
 def value_bracket(table: CoefficientTable, t: float) -> float:
     """Coefficient multiplying wealth in the variant's value function."""
     f, h1, h2, h3, g1, k1 = coefficients_at(table, t)
-    g0, p0 = table.gamma0, table.phi0
-    return (
-        h1 - 0.5 * g0 * (h2 - g1 * g1)
-        + p0 / 3.0 * (2.0 * g1 ** 3 - 3.0 * g1 * h2 + h3)
-    )
+    return bracket(table.gamma0, table.phi0, h1, h2, h3, g1)
 
 
 def mispec_value_bracket(table: MispecTable, t: float) -> float:
@@ -112,11 +131,7 @@ def mispec_value_bracket(table: MispecTable, t: float) -> float:
         float(CubicSpline(x, arr)(t))
         for arr in (table.a1, table.a2, table.a3, table.b1)
     )
-    g0, p0 = table.gamma0, table.phi0
-    return (
-        a1 - 0.5 * g0 * (a2 - b1 * b1)
-        + p0 / 3.0 * (2.0 * b1 ** 3 - 3.0 * b1 * a2 + a3)
-    )
+    return bracket(table.gamma0, table.phi0, a1, a2, a3, b1)
 
 
 @dataclass(frozen=True)
@@ -142,14 +157,21 @@ def value_at(model: SolvedModel, t: float, w: float) -> ValueReport:
     Losses are formed from the wealth-free brackets, so they are
     independent of ``w`` by construction.
     """
+    return value_report(t, w, (
+        value_bracket(model.full, t),
+        value_bracket(model.neutral, t),
+        value_bracket(model.noskew, t),
+        value_bracket(model.basic, t),
+        mispec_value_bracket(model.mispec_u, t),
+        mispec_value_bracket(model.mispec_both, t),
+    ))
+
+
+def value_report(t: float, w: float, brackets: tuple[float, ...]) -> ValueReport:
+    """``value_at`` from the six brackets, in ``SolvedModel`` field order."""
     if w <= 0.0:
         raise NonPositiveWealth(f"wealth must be positive, got {w}")
-    b_full = value_bracket(model.full, t)
-    b_neutral = value_bracket(model.neutral, t)
-    b_noskew = value_bracket(model.noskew, t)
-    b_basic = value_bracket(model.basic, t)
-    b_mu = mispec_value_bracket(model.mispec_u, t)
-    b_mb = mispec_value_bracket(model.mispec_both, t)
+    b_full, b_neutral, b_noskew, b_basic, b_mu, b_mb = brackets
     if b_full == 0.0:
         raise ZeroDenominatorValue(f"value function vanishes at t = {t}")
     return ValueReport(

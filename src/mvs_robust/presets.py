@@ -115,9 +115,3 @@ def preset_config(preset: FigurePreset, base: RunConfig | None = None) -> RunCon
         cfg = cfg.with_overrides({"mu": preset.mu})
     return replace(cfg, sweep=preset.sweep)
 
-
-def preset_by_name(name: str) -> FigurePreset:
-    for p in FIGURE_PRESETS:
-        if p.name == name:
-            return p
-    raise KeyError(name)

@@ -7,34 +7,27 @@ ratios, and the grid minimum of the positivity quantity delta3.  Cells
 where the solver degenerates are recorded with the error name in the
 status column instead of aborting the sweep.
 
-Cells are independent, so they may be computed by a thread pool; the
-output order is fixed by cell index regardless of worker count.  The
-``MVS_ROBUST_THREADS`` environment variable caps the pool size.
+Every distinct market is built once, every distinct backward system
+(market, effective weights, misspecified kind) becomes one lane, and
+all lanes are integrated in a single ``integrate_lanes`` call that
+keeps node-0 values only.  Output bytes do not depend on which other
+cells share the batch.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import MvsRobustError
-from .policy import delta3_scan, equilibrium_policy, value_at
-from .solver import solve_all
-
-
-def worker_count() -> int:
-    env = os.environ.get("MVS_ROBUST_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
+from .market import MarketCurves
+from .policy import bracket, policy_point, value_report
+# bound here for the per-layer benchmark (perfbench/tracing.py), which wraps them
+from .policy import equilibrium_policy, value_at  # noqa: F401
+from .solver import LanePlan, LaneResult, integrate_lanes
+from .solver import solve_all  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,36 +59,52 @@ def sweep_grid(config: RunConfig) -> list[dict[str, float]]:
     ]
 
 
-def _evaluate_cell(config: RunConfig, values: dict[str, float]) -> SweepRow:
+@dataclass(frozen=True)
+class _Cell:
+    """A cell ready to assemble: its market, start wealth and six lanes."""
+
+    market: MarketCurves
+    w0: float
+    lanes: tuple[int, ...]
+
+
+def _cell_row(values, cell: _Cell, plan: LanePlan, results: list[LaneResult]) -> SweepRow:
+    """A cell's row from node-0 values, or its first failed lane's error class."""
+    res = [results[i] for i in cell.lanes]
+    failed = next((r.error for r in res if r.error is not None), None)
+    if failed is not None:
+        return SweepRow(values=values, status=failed.__name__, fields=None)
+    lanes = [plan.lanes[i] for i in cell.lanes]
+    # (h1, h2, h3, g1) of a coefficient lane, (a1, a2, a3, b1) of a misspecified one
+    brackets = tuple(
+        bracket(lane.gamma0, lane.phi0, *r.state0[:4]) for lane, r in zip(lanes, res)
+    )
+    full, lane = res[0], lanes[0]
+    market = cell.market
     try:
-        cfg = config.with_overrides(values)
-        grid = cfg.build_grid()
-        market = cfg.build_market(grid)
-        prefs = cfg.build_preferences()
-        model = solve_all(market, prefs, grid, cfg.solver.eps_den)
-        w0 = cfg.simulation.start_wealth
-        pol = equilibrium_policy(model.full, market, 0.0, w0)
-        rep = value_at(model, 0.0, w0)
-        scan = delta3_scan(model.full)
-        fields = {
-            "u_star": float(pol.allocation[0]) if market.num_assets == 1
-            else float(np.linalg.norm(pol.allocation)),
-            "q_star": float(pol.distortion[0]) if market.num_assets == 1
-            else float(np.linalg.norm(pol.distortion)),
-            "V": rep.value_full,
-            "V_hat": rep.value_noskew,
-            "V_tilde": rep.value_neutral,
-            "V_bar": rep.value_basic,
-            "V1": rep.value_mispec_u,
-            "V2": rep.value_mispec_both,
-            "L1": rep.loss_skew,
-            "L2": rep.loss_uncertainty,
-            "L3": rep.loss_both,
-            "min_delta3": scan.min_value,
-        }
-        return SweepRow(values=values, status="ok", fields=fields)
+        pol = policy_point(
+            market, 0.0, cell.w0, lane.gamma0, lane.phi0, lane.xi, (full.ratio0, *full.state0)
+        )
+        rep = value_report(0.0, cell.w0, brackets)
     except MvsRobustError as exc:
         return SweepRow(values=values, status=type(exc).__name__, fields=None)
+    fields = {
+        "u_star": float(pol.allocation[0]) if market.num_assets == 1
+        else float(np.linalg.norm(pol.allocation)),
+        "q_star": float(pol.distortion[0]) if market.num_assets == 1
+        else float(np.linalg.norm(pol.distortion)),
+        "V": rep.value_full,
+        "V_hat": rep.value_noskew,
+        "V_tilde": rep.value_neutral,
+        "V_bar": rep.value_basic,
+        "V1": rep.value_mispec_u,
+        "V2": rep.value_mispec_both,
+        "L1": rep.loss_skew,
+        "L2": rep.loss_uncertainty,
+        "L3": rep.loss_both,
+        "min_delta3": full.den_min,
+    }
+    return SweepRow(values=values, status="ok", fields=fields)
 
 
 def run_sweep(config: RunConfig) -> tuple[list[str], list[SweepRow]]:
@@ -105,12 +114,29 @@ def run_sweep(config: RunConfig) -> tuple[list[str], list[SweepRow]]:
     params = [sw.param] + ([sw.param2] if sw.param2 else [])
     header = params + list(RESULT_FIELDS) + ["status"]
 
-    workers = worker_count()
-    if workers == 1 or len(cells) == 1:
-        rows = [_evaluate_cell(config, v) for v in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _evaluate_cell(config, v), cells))
+    grid = config.build_grid()  # neither T nor num_steps is sweepable
+    plan = LanePlan()
+    markets: list[MarketCurves] = []
+    columns: dict = {}  # market section -> index into markets
+    prepared: list[_Cell | str] = []
+    for values in cells:
+        try:
+            cfg = config.with_overrides(values)
+            if cfg.market not in columns:
+                markets.append(cfg.build_market(grid))
+                columns[cfg.market] = len(markets) - 1
+            col = columns[cfg.market]
+            lanes = plan.add_model(col, cfg.build_preferences())
+            prepared.append(_Cell(markets[col], cfg.simulation.start_wealth, lanes))
+        except MvsRobustError as exc:
+            prepared.append(type(exc).__name__)
+
+    results = integrate_lanes(plan.lanes, markets, grid, config.solver.eps_den)
+    rows = [
+        SweepRow(values=values, status=cell, fields=None) if isinstance(cell, str)
+        else _cell_row(values, cell, plan, results)
+        for values, cell in zip(cells, prepared)
+    ]
     return header, rows
 
 

@@ -365,22 +365,29 @@ def test_acceptance_11_moment_bound(base_table, base_market):
            f"{res.analytic_argmax_time}); MC/analytic ratio = {res.ratio:.4f} in [0.8, 1.25]", t0)
 
 
-def test_acceptance_12_determinism(tmp_path, monkeypatch):
+def test_acceptance_12_determinism(tmp_path):
     t0 = time.perf_counter()
-    cfg_text = (
+    sweep_text = "[sweep]\nparam = xi\nmin = {}\nmax = {}\ncount = {}\n"
+    base_text = (
         "[solver]\nnum_steps = 300\n"
         "[simulation]\nnum_paths = 4000\nnum_steps = 50\nseed = 42\n"
-        "[sweep]\nparam = xi\nmin = 0.5\nmax = 2.0\ncount = 3\n"
     )
     cfg_path = tmp_path / "det.cfg"
-    cfg_path.write_text(cfg_text)
-    outs = []
-    for i, threads in enumerate(("1", "4", "1")):
-        monkeypatch.setenv("MVS_ROBUST_THREADS", threads)
-        out = tmp_path / f"run{i}"
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-        outs.append((out / "sweep.csv").read_bytes())
-    sweeps_equal = outs[0] == outs[1] == outs[2]
+    cfg_path.write_text(base_text + sweep_text.format(0.5, 2.0, 3))
+
+    def sweep(path, out):
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        return (out / "sweep.csv").read_bytes()
+
+    outs = [sweep(cfg_path, tmp_path / f"run{i}") for i in range(2)]
+    # each cell swept alone, in a batch of its own, gives the same row bytes
+    rows = outs[0].splitlines()
+    alone = []
+    for i, xi in enumerate(np.linspace(0.5, 2.0, 3)):
+        path = tmp_path / f"cell{i}.cfg"
+        path.write_text(base_text + sweep_text.format(repr(float(xi)), repr(float(xi)), 1))
+        alone.append(sweep(path, tmp_path / f"cell{i}").splitlines()[1] == rows[1 + i])
+    sweeps_equal = outs[0] == outs[1] and all(alone)
 
     sims = []
     for i in range(2):
@@ -388,4 +395,5 @@ def test_acceptance_12_determinism(tmp_path, monkeypatch):
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         sims.append((out / "simulation.csv").read_bytes())
     report("12", "determinism", sweeps_equal and sims[0] == sims[1],
-           "byte-identical sweep CSV across worker counts and repeated simulate runs", t0)
+           "byte-identical sweep CSV across repeated runs and batch compositions "
+           "(each cell alone) and repeated simulate runs", t0)

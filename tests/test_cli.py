@@ -1,7 +1,10 @@
+from dataclasses import replace
+
+from mvs_robust.checks import check_lognormal_moments, solve_context
 from mvs_robust.cli import main
 from mvs_robust.config import parse_config
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
-from mvs_robust.sweep import run_sweep, rows_to_csv
+from mvs_robust.sweep import rows_to_csv, run_sweep, sweep_grid
 
 QUICK = """
 [solver]
@@ -61,6 +64,10 @@ class TestExitCodes:
         cfg = write(tmp_path, "deg.cfg", QUICK + "\n[preferences]\ngamma0 = 1.0\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_finite_value_is_2(self, tmp_path):
+        cfg = write(tmp_path, "bad.cfg", QUICK + "\n[preferences]\nxi = nan\n")
+        assert main(["check", "--config", cfg]) == 2
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -75,6 +82,15 @@ class TestCheckCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 9
         assert all("status=pass" in line for line in lines)
+
+    def test_off_node_start_time_lognormal_moments(self):
+        # start_time between nodes (dt = 0.005): the targets are the
+        # coefficients interpolated there, not the nearest node's
+        cfg = parse_config(
+            "[solver]\nnum_steps = 1000\n[simulation]\nstart_time = 0.0013\n"
+        )
+        res = check_lognormal_moments(solve_context(cfg))
+        assert res.passed, res.summary_line()
 
     def test_coarse_grid_fails_oracle_band(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", "[solver]\nnum_steps = 10\n[simulation]\nnum_paths = 2000\nnum_steps = 10\n")
@@ -134,14 +150,22 @@ class TestSweepCommand:
         assert statuses[0] == "DegenerateDenominator"
         assert statuses[1:] == ["ok", "ok"]
 
-    def test_worker_count_invariance(self, tmp_path, monkeypatch):
-        cfg_text = QUICK + "\n[sweep]\nparam = mu\nmin = 0.10\nmax = 0.16\ncount = 3\n"
-        cfg = parse_config(cfg_text)
-        monkeypatch.setenv("MVS_ROBUST_THREADS", "1")
-        header1, rows1 = run_sweep(cfg)
-        monkeypatch.setenv("MVS_ROBUST_THREADS", "3")
-        header3, rows3 = run_sweep(cfg)
-        assert rows_to_csv(header1, rows1) == rows_to_csv(header3, rows3)
+    def test_batch_composition_invariance(self):
+        # a cell's row bytes do not depend on which other cells share its batch
+        full = parse_config(
+            QUICK + "\n[sweep]\nparam = mu\nmin = 0.10\nmax = 0.20\ncount = 3\n"
+            "param2 = gamma0\nmin2 = 1.5\nmax2 = 4.0\ncount2 = 4\n"
+        )
+        lines = rows_to_csv(*run_sweep(full)).splitlines()
+        assert any(not line.endswith(",ok") for line in lines[1:])  # a failed cell too
+        for i, cell in enumerate(sweep_grid(full)):
+            alone = replace(full, sweep=replace(
+                full.sweep, min=cell["mu"], max=cell["mu"], count=1,
+                min2=cell["gamma0"], max2=cell["gamma0"], count2=1,
+            ))
+            assert rows_to_csv(*run_sweep(alone)).splitlines()[1] == lines[1 + i]
+        row = replace(full, sweep=replace(full.sweep, min=0.20, max=0.20, count=1))
+        assert rows_to_csv(*run_sweep(row)).splitlines()[1:] == lines[9:]
 
     def test_sweep_without_section_is_config_error(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", QUICK)

@@ -88,6 +88,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="eps_den"):
             parse_config("[solver]\neps_den = 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "[simulation]\nstart_wealth = nan\n",
+        "[solver]\neps_den = nan\n",
+        "[solver]\npicard_tol = inf\n",
+        "[market]\nr = -inf\n",
+        "[market]\nmu = 0.15, nan\nsigma = 0.25, 0.2\n",
+        "[sweep]\nparam = xi\nmin = nan\nmax = 3\ncount = 2\n",
+        "[market]\nT = 1.0\n[simulation]\nstart_time = 1.0\n",
+        "[simulation]\nstart_time = 7.5\n",
+        "[simulation]\nstart_time = -0.25\n",
+    ])
+    def test_rejected_at_load(self, text):
+        # non-finite numbers and start times outside [0, T) never reach a solver
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
 
 class TestSweepSection:
     def test_parse_one_parameter(self):

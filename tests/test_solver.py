@@ -16,7 +16,9 @@ from mvs_robust import (
     solve_system,
 )
 from mvs_robust.policy import mispec_value_bracket, value_bracket
-from mvs_robust.solver import PicardInfo
+from mvs_robust.presets import FIGURE_PRESETS, preset_config
+from mvs_robust.solver import LanePlan, PicardInfo, integrate_lanes, solve_all
+from mvs_robust.sweep import run_sweep
 
 from conftest import BASE, make_market
 
@@ -211,3 +213,59 @@ class TestMispecSystems:
 def test_solve_all_reuses_consistent_drivers(base_model):
     assert np.array_equal(base_model.mispec_u.driver_f, base_model.neutral.f)
     assert np.array_equal(base_model.mispec_both.driver_f, base_model.basic.f)
+
+
+@pytest.fixture(params=["floats", "arrays"])
+def lane_mode(request, monkeypatch):
+    """Run a batch on Python floats (the default below the lane limit) or as arrays."""
+    if request.param == "arrays":
+        monkeypatch.setattr("mvs_robust.solver.SCALAR_LANE_LIMIT", 0)
+    return request.param
+
+
+class TestLaneBatch:
+    def test_fig02_degenerate_cells_keep_their_status(self):
+        _, rows = run_sweep(preset_config(next(p for p in FIGURE_PRESETS if p.name == "fig02")))
+        failed = [(r.values["mu"], r.values["gamma0"], r.status) for r in rows if r.status != "ok"]
+        assert len(failed) == 3
+        assert all(g == 1.5 and mu > 0.15 and st == "DegenerateDenominator" for mu, g, st in failed)
+        assert sum(r.status == "ok" for r in rows) == 33
+
+    def test_failing_driver_fails_its_mispec_lane(self, base_market, base_grid, lane_mode):
+        plan = LanePlan()
+        good = plan.add_model(0, Preferences(2.0, 0.5, 1.0))
+        bad = plan.add_model(0, Preferences(1.0, 0.5, 1.0))
+        res = integrate_lanes(plan.lanes, [base_market], base_grid)
+        neutral, mispec_u = res[bad[1]], res[bad[4]]
+        assert neutral.error is DegenerateDenominator
+        assert mispec_u.error is DegenerateDenominator
+        assert mispec_u.node == neutral.node
+        assert all(res[i].error is None for i in good)
+
+    def test_floats_and_arrays_agree_bitwise(self, base_market, base_grid, monkeypatch):
+        plan = LanePlan()
+        for prefs in (Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0), Preferences(3.0, 0.0, 0.4)):
+            plan.add_model(0, prefs)
+        floats = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
+        monkeypatch.setattr("mvs_robust.solver.SCALAR_LANE_LIMIT", 0)
+        arrays = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
+        for a, b in zip(floats, arrays):
+            assert (a.error, a.message, a.node) == (b.error, b.message, b.node)
+            if a.error is None:
+                assert np.array_equal(a.ratio, b.ratio) and np.array_equal(a.state, b.state)
+                assert (a.ratio0, a.state0, a.den_min) == (b.ratio0, b.state0, b.den_min)
+
+    def test_running_min_is_min_delta3(self, base_market, base_prefs, base_grid, lane_mode):
+        plan = LanePlan()
+        idx = plan.add_model(0, base_prefs)
+        res = integrate_lanes(plan.lanes, [base_market], base_grid)
+        model = solve_all(base_market, base_prefs, base_grid)
+        for i, table in zip(idx, (model.full, model.neutral, model.noskew, model.basic)):
+            assert res[i].den_min == np.min(table.delta3)
+            assert res[i].ratio0 == table.f[0]
+
+    def test_mispec_driver_f_is_driver_table_f(self, base_market, base_prefs, base_grid):
+        for kind in MispecKind:
+            driver = solve_system(base_market, base_prefs, base_grid, kind.driver_variant)
+            mis = solve_mispec_system(base_market, base_prefs, base_grid, kind, driver=driver)
+            assert np.array_equal(mis.driver_f, driver.f)
