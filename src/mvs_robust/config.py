@@ -257,8 +257,10 @@ def _parse_list(section: str, key: str, raw: str) -> tuple[float, ...]:
 
 
 def _parse_matrix(section: str, key: str, raw: str) -> tuple[tuple[float, ...], ...]:
-    rows = [r for r in raw.split(";") if r.strip()]
-    return tuple(_parse_list(section, key, r) for r in rows)
+    rows = tuple(_parse_list(section, key, r) for r in raw.split(";") if r.strip())
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"[{section}] {key}: matrix rows differ in length, got {raw!r}")
+    return rows
 
 
 _SECTION_KEYS = {

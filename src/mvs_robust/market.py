@@ -2,15 +2,16 @@
 
 The market consists of one risk-free asset with rate ``r(t)`` and ``M``
 risky assets with drift vector ``mu(t)`` and volatility matrix
-``sigma(t)`` (rows are per-asset volatility loadings).  Curves are
-either constants or piecewise-linear tables over a uniform time grid;
-evaluation between nodes interpolates linearly.
+``sigma(t)``, whose column ``i`` holds asset ``i``'s loadings on the
+Brownian motions.  Curves are either constants or piecewise-linear
+tables over a uniform time grid; evaluation between nodes interpolates
+linearly.
 
 Derived quantities cached at every grid node:
 
 * excess return ``beta = mu - r * 1``
-* Gram matrix ``Sigma = sigma' sigma`` (must be symmetric positive
-  definite)
+* Gram matrix ``Sigma = sigma' sigma``, the assets' return covariance
+  (must be symmetric positive definite)
 * squared market price of risk ``theta = beta' Sigma^{-1} beta``
 """
 

@@ -5,8 +5,8 @@ equilibrium allocation is linear in wealth, the Girsanov distortion is
 wealth-free, and every value function is a time coefficient times
 wealth, so the three utility-loss ratios are wealth-independent.
 
-Coefficient values between grid nodes come from cubic interpolation of
-the solved arrays, matching the integrator's order.
+Coefficient values between grid nodes come from each table's stacked
+cubic spline, matching the integrator's order.
 """
 
 from __future__ import annotations
@@ -14,26 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NonPositiveWealth, OutOfHorizon, ZeroDenominatorValue
 from .market import MarketCurves
-from .solver import CoefficientTable, MispecTable, SolvedModel
+from .solver import CoefficientTable, SolvedModel, SolvedTable
 
 
-def _check_time(table, t: float) -> None:
+def _columns_at(table: SolvedTable, t: float) -> list[float]:
+    """Every column of a table (``table.COLUMNS`` order) interpolated at t."""
     if t < 0.0 or t > table.grid.horizon:
         raise OutOfHorizon(f"time {t} outside [0, {table.grid.horizon}]")
+    return table.spline(t).tolist()
 
 
 def coefficients_at(table: CoefficientTable, t: float) -> tuple[float, ...]:
     """(f, h1, h2, h3, g1, k1) interpolated at time t."""
-    _check_time(table, t)
-    x = table.grid.nodes
-    return tuple(
-        float(CubicSpline(x, arr)(t))
-        for arr in (table.f, table.h1, table.h2, table.h3, table.g1, table.k1)
-    )
+    return tuple(_columns_at(table, t)[:6])
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,9 @@ def equilibrium_policy(
     """Evaluate the equilibrium control-measure pair at (t, w).
 
     The allocation is ``w / (xi + 1) * Sigma^{-1} beta * f(t)`` and the
-    distortion is ``-xi / (xi + 1) * sigma' Sigma^{-1} beta``.  The
+    distortion is ``-xi / (xi + 1) * sigma Sigma^{-1} beta``: with
+    ``Sigma = sigma' sigma`` the columns of ``sigma`` are the assets'
+    loadings, so ``|q|^2 = (xi / (xi + 1))^2 theta``.  The
     sensitivity aggregates are assembled term by term from the solved
     coefficients (not through ``f``), so the identities
     ``delta1 = f * delta3`` and ``delta3 = -w * delta2`` are genuine
@@ -89,7 +87,7 @@ def policy_point(
     sig = market.volatility_at(t)
     gram_inv_beta = market.gram_solve(t, beta)
     allocation = (w / (xi + 1.0)) * gram_inv_beta * f
-    distortion = -(xi / (xi + 1.0)) * (sig.T @ gram_inv_beta)
+    distortion = -(xi / (xi + 1.0)) * (sig @ gram_inv_beta)
 
     delta1 = (
         h1 - g0 * h2 + p0 * h3
@@ -117,21 +115,10 @@ def bracket(gamma0: float, phi0: float, h1: float, h2: float, h3: float, g1: flo
     )
 
 
-def value_bracket(table: CoefficientTable, t: float) -> float:
-    """Coefficient multiplying wealth in the variant's value function."""
-    f, h1, h2, h3, g1, k1 = coefficients_at(table, t)
-    return bracket(table.gamma0, table.phi0, h1, h2, h3, g1)
-
-
-def mispec_value_bracket(table: MispecTable, t: float) -> float:
-    """Coefficient multiplying wealth in a misspecified-strategy value."""
-    _check_time(table, t)
-    x = table.grid.nodes
-    a1, a2, a3, b1 = (
-        float(CubicSpline(x, arr)(t))
-        for arr in (table.a1, table.a2, table.a3, table.b1)
-    )
-    return bracket(table.gamma0, table.phi0, a1, a2, a3, b1)
+def value_bracket(table: SolvedTable, t: float) -> float:
+    """Coefficient multiplying wealth in the value function of either
+    table kind: ``(h1, h2, h3, g1)`` or ``(a1, a2, a3, b1)`` at t."""
+    return bracket(table.gamma0, table.phi0, *_columns_at(table, t)[1:5])
 
 
 @dataclass(frozen=True)
@@ -162,8 +149,8 @@ def value_at(model: SolvedModel, t: float, w: float) -> ValueReport:
         value_bracket(model.neutral, t),
         value_bracket(model.noskew, t),
         value_bracket(model.basic, t),
-        mispec_value_bracket(model.mispec_u, t),
-        mispec_value_bracket(model.mispec_both, t),
+        value_bracket(model.mispec_u, t),
+        value_bracket(model.mispec_both, t),
     ))
 
 

@@ -5,7 +5,9 @@ explicit geometric Brownian motion with deterministic drift
 ``r + theta f / (xi+1)**2`` and squared volatility
 ``theta f**2 / (xi+1)**2``, so paths can be generated exactly from
 per-step lognormal increments; an Euler-Maruyama scheme is retained
-purely as a discretization cross-check.  Closed-form lognormal moments
+purely as a discretization cross-check.  A misspecified-strategy table
+describes the same kind of process, driven by the naive strategy's ratio
+(``_curves`` gives both kinds' curves).  Closed-form lognormal moments
 provide the independent oracle against the solved coefficient tables:
 the order-1..3 moments must reproduce ``g1 w``, ``h2 w**2`` and
 ``h3 w**3``.
@@ -19,15 +21,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import ndtri
 
 from .errors import ConfigError, OutOfHorizon, PenaltyUndefined, UnsolvedTable
 from .market import MarketCurves
-from .policy import mispec_value_bracket, value_bracket
-from .solver import CoefficientTable, MispecTable
+from .policy import value_bracket
+from .solver import MispecTable, SolvedTable
 
 _CHUNK = 16384          # paths per accumulation block, fixed for determinism
 _MIN_UNIFORM = 5e-324   # keeps ndtri finite if a raw uniform is exactly 0
@@ -85,20 +87,16 @@ class SimResult:
     objective: MomentEstimate | None
 
 
-@dataclass(frozen=True)
-class _Dynamics:
-    """Deterministic curves driving one simulated wealth process."""
+class _Curves(NamedTuple):
+    """Deterministic curves of one wealth GBM at increasing times."""
 
-    times: np.ndarray      # sim nodes, start_time .. T
+    times: np.ndarray
     drift: np.ndarray
     vol2: np.ndarray
     pen_rate: np.ndarray   # penalty integrand per unit wealth
-    gamma0: float
-    phi0: float
-    bracket0: float        # value coefficient at start_time
 
 
-def _check_grids(table, market: MarketCurves) -> None:
+def _check_grids(table: SolvedTable, market: MarketCurves) -> None:
     if not table.grid.same_nodes(market.grid):
         raise UnsolvedTable(
             f"table grid ({table.grid.num_steps} steps over {table.grid.horizon}) "
@@ -107,66 +105,81 @@ def _check_grids(table, market: MarketCurves) -> None:
         )
 
 
-def _table_dynamics(
-    table: CoefficientTable,
-    market: MarketCurves,
-    cfg: SimConfig,
-) -> _Dynamics:
+def _curves(
+    table: SolvedTable,
+    r: np.ndarray,
+    th: np.ndarray,
+    cols: Sequence[np.ndarray],
+    measure: Measure,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(drift, vol2, pen_rate) of the wealth GBM a solved table describes.
+
+    ``r``, ``th`` and the rows of ``cols`` (``table.COLUMNS`` order) are
+    the rates and the table's columns at the same times.  The investor
+    holds the strategy ratio ``s`` scaled by ``1/d`` (drift
+    ``r + theta s / d`` under the reference measure): a coefficient
+    table's own ``f`` with ``d = xi + 1``, a misspecified table's naive
+    ``driver_f`` with ``d = 1``.  Nature's distortion makes the drift
+    ``r + theta s c - xi_a theta s^2 / a`` with ``c = 1/d^2``: a
+    coefficient table's worst case is folded into ``c`` (``xi_a = 0``,
+    ``a = 1``), a misspecified table's is set by its value system's ratio
+    ``a`` (``xi_a = xi``).  Every unused weight is exact, so each kind
+    gets bitwise its own formula.
+    """
+    col = dict(zip(table.COLUMNS, cols))
+    xi = table.xi
+    if isinstance(table, MispecTable):
+        s, d, xi_a, a = col["driver_f"], 1.0, xi, col["a"]
+    else:
+        s, d, xi_a, a = col["f"], xi + 1.0, 0.0, 1.0
+    c = 1.0 / (d * d)
+    if measure is Measure.DISTORTED:
+        drift = r + th * s * c - xi_a * th * s * s / a
+    else:
+        drift = r + th * s / d
+    vol2 = th * s * s * c
+    pen_rate = 0.5 * xi * c * th * s * s * col["delta3"]
+    return drift, vol2, pen_rate
+
+
+def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Curves:
+    """The curves on the simulation grid, interpolated from the table."""
     _check_grids(table, market)
     horizon = table.grid.horizon
     if not 0.0 <= cfg.start_time < horizon:
         raise OutOfHorizon(f"start_time {cfg.start_time} outside [0, {horizon})")
     times = np.linspace(cfg.start_time, horizon, cfg.num_steps + 1)
-    nodes = table.grid.nodes
-    f = CubicSpline(nodes, table.f)(times)
-    d3 = CubicSpline(nodes, table.delta3)(times)
-    r = np.asarray(market.risk_free_at(times), dtype=float)
-    th = np.asarray(market.theta_at(times), dtype=float)
-    xi = table.xi
-    c = 1.0 / ((xi + 1.0) * (xi + 1.0))
-    if cfg.measure is Measure.DISTORTED:
-        drift = r + th * f * c
-    else:
-        drift = r + th * f / (xi + 1.0)
-    vol2 = th * f * f * c
-    pen_rate = 0.5 * xi * c * th * f * f * d3
-    return _Dynamics(
-        times=times, drift=drift, vol2=vol2, pen_rate=pen_rate,
-        gamma0=table.gamma0, phi0=table.phi0,
-        bracket0=value_bracket(table, cfg.start_time),
-    )
+    r, th = market.risk_free_at(times), market.theta_at(times)
+    return _Curves(times, *_curves(table, r, th, table.spline(times).T, cfg.measure))
 
 
-def _mispec_dynamics(
-    mispec: MispecTable,
-    market: MarketCurves,
-    cfg: SimConfig,
-) -> _Dynamics:
-    _check_grids(mispec, market)
-    horizon = mispec.grid.horizon
-    if not 0.0 <= cfg.start_time < horizon:
-        raise OutOfHorizon(f"start_time {cfg.start_time} outside [0, {horizon})")
-    times = np.linspace(cfg.start_time, horizon, cfg.num_steps + 1)
-    nodes = mispec.grid.nodes
-    fd = CubicSpline(nodes, mispec.driver_f)(times)
-    a = CubicSpline(nodes, mispec.a)(times)
-    g0, p0, xi = mispec.gamma0, mispec.phi0, mispec.xi
-    d3 = g0 * CubicSpline(nodes, mispec.a2)(times) + 2.0 * p0 * (
-        CubicSpline(nodes, mispec.b1)(times) * CubicSpline(nodes, mispec.c1)(times)
-        - CubicSpline(nodes, mispec.a3)(times)
-    )
-    r = np.asarray(market.risk_free_at(times), dtype=float)
-    th = np.asarray(market.theta_at(times), dtype=float)
-    if cfg.measure is Measure.DISTORTED:
-        drift = r + th * fd - xi * th * fd * fd / a
-    else:
-        drift = r + th * fd
-    vol2 = th * fd * fd
-    pen_rate = 0.5 * xi * th * fd * fd * d3
-    return _Dynamics(
-        times=times, drift=drift, vol2=vol2, pen_rate=pen_rate,
-        gamma0=g0, phi0=p0,
-        bracket0=mispec_value_bracket(mispec, cfg.start_time),
+def _tail_curves(table: SolvedTable, market: MarketCurves, t: float, measure: Measure) -> _Curves:
+    """The curves on grid nodes >= t, with t prepended (interpolated) when
+    it is not a node."""
+    rows = np.array([
+        table.grid.nodes, market.risk_free_nodes, market.theta_nodes,
+        *(getattr(table, name) for name in table.COLUMNS),
+    ])[:, table.grid.nodes >= t]
+    if rows[0, 0] > t:
+        at_t = [t, float(market.risk_free_at(t)), float(market.theta_at(t)), *table.spline(t)]
+        rows = np.column_stack([at_t, rows])
+    times, r, th, *cols = rows
+    return _Curves(times, *_curves(table, r, th, cols, measure))
+
+
+def _cumtrapz(g: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """out[i] = trapezoid integral of g from times[0] to times[i]."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (g[:-1] + g[1:]))])
+
+
+def _objective(m1, m2, m3, penalty, w: float, gamma0: float, phi0: float):
+    """Mean-variance-skewness objective from raw moments of terminal
+    wealth, plus the ambiguity penalty, started from wealth w."""
+    return (
+        m1
+        - 0.5 * gamma0 / w * (m2 - m1 * m1)
+        + phi0 / (3.0 * w * w) * (m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3)
+        + penalty
     )
 
 
@@ -183,52 +196,43 @@ def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.
     return ndtri(np.maximum(u, _MIN_UNIFORM))
 
 
-def _simulate(dyn: _Dynamics, cfg: SimConfig) -> SimResult:
-    times, drift, vol2, pen_rate = dyn.times, dyn.drift, dyn.vol2, dyn.pen_rate
+def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
+    times, drift, vol2, pen_rate = curves
     n_steps = cfg.num_steps
     ds = np.diff(times)
-    # per-step trapezoid integrals of the deterministic exponent parts
-    m_step = 0.5 * ds * ((drift[:-1] - 0.5 * vol2[:-1]) + (drift[1:] - 0.5 * vol2[1:]))
-    s_step = np.sqrt(0.5 * ds * (vol2[:-1] + vol2[1:]))
+    exact = cfg.scheme is Scheme.EXACT_LOGNORMAL
+    if exact:
+        # per-step trapezoid integrals of the deterministic exponent parts
+        m_step = 0.5 * ds * ((drift[:-1] - 0.5 * vol2[:-1]) + (drift[1:] - 0.5 * vol2[1:]))
+        s_step = np.sqrt(0.5 * ds * (vol2[:-1] + vol2[1:]))
+    else:
+        d_step = drift[:-1] * ds
+        e_step = np.sqrt(vol2[:-1]) * np.sqrt(ds)
 
     w0 = cfg.start_wealth
     pow_sums = np.zeros(8)                  # sums of W_T ** (1..8)
     node4 = np.zeros(n_steps + 1)           # sums of W_s ** 4 per node
     vec_sum = np.zeros(4)                   # (W_T, W_T^2, W_T^3, penalty)
     vec_outer = np.zeros((4, 4))
-    min_w = np.inf
+    min_w = w0
 
     for first in range(0, cfg.num_paths, _CHUNK):
         n = min(_CHUNK, cfg.num_paths - first)
         z = _path_normals(cfg.seed, first, n, n_steps)
         pen = np.zeros(n)
-        if cfg.scheme is Scheme.EXACT_LOGNORMAL:
-            logw = np.full(n, np.log(w0))
-            w = np.full(n, w0)
-            node4[0] += n * w0 ** 4
-            min_w = min(min_w, w0)
-            for k in range(n_steps):
-                w_prev = w
+        logw = np.full(n, np.log(w0))
+        w = np.full(n, w0)
+        node4[0] += n * w0 ** 4
+        for k in range(n_steps):
+            w_prev = w
+            if exact:
                 logw = logw + m_step[k] + s_step[k] * z[:, k]
                 w = np.exp(logw)
-                pen += 0.5 * ds[k] * (pen_rate[k] * w_prev + pen_rate[k + 1] * w)
-                node4[k + 1] += float(np.sum(w ** 4))
-                mn = float(np.min(w))
-                if mn < min_w:
-                    min_w = mn
-        else:
-            w = np.full(n, w0)
-            node4[0] += n * w0 ** 4
-            min_w = min(min_w, w0)
-            sq = np.sqrt(ds)
-            for k in range(n_steps):
-                w_prev = w
-                w = w * (1.0 + drift[k] * ds[k] + np.sqrt(vol2[k]) * sq[k] * z[:, k])
-                pen += 0.5 * ds[k] * (pen_rate[k] * w_prev + pen_rate[k + 1] * w)
-                node4[k + 1] += float(np.sum(w ** 4))
-                mn = float(np.min(w))
-                if mn < min_w:
-                    min_w = mn
+            else:
+                w = w * (1.0 + d_step[k] + e_step[k] * z[:, k])
+            pen += 0.5 * ds[k] * (pen_rate[k] * w_prev + pen_rate[k + 1] * w)
+            node4[k + 1] += float(np.sum(w ** 4))
+            min_w = min(min_w, float(np.min(w)))
         for p in range(1, 9):
             pow_sums[p - 1] += float(np.sum(w ** p))
         x = np.stack([w, w * w, w ** 3, pen])
@@ -249,21 +253,15 @@ def _simulate(dyn: _Dynamics, cfg: SimConfig) -> SimResult:
     cov = (vec_outer / npaths - np.outer(mean4, mean4)) * bessel
 
     sup_idx = int(np.argmax(node4))
-    result_penalty = None
-    result_objective = None
+    result_penalty = result_objective = None
     if cfg.measure is Measure.DISTORTED:
         result_penalty = MomentEstimate(
             value=float(mean4[3]),
             std_error=float(np.sqrt(max(0.0, cov[3, 3]) / npaths)),
         )
         m1, m2, m3, mp = mean4
-        g0, p0 = dyn.gamma0, dyn.phi0
-        obj = (
-            m1
-            - 0.5 * g0 / w0 * (m2 - m1 * m1)
-            + p0 / (3.0 * w0 * w0) * (m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3)
-            + mp
-        )
+        g0, p0 = table.gamma0, table.phi0
+        obj = _objective(m1, m2, m3, mp, w0, g0, p0)
         grad = np.array([
             1.0 + g0 * m1 / w0 + p0 / (w0 * w0) * (2.0 * m1 * m1 - m2),
             -0.5 * g0 / w0 - p0 * m1 / (w0 * w0),
@@ -287,16 +285,16 @@ def _simulate(dyn: _Dynamics, cfg: SimConfig) -> SimResult:
 
 
 def simulate_equilibrium_wealth(
-    table: CoefficientTable,
+    table: SolvedTable,
     market: MarketCurves,
     cfg: SimConfig,
 ) -> SimResult:
     """Simulate the equilibrium wealth GBM described by a solved table."""
-    return _simulate(_table_dynamics(table, market, cfg), cfg)
+    return _simulate(table, _sim_curves(table, market, cfg), cfg)
 
 
 def lognormal_moments(
-    table: CoefficientTable,
+    table: SolvedTable,
     market: MarketCurves,
     t: float,
     w: float,
@@ -320,38 +318,6 @@ def lognormal_moments(
     return w ** order * float(np.exp(np.trapezoid(integrand, times)))
 
 
-def _tail_curves(
-    table: CoefficientTable,
-    market: MarketCurves,
-    t: float,
-    measure: Measure,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(times, drift, vol2, pen_rate) on grid nodes >= t, with t prepended."""
-    nodes = table.grid.nodes
-    mask = nodes >= t
-    xi = table.xi
-    c = 1.0 / ((xi + 1.0) * (xi + 1.0))
-    scale = c if measure is Measure.DISTORTED else 1.0 / (xi + 1.0)
-
-    r = market.risk_free_nodes[mask]
-    th = market.theta_nodes[mask]
-    f = table.f[mask]
-    d3 = table.delta3[mask]
-    times = nodes[mask]
-    if times.size == 0 or times[0] > t:
-        f0 = float(CubicSpline(nodes, table.f)(t))
-        d30 = float(CubicSpline(nodes, table.delta3)(t))
-        r = np.concatenate([[float(market.risk_free_at(t))], r])
-        th = np.concatenate([[float(market.theta_at(t))], th])
-        f = np.concatenate([[f0], f])
-        d3 = np.concatenate([[d30], d3])
-        times = np.concatenate([[t], times])
-    drift = r + th * f * scale
-    vol2 = th * f * f * c
-    pen_rate = 0.5 * xi * c * th * f * f * d3
-    return times, drift, vol2, pen_rate
-
-
 @dataclass(frozen=True)
 class ValueCheck:
     """Objective reassembly compared against the solved value function."""
@@ -367,25 +333,22 @@ class ValueCheck:
 
 
 def verify_value(
-    table: CoefficientTable,
+    table: SolvedTable,
     market: MarketCurves,
     t: float,
     w: float,
     cfg: SimConfig,
-    mispec: MispecTable | None = None,
 ) -> ValueCheck:
     """Reassemble the objective from moments plus the penalty quadrature.
 
     The analytic route uses exact lognormal moments and a trapezoid
     penalty integral along the expected wealth curve; the Monte Carlo
     route assembles the same objective from sample moments.  Both are
-    compared against the value function implied by the solved table
-    (or, when ``mispec`` is given, by the misspecified-strategy value
-    system, simulated under its own distorted dynamics).
+    compared against the value function implied by the solved table,
+    a coefficient table or a misspecified-strategy one, simulated under
+    the distorted dynamics that table describes.
     """
-    source = table if mispec is None else mispec
-    horizon = source.grid.horizon
-    if t == horizon:
+    if t == table.grid.horizon:
         # degenerate terminal distribution: value equals wealth, no penalty
         est = MomentEstimate(value=w, std_error=0.0)
         sim = SimResult(
@@ -400,42 +363,24 @@ def verify_value(
         )
 
     cfg = replace(cfg, start_time=t, start_wealth=w, measure=Measure.DISTORTED)
-    if mispec is None:
-        dyn = _table_dynamics(table, market, cfg)
-        times, drift, vol2, pen_rate = _tail_curves(table, market, t, Measure.DISTORTED)
-    else:
-        dyn = _mispec_dynamics(mispec, market, cfg)
-        times, drift, vol2, pen_rate = _mispec_tail_curves(mispec, market, t)
-
-    d3_floor = _tail_delta3_min(table if mispec is None else mispec, t)
-    if d3_floor <= 0.0 and (dyn.pen_rate != 0.0).any():
+    paths = _sim_curves(table, market, cfg)
+    d3_floor = float(table.delta3[table.grid.nodes >= t].min())
+    if d3_floor <= 0.0 and (paths.pen_rate != 0.0).any():
         raise PenaltyUndefined(
             f"ambiguity preference scale nonpositive on the horizon "
             f"(min delta3 = {d3_floor:g})"
         )
 
-    def tail_int(g):
-        return float(np.trapezoid(g, times))
+    m1, m2, m3 = (lognormal_moments(table, market, t, w, n) for n in (1, 2, 3))
+    times, drift, _, pen_rate = _tail_curves(table, market, t, Measure.DISTORTED)
+    expected_w = w * np.exp(_cumtrapz(drift, times))
+    penalty = float(np.trapezoid(pen_rate * expected_w, times))
+    analytic = _objective(m1, m2, m3, penalty, w, table.gamma0, table.phi0)
 
-    m1 = w * np.exp(tail_int(drift))
-    m2 = w * w * np.exp(tail_int(2.0 * drift + vol2))
-    m3 = w ** 3 * np.exp(tail_int(3.0 * drift + 3.0 * vol2))
-    grow = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(times) * (drift[:-1] + drift[1:]))]
-    )
-    expected_w = w * np.exp(grow)
-    penalty = tail_int(pen_rate * expected_w)
-    analytic = (
-        m1
-        - 0.5 * dyn.gamma0 / w * (m2 - m1 * m1)
-        + dyn.phi0 / (3.0 * w * w) * (m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3)
-        + penalty
-    )
-
-    value = dyn.bracket0 * w
+    value = value_bracket(table, t) * w
     rel_err = abs(analytic - value) / abs(value)
 
-    sim = _simulate(dyn, cfg)
+    sim = _simulate(table, paths, cfg)
     mc = sim.objective
     z = (mc.value - value) / mc.std_error if mc.std_error > 0.0 else 0.0
 
@@ -444,43 +389,6 @@ def verify_value(
         analytic_objective=float(analytic), analytic_rel_err=float(rel_err),
         mc_objective=mc, mc_z=float(z), sim=sim,
     )
-
-
-def _mispec_tail_curves(
-    mispec: MispecTable,
-    market: MarketCurves,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Misspecified-strategy dynamics on grid nodes >= t, t prepended."""
-    nodes = mispec.grid.nodes
-    mask = nodes >= t
-    g0, p0, xi = mispec.gamma0, mispec.phi0, mispec.xi
-    r = market.risk_free_nodes[mask]
-    th = market.theta_nodes[mask]
-    fd = mispec.driver_f[mask]
-    a = mispec.a[mask]
-    d3 = (g0 * mispec.a2 + 2.0 * p0 * (mispec.b1 * mispec.c1 - mispec.a3))[mask]
-    times = nodes[mask]
-    if times.size == 0 or times[0] > t:
-        fd = np.concatenate([[float(CubicSpline(nodes, mispec.driver_f)(t))], fd])
-        a = np.concatenate([[float(CubicSpline(nodes, mispec.a)(t))], a])
-        d3_full = g0 * mispec.a2 + 2.0 * p0 * (mispec.b1 * mispec.c1 - mispec.a3)
-        d3 = np.concatenate([[float(CubicSpline(nodes, d3_full)(t))], d3])
-        r = np.concatenate([[float(market.risk_free_at(t))], r])
-        th = np.concatenate([[float(market.theta_at(t))], th])
-        times = np.concatenate([[t], times])
-    drift = r + th * fd - xi * th * fd * fd / a
-    vol2 = th * fd * fd
-    pen_rate = 0.5 * xi * th * fd * fd * d3
-    return times, drift, vol2, pen_rate
-
-
-def _tail_delta3_min(table, t: float) -> float:
-    mask = table.grid.nodes >= t
-    if isinstance(table, CoefficientTable):
-        return float(np.min(table.delta3[mask]))
-    d3 = table.gamma0 * table.a2 + 2.0 * table.phi0 * (table.b1 * table.c1 - table.a3)
-    return float(np.min(d3[mask]))
 
 
 @dataclass(frozen=True)
@@ -496,7 +404,7 @@ class MomentBound:
 
 
 def moment_bound_check(
-    table: CoefficientTable,
+    table: SolvedTable,
     market: MarketCurves,
     cfg: SimConfig,
     ratio_band: tuple[float, float] = (0.8, 1.25),
@@ -507,19 +415,17 @@ def moment_bound_check(
     accumulated forward from the start node; the Monte Carlo figure is
     the maximum over sim nodes of the sample fourth moment.
     """
-    dyn = _table_dynamics(table, market, cfg)
-    ds = np.diff(dyn.times)
-    g = 4.0 * dyn.drift + 6.0 * dyn.vol2
-    grow = np.concatenate([[0.0], np.cumsum(0.5 * ds * (g[:-1] + g[1:]))])
+    paths = _sim_curves(table, market, cfg)
+    grow = _cumtrapz(4.0 * paths.drift + 6.0 * paths.vol2, paths.times)
     curve = cfg.start_wealth ** 4 * np.exp(grow)
     idx = int(np.argmax(curve))
     analytic_sup = float(curve[idx])
 
-    sim = _simulate(dyn, cfg)
+    sim = _simulate(table, paths, cfg)
     ratio = sim.sup_fourth_moment / analytic_sup
     return MomentBound(
         analytic_sup=analytic_sup,
-        analytic_argmax_time=float(dyn.times[idx]),
+        analytic_argmax_time=float(paths.times[idx]),
         mc_sup=sim.sup_fourth_moment,
         ratio=float(ratio),
         finite=bool(np.isfinite(analytic_sup) and np.isfinite(sim.sup_fourth_moment)),

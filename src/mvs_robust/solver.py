@@ -40,9 +40,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import ClassVar, Sequence
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConfigError,
@@ -108,8 +110,31 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class SolvedTable:
+    """What both table kinds share: frozen node columns and one interpolant.
+
+    ``COLUMNS`` lists a kind's columns in lane order: the lane's own ratio,
+    its state ``y1 .. y5`` and ``delta3`` (then, for a misspecified table,
+    the driver's ratio).
+    """
+
+    COLUMNS: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self):
+        for name in self.COLUMNS:
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+
+    @cached_property
+    def spline(self) -> CubicSpline:
+        """Cubic spline of every column (``COLUMNS`` order on the last
+        axis), built on first use and then kept."""
+        return CubicSpline(
+            self.grid.nodes, np.column_stack([getattr(self, name) for name in self.COLUMNS])
+        )
+
+
 @dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(SolvedTable):
     """Solved grid functions for one model variant.
 
     ``gamma0``, ``phi0``, ``xi`` are the variant's effective values
@@ -117,6 +142,8 @@ class CoefficientTable:
     can be written once against the full model.  ``k1`` duplicates
     ``h2`` by construction and is stored for the identity check.
     """
+
+    COLUMNS = ("f", "h1", "h2", "h3", "g1", "k1", "delta3")
 
     variant: ModelVariant
     grid: TimeGrid
@@ -131,14 +158,16 @@ class CoefficientTable:
     k1: np.ndarray
     delta3: np.ndarray
 
-    def __post_init__(self):
-        for name in ("f", "h1", "h2", "h3", "g1", "k1", "delta3"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
 
 @dataclass(frozen=True)
-class MispecTable:
-    """Solved grid functions for a misspecified-strategy value system."""
+class MispecTable(SolvedTable):
+    """Solved grid functions for a misspecified-strategy value system.
+
+    ``a`` is the value system's ratio and ``driver_f`` the naive
+    strategy's; ``delta3`` is the value system's denominator.
+    """
+
+    COLUMNS = ("a", "a1", "a2", "a3", "b1", "c1", "delta3", "driver_f")
 
     kind: MispecKind
     grid: TimeGrid
@@ -152,10 +181,7 @@ class MispecTable:
     a3: np.ndarray
     b1: np.ndarray
     c1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("driver_f", "a", "a1", "a2", "a3", "b1", "c1"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+    delta3: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +213,8 @@ class LaneResult:
     ``error`` is the class of the lane's failure, ``message`` its text and
     ``node`` the grid node where it occurred.  On success, ``ratio0`` and
     ``state0`` are the ratio and ``(y1, ..., y5)`` at node 0, and
-    ``den_min`` is the smallest denominator over the nodes (for a
-    coefficient lane, bitwise the minimum of its ``delta3``).  ``ratio``
+    ``den_min`` is the smallest denominator over the nodes (bitwise the
+    minimum of the lane's table's ``delta3``).  ``ratio``
     ``(N+1,)`` and ``state`` ``(5, N+1)`` are the full paths when kept.
     """
 
@@ -571,21 +597,14 @@ def _ordered(results: dict[int, LaneResult]) -> list[LaneResult]:
     return [results[i] for i in range(len(results))]
 
 
-def _coefficient_table(variant, grid, lane: Lane, res: LaneResult) -> CoefficientTable:
-    h1, h2, h3, g1, k1 = res.check().state
-    delta3 = lane.gamma0 * h2 + 2.0 * lane.phi0 * (g1 * k1 - h3)
-    return CoefficientTable(
-        variant=variant, grid=grid, gamma0=lane.gamma0, phi0=lane.phi0, xi=lane.xi,
-        f=res.ratio, h1=h1, h2=h2, h3=h3, g1=g1, k1=k1, delta3=delta3,
-    )
-
-
-def _mispec_table(kind, grid, lane: Lane, res: LaneResult, driver: LaneResult) -> MispecTable:
-    a1, a2, a3, b1, c1 = res.check().state
-    return MispecTable(
-        kind=kind, grid=grid, gamma0=lane.gamma0, phi0=lane.phi0, xi=lane.xi,
-        driver_f=driver.ratio, a=res.ratio, a1=a1, a2=a2, a3=a3, b1=b1, c1=c1,
-    )
+def _table(cls, kind, grid, lane: Lane, res: LaneResult, *driver: LaneResult):
+    """A ``cls`` table from a lane's full paths, laid out as ``cls.COLUMNS``:
+    ratio, state, the denominator ``delta3`` (whose minimum is the lane's
+    ``den_min``) and, for a misspecified lane, its driver's ratio."""
+    _, y2, y3, y4, y5 = state = res.check().state
+    delta3 = lane.gamma0 * y2 + 2.0 * lane.phi0 * (y4 * y5 - y3)
+    columns = (res.ratio, *state, delta3, *(d.ratio for d in driver))
+    return cls(kind, grid, lane.gamma0, lane.phi0, lane.xi, **dict(zip(cls.COLUMNS, columns)))
 
 
 def solve_tables(
@@ -601,7 +620,7 @@ def solve_tables(
     idx = [plan.add_variant(0, prefs, v) for v in variants]
     res = integrate_lanes(plan.lanes, [market], grid, eps_den, keep_paths=True)
     return [
-        _coefficient_table(v, grid, plan.lanes[i], res[i]) for v, i in zip(variants, idx)
+        _table(CoefficientTable, v, grid, plan.lanes[i], res[i]) for v, i in zip(variants, idx)
     ]
 
 
@@ -809,7 +828,7 @@ def solve_mispec_system(
     lane = plan.add_mispec(0, prefs, kind)
     res = integrate_lanes(plan.lanes, [market], grid, eps_den, keep_paths=True)
     drv = plan.lanes[lane].driver
-    return _mispec_table(kind, grid, plan.lanes[lane], res[lane], res[drv].check())
+    return _table(MispecTable, kind, grid, plan.lanes[lane], res[lane], res[drv].check())
 
 
 # ---------------------------------------------------------------------------
@@ -845,9 +864,9 @@ def solve_all(
     idx = plan.add_model(0, prefs)
     res = integrate_lanes(plan.lanes, [market], grid, eps_den, keep_paths=True)
     tables = [
-        _coefficient_table(v, grid, plan.lanes[i], res[i]) for v, i in zip(ModelVariant, idx)
+        _table(CoefficientTable, v, grid, plan.lanes[i], res[i]) for v, i in zip(ModelVariant, idx)
     ]
     for kind, i in zip(MispecKind, idx[4:]):
         lane = plan.lanes[i]
-        tables.append(_mispec_table(kind, grid, lane, res[i], res[lane.driver]))
+        tables.append(_table(MispecTable, kind, grid, lane, res[i], res[lane.driver]))
     return SolvedModel(prefs, grid, *tables)

@@ -37,7 +37,7 @@ from mvs_robust import (
     verify_value,
 )
 from mvs_robust.cli import main
-from mvs_robust.policy import mispec_value_bracket, value_bracket
+from mvs_robust.policy import value_bracket
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
 from mvs_robust.sweep import sweep_grid
 
@@ -319,11 +319,11 @@ def test_acceptance_10_figure_monotonicity(base_grid):
         pf = Preferences(2.0, 0.5, x)
         v = value_bracket(solve_system(low_m, pf, grid), 0.0)
         neutral = solve_system(low_m, pf, grid, ModelVariant.AMBIGUITY_NEUTRAL)
-        v1 = mispec_value_bracket(
+        v1 = value_bracket(
             solve_mispec_system(low_m, pf, grid, MispecKind.IGNORE_UNCERTAINTY, driver=neutral), 0.0
         )
         basic = solve_system(low_m, pf, grid, ModelVariant.BASIC)
-        v2 = mispec_value_bracket(
+        v2 = value_bracket(
             solve_mispec_system(low_m, pf, grid, MispecKind.IGNORE_BOTH, driver=basic), 0.0
         )
         l2s.append(1.0 - v1 / v)

@@ -68,6 +68,11 @@ class TestExitCodes:
         cfg = write(tmp_path, "bad.cfg", QUICK + "\n[preferences]\nxi = nan\n")
         assert main(["check", "--config", cfg]) == 2
 
+    def test_ragged_volatility_matrix_is_2(self, tmp_path):
+        text = QUICK + "\n[market]\nmu = 0.15, 0.10\nsigma = 0.2; 0.1, 0.3\n"
+        cfg = write(tmp_path, "bad.cfg", text)
+        assert main(["check", "--config", cfg]) == 2
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvs_robust import ConfigError, NonPositiveHorizon, SingularGram
 from mvs_robust.config import RunConfig, SweepSection, parse_config
@@ -98,9 +100,11 @@ class TestValidation:
         "[market]\nT = 1.0\n[simulation]\nstart_time = 1.0\n",
         "[simulation]\nstart_time = 7.5\n",
         "[simulation]\nstart_time = -0.25\n",
+        "[market]\nmu = 0.15, 0.10\nsigma = 0.2; 0.1, 0.3\n",
     ])
     def test_rejected_at_load(self, text):
-        # non-finite numbers and start times outside [0, T) never reach a solver
+        # non-finite numbers, start times outside [0, T) and ragged
+        # matrices never reach a solver
         with pytest.raises(ConfigError):
             parse_config(text)
 
@@ -153,3 +157,45 @@ class TestOverrides:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig().with_overrides({"horizon": 2.0})
+
+
+# Values a config file may hold: finite, non-finite, negative, empty,
+# multi-valued and ragged numbers, and the words the string keys accept
+# (each drawn for the keys of its kind, so that a bad value is seldom
+# hidden behind a word in a numeric key).
+_NUMBERS = (
+    "0", "1", "-1", "2", "0.25", "-0.3", "1e-12", "5", "4000", "nan", "inf",
+    "-inf", "", "0.1, 0.2", "0.15, 0.1, 0.2", "0.2; 0.1, 0.3", "0.2, 0; 0.1",
+    "0.25, 0; 0.05, 0.2", ";",
+)
+_WORDS = ("xi", "w0", "mu", "sigma", "exact", "euler", "distorted", "reference", "", "1")
+_KEYS = {
+    "market": ("T", "r", "mu", "sigma"),
+    "preferences": ("gamma0", "phi0", "xi"),
+    "solver": ("num_steps", "picard_tol", "picard_max_iter", "eps_den"),
+    "simulation": ("num_paths", "seed", "scheme", "measure", "start_time",
+                   "start_wealth", "num_steps"),
+    "sweep": ("param", "min", "max", "count", "param2", "min2", "max2", "count2"),
+}
+_WORD_KEYS = {"scheme", "measure", "param", "param2"}
+
+
+@st.composite
+def _config_text(draw):
+    lines = []
+    for section in draw(st.lists(st.sampled_from(sorted(_KEYS)), unique=True, max_size=3)):
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(_KEYS[section]), unique=True, max_size=3)):
+            value = draw(st.sampled_from(_WORDS if key in _WORD_KEYS else _NUMBERS))
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_text())
+@example("[market]\nsigma = 0.2; 0.1, 0.3\n")  # ragged matrix rows
+def test_any_config_text_loads_or_raises_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass

@@ -8,6 +8,7 @@ from mvs_robust import (
     OutOfHorizon,
     Preferences,
     ZeroDenominatorValue,
+    build_market,
     delta3_scan,
     equilibrium_policy,
     solve_system,
@@ -41,8 +42,17 @@ class TestEquilibriumPolicy:
             p = equilibrium_policy(base_model.full, base_market, t, 4.0)
             beta = base_market.excess_at(t)
             sig = base_market.volatility_at(t)
-            expected = -(xi / (xi + 1.0)) * (sig.T @ base_market.gram_solve(t, beta))
+            expected = -(xi / (xi + 1.0)) * (sig @ base_market.gram_solve(t, beta))
             np.testing.assert_allclose(p.distortion, expected, rtol=0, atol=1e-15)
+
+    def test_distortion_norm_is_scaled_theta(self):
+        # a lower-triangular sigma, whose columns are the assets' loadings
+        sigma = [[0.20, 0.0, 0.0], [0.06, 0.22, 0.0], [0.04, 0.05, 0.25]]
+        market = build_market(5.0, 0.05, [0.12, 0.15, 0.18], sigma, num_steps=200)
+        table = solve_system(market, Preferences(2.0, 0.5, 1.5), market.grid)
+        for t in (0.0, 2.6):
+            q = equilibrium_policy(table, market, t, 4.0).distortion
+            assert q @ q == pytest.approx(0.36 * market.theta_at(t), rel=1e-12)
 
     def test_allocation_linear_in_wealth(self, base_model, base_market):
         p1 = equilibrium_policy(base_model.full, base_market, 2.0, 4.0)

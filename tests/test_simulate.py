@@ -160,9 +160,7 @@ class TestVerifyValue:
         assert res.value == pytest.approx(4.0, rel=1e-3)
 
     def test_misspecified_value_verifies(self, base_model, base_market, quick_sim):
-        res = verify_value(
-            base_model.full, base_market, 0.0, 4.0, quick_sim, mispec=base_model.mispec_u
-        )
+        res = verify_value(base_model.mispec_u, base_market, 0.0, 4.0, quick_sim)
         assert res.analytic_rel_err < 1e-6
         assert abs(res.mc_z) <= 3.0
 

@@ -15,7 +15,7 @@ from mvs_robust import (
     solve_mispec_system,
     solve_system,
 )
-from mvs_robust.policy import mispec_value_bracket, value_bracket
+from mvs_robust.policy import value_bracket
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
 from mvs_robust.solver import LanePlan, PicardInfo, integrate_lanes, solve_all
 from mvs_robust.sweep import run_sweep
@@ -185,7 +185,7 @@ class TestMispecSystems:
             base_market, prefs, base_grid, MispecKind.IGNORE_UNCERTAINTY, driver=neutral
         )
         for t in (0.0, 1.7, 4.2):
-            assert mispec_value_bracket(mis, t) == pytest.approx(
+            assert value_bracket(mis, t) == pytest.approx(
                 value_bracket(neutral, t), abs=1e-10
             )
 
@@ -206,8 +206,8 @@ class TestMispecSystems:
     def test_value_dominance_of_robust_strategy(self, base_model):
         # the robust value is the sup over strategies of the inf problem
         v = value_bracket(base_model.full, 0.0)
-        assert mispec_value_bracket(base_model.mispec_u, 0.0) <= v
-        assert mispec_value_bracket(base_model.mispec_both, 0.0) <= v
+        assert value_bracket(base_model.mispec_u, 0.0) <= v
+        assert value_bracket(base_model.mispec_both, 0.0) <= v
 
 
 def test_solve_all_reuses_consistent_drivers(base_model):
@@ -263,6 +263,9 @@ class TestLaneBatch:
         for i, table in zip(idx, (model.full, model.neutral, model.noskew, model.basic)):
             assert res[i].den_min == np.min(table.delta3)
             assert res[i].ratio0 == table.f[0]
+        for i, table in zip(idx[4:], (model.mispec_u, model.mispec_both)):
+            assert res[i].den_min == np.min(table.delta3)
+            assert res[i].ratio0 == table.a[0]
 
     def test_mispec_driver_f_is_driver_table_f(self, base_market, base_prefs, base_grid):
         for kind in MispecKind:
