@@ -18,28 +18,22 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .checks import run_checks
+from .checks import MC_Z_BOUND, run_checks
 from .config import RunConfig, load_config
 from .errors import ConfigError, MvsRobustError
 from .policy import value_bracket
 from .presets import FIGURE_PRESETS, preset_config
 from .simulate import lognormal_moments, simulate_equilibrium_wealth
-from .solver import ModelVariant, solve_system, solve_tables
+from .solver import CoefficientTable, ModelVariant, solve_system, solve_tables
 from .sweep import rows_to_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-_VARIANTS = {
-    "full": ModelVariant.FULL,
-    "neutral": ModelVariant.AMBIGUITY_NEUTRAL,
-    "noskew": ModelVariant.NO_SKEW,
-    "basic": ModelVariant.BASIC,
-}
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -66,15 +60,14 @@ def cmd_solve(config: RunConfig, out_dir: Path, variants: list[str], argv) -> in
     market = config.build_market(grid)
     prefs = config.build_preferences()
     tables = solve_tables(
-        market, prefs, grid, [_VARIANTS[name] for name in variants], config.solver.eps_den
+        market, prefs, grid, [ModelVariant(name) for name in variants], config.solver.eps_den
     )
+    header = ",".join(("t",) + CoefficientTable.COLUMNS)
     for name, table in zip(variants, tables):
-        lines = ["t,f,h1,h2,h3,g1,k1,delta3"]
-        for i, t in enumerate(grid.nodes):
-            lines.append(",".join(_fmt(v) for v in (
-                t, table.f[i], table.h1[i], table.h2[i], table.h3[i],
-                table.g1[i], table.k1[i], table.delta3[i],
-            )))
+        rows = (row.tolist() for row in np.column_stack(
+            [grid.nodes] + [getattr(table, column) for column in CoefficientTable.COLUMNS]
+        ))
+        lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
         _write(out_dir / f"coefficients_{name}.csv", "\n".join(lines) + "\n")
     _write_meta(out_dir, config, argv)
     return EXIT_OK
@@ -87,6 +80,14 @@ def cmd_sweep(config: RunConfig, out_dir: Path, argv) -> int:
     _write(out_dir / "sweep.csv", rows_to_csv(header, rows))
     _write_meta(out_dir, config, argv)
     return EXIT_OK
+
+
+def _z_line(name: str, est, analytic: float) -> str:
+    """A Monte Carlo estimate against its analytic value, failing outside
+    the z band (z is 0 for a zero standard error)."""
+    z = (est.value - analytic) / est.std_error if est.std_error > 0 else 0.0
+    flag = "pass" if abs(z) <= MC_Z_BOUND else "fail"
+    return f"{name},{_fmt(est.value)},{_fmt(est.std_error)},{_fmt(analytic)},{_fmt(z)},{flag}"
 
 
 def cmd_check(config: RunConfig) -> int:
@@ -108,14 +109,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path, argv) -> int:
     t0 = cfg.start_time
     lines = ["quantity,estimate,std_error,analytic,z_score,flag"]
     for order in (1, 2, 3, 4):
-        est = res.moments[order - 1]
         analytic = lognormal_moments(table, market, t0, w0, order, cfg.measure)
-        z = (est.value - analytic) / est.std_error if est.std_error > 0 else 0.0
-        flag = "pass" if abs(z) <= 3.0 or est.std_error == 0.0 else "fail"
-        lines.append(
-            f"moment_{order},{_fmt(est.value)},{_fmt(est.std_error)},"
-            f"{_fmt(analytic)},{_fmt(z)},{flag}"
-        )
+        lines.append(_z_line(f"moment_{order}", res.moments[order - 1], analytic))
     m1, m2 = res.moments[0].value, res.moments[1].value
     variance = max(0.0, m2 - m1 * m1)
     lines.append(f"variance,{_fmt(variance)},,,,")
@@ -124,16 +119,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path, argv) -> int:
     if res.penalty is not None:
         lines.append(f"penalty,{_fmt(res.penalty.value)},{_fmt(res.penalty.std_error)},,,")
     if res.objective is not None:
-        v = value_bracket(table, t0) * w0
-        z = (
-            (res.objective.value - v) / res.objective.std_error
-            if res.objective.std_error > 0 else 0.0
-        )
-        flag = "pass" if abs(z) <= 3.0 else "fail"
-        lines.append(
-            f"objective,{_fmt(res.objective.value)},{_fmt(res.objective.std_error)},"
-            f"{_fmt(v)},{_fmt(z)},{flag}"
-        )
+        lines.append(_z_line("objective", res.objective, value_bracket(table, t0) * w0))
     _write(out_dir / "simulation.csv", "\n".join(lines) + "\n")
     _write_meta(out_dir, config, argv)
     return EXIT_OK
@@ -168,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_solve)
     p_solve.add_argument(
         "--variants", default="full",
-        help="comma list from: " + ",".join(_VARIANTS),
+        help="comma list from: " + ",".join(v.value for v in ModelVariant),
     )
     add_common(sub.add_parser("sweep", help="run a parameter sweep, write CSV"))
     p_check = sub.add_parser("check", help="run verification checks")
@@ -191,9 +177,10 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         if args.command == "solve":
             variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-            unknown = [v for v in variants if v not in _VARIANTS]
+            words = sorted(v.value for v in ModelVariant)
+            unknown = [v for v in variants if v not in words]
             if unknown:
-                raise ConfigError(f"unknown variants {unknown}; choose from {sorted(_VARIANTS)}")
+                raise ConfigError(f"unknown variants {unknown}; choose from {words}")
             return cmd_solve(config, out_dir, variants, argv)
         if args.command == "sweep":
             return cmd_sweep(config, out_dir, argv)

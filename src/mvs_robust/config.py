@@ -2,10 +2,13 @@
 
 Sections appear in square brackets, entries as ``key = value`` lines,
 lists comma-separated; a volatility matrix uses semicolons between
-rows.  Unknown sections or keys are rejected, every number must be
-finite, and every numeric field is validated against the module
-preconditions at load time.  Missing keys fall back to the base
-experiment defaults (five-year horizon, one risky asset).
+rows; a comment takes a whole line.  A section is the ``RunConfig``
+field of that name, and its keys are the fields of the section's
+dataclass, which declares their order, types and defaults once for
+parsing, the key check and ``to_text``.  A missing key takes its
+default (the base experiment: five-year horizon, one risky asset); a
+field without one is required.  Every number must be finite, and every
+numeric field is validated against the module preconditions at load.
 
 Example::
 
@@ -30,20 +33,18 @@ Example::
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .market import MarketCurves, Preferences, TimeGrid, build_market
+from .market import DEFAULT_NUM_STEPS, MarketCurves, Preferences, TimeGrid, build_market
 from .simulate import Measure, Scheme, SimConfig
+from .solver import DEFAULT_EPS_DEN, DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL
 
-SWEEPABLE = ("w0", "xi", "gamma0", "phi0", "mu", "sigma", "r")
-
-_SCHEMES = {"exact": Scheme.EXACT_LOGNORMAL, "euler": Scheme.EULER_MARUYAMA}
-_MEASURES = {"distorted": Measure.DISTORTED, "reference": Measure.REFERENCE}
+Matrix = tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class MarketSection:
     T: float = 5.0
     r: float = 0.05
     mu: tuple[float, ...] = (0.15,)
-    sigma: tuple[tuple[float, ...], ...] = ((0.25,),)
+    sigma: Matrix = ((0.25,),)
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ class PreferencesSection:
 
 @dataclass(frozen=True)
 class SolverSection:
-    num_steps: int = 2000
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 500
-    eps_den: float = 1e-12
+    num_steps: int = DEFAULT_NUM_STEPS
+    picard_tol: float = DEFAULT_PICARD_TOL
+    picard_max_iter: int = DEFAULT_PICARD_MAX_ITER
+    eps_den: float = DEFAULT_EPS_DEN
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,20 @@ class SweepSection:
     min2: float = 0.0
     max2: float = 0.0
     count2: int = 0
+
+
+# The second sweep axis: its bounds are required with param2, and all
+# four keys are written only when param2 is set.
+_AXIS2 = ("param2", "min2", "max2", "count2")
+
+
+def _member(kind, key: str, word: str):
+    """The member of enum ``kind`` whose value is ``word``."""
+    try:
+        return kind(word)
+    except ValueError:
+        words = sorted(m.value for m in kind)
+        raise ConfigError(f"{key} must be one of {words}, got {word!r}") from None
 
 
 @dataclass(frozen=True)
@@ -127,17 +142,13 @@ class RunConfig:
 
     def build_sim_config(self) -> SimConfig:
         s = self.simulation
-        if s.scheme not in _SCHEMES:
-            raise ConfigError(f"scheme must be one of {sorted(_SCHEMES)}, got {s.scheme!r}")
-        if s.measure not in _MEASURES:
-            raise ConfigError(f"measure must be one of {sorted(_MEASURES)}, got {s.measure!r}")
         return SimConfig(
             num_paths=s.num_paths,
             seed=s.seed,
             start_time=s.start_time,
             start_wealth=s.start_wealth,
-            scheme=_SCHEMES[s.scheme],
-            measure=_MEASURES[s.measure],
+            scheme=_member(Scheme, "scheme", s.scheme),
+            measure=_member(Measure, "measure", s.measure),
             num_steps=s.num_steps,
         )
 
@@ -177,60 +188,52 @@ class RunConfig:
         """New config with sweepable parameters replaced by ``values``."""
         cfg = self
         for name, v in values.items():
-            if name == "w0":
-                cfg = replace(cfg, simulation=replace(cfg.simulation, start_wealth=v))
-            elif name == "xi":
-                cfg = replace(cfg, preferences=replace(cfg.preferences, xi=v))
-            elif name == "gamma0":
-                cfg = replace(cfg, preferences=replace(cfg.preferences, gamma0=v))
-            elif name == "phi0":
-                cfg = replace(cfg, preferences=replace(cfg.preferences, phi0=v))
-            elif name == "mu":
-                cfg = replace(cfg, market=replace(cfg.market, mu=(v,)))
-            elif name == "sigma":
-                cfg = replace(cfg, market=replace(cfg.market, sigma=((v,),)))
-            elif name == "r":
-                cfg = replace(cfg, market=replace(cfg.market, r=v))
-            else:
+            if name not in _OVERRIDES:
                 raise ConfigError(f"unknown override {name!r}")
+            section, key, wrap = _OVERRIDES[name]
+            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{key: wrap(v)})})
         return cfg
 
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
         """Round-trippable config text (used for run.meta)."""
-        out = io.StringIO()
-        m = self.market
-        out.write("[market]\n")
-        out.write(f"T = {m.T:.17g}\n")
-        out.write(f"r = {m.r:.17g}\n")
-        out.write("mu = " + ", ".join(f"{x:.17g}" for x in m.mu) + "\n")
-        out.write(
-            "sigma = "
-            + "; ".join(", ".join(f"{x:.17g}" for x in row) for row in m.sigma)
-            + "\n\n"
-        )
-        p = self.preferences
-        out.write("[preferences]\n")
-        out.write(f"gamma0 = {p.gamma0:.17g}\nphi0 = {p.phi0:.17g}\nxi = {p.xi:.17g}\n\n")
-        s = self.solver
-        out.write("[solver]\n")
-        out.write(f"num_steps = {s.num_steps}\npicard_tol = {s.picard_tol:.17g}\n")
-        out.write(f"picard_max_iter = {s.picard_max_iter}\neps_den = {s.eps_den:.17g}\n\n")
-        q = self.simulation
-        out.write("[simulation]\n")
-        out.write(f"num_paths = {q.num_paths}\nseed = {q.seed}\n")
-        out.write(f"scheme = {q.scheme}\nmeasure = {q.measure}\n")
-        out.write(f"start_time = {q.start_time:.17g}\nstart_wealth = {q.start_wealth:.17g}\n")
-        out.write(f"num_steps = {q.num_steps}\n")
-        if self.sweep is not None:
-            w = self.sweep
-            out.write("\n[sweep]\n")
-            out.write(f"param = {w.param}\nmin = {w.min:.17g}\nmax = {w.max:.17g}\ncount = {w.count}\n")
-            if w.param2 is not None:
-                out.write(f"param2 = {w.param2}\nmin2 = {w.min2:.17g}\n")
-                out.write(f"max2 = {w.max2:.17g}\ncount2 = {w.count2}\n")
-        return out.getvalue()
+        blocks = []
+        for name in _SECTIONS:
+            section = getattr(self, name)
+            if section is None:
+                continue
+            keys = [f.name for f in fields(section)]
+            if getattr(section, "param2", "") is None:
+                keys = [key for key in keys if key not in _AXIS2]
+            blocks.append(f"[{name}]\n" + "".join(
+                f"{key} = {_format(getattr(section, key))}\n" for key in keys
+            ))
+        return "\n".join(blocks)
+
+
+# Sweep parameter -> (section, field, sweep value -> field value).
+_OVERRIDES = {
+    "w0": ("simulation", "start_wealth", float),
+    "xi": ("preferences", "xi", float),
+    "gamma0": ("preferences", "gamma0", float),
+    "phi0": ("preferences", "phi0", float),
+    "mu": ("market", "mu", lambda v: (v,)),
+    "sigma": ("market", "sigma", lambda v: ((v,),)),
+    "r": ("market", "r", float),
+}
+SWEEPABLE = tuple(_OVERRIDES)
+
+
+def _format(value) -> str:
+    """A value as config text: 17 significant digits for floats, ``,``
+    between list items and ``;`` between matrix rows."""
+    if isinstance(value, tuple):
+        sep = "; " if value and isinstance(value[0], tuple) else ", "
+        return sep.join(_format(x) for x in value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -256,23 +259,49 @@ def _parse_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(section, key, x.strip()) for x in raw.split(",") if x.strip())
 
 
-def _parse_matrix(section: str, key: str, raw: str) -> tuple[tuple[float, ...], ...]:
+def _parse_matrix(section: str, key: str, raw: str) -> Matrix:
     rows = tuple(_parse_list(section, key, r) for r in raw.split(";") if r.strip())
     if len({len(row) for row in rows}) > 1:
         raise ConfigError(f"[{section}] {key}: matrix rows differ in length, got {raw!r}")
     return rows
 
 
-_SECTION_KEYS = {
-    "market": {"T", "r", "mu", "sigma"},
-    "preferences": {"gamma0", "phi0", "xi"},
-    "solver": {"num_steps", "picard_tol", "picard_max_iter", "eps_den"},
-    "simulation": {
-        "num_paths", "seed", "scheme", "measure",
-        "start_time", "start_wealth", "num_steps",
-    },
-    "sweep": {"param", "min", "max", "count", "param2", "min2", "max2", "count2"},
+_PARSERS = {  # field type -> parser(section, key, raw text)
+    float: _parse_float,
+    int: _parse_int,
+    tuple[float, ...]: _parse_list,
+    Matrix: _parse_matrix,
+    str: lambda section, key, raw: raw.strip(),
+    str | None: lambda section, key, raw: raw.strip() or None,
 }
+
+# Section name -> its dataclass (``SweepSection | None`` -> ``SweepSection``).
+_SECTIONS = {
+    name: next(iter(typing.get_args(hint)), hint)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+# Section name -> ((field, parser), ...) in declaration order.
+_SCHEMA = {
+    name: tuple(zip(fields(cls), (_PARSERS[t] for t in typing.get_type_hints(cls).values())))
+    for name, cls in _SECTIONS.items()
+}
+
+
+def _parse_section(name: str, raw) -> object:
+    """One section's dataclass from its ``key -> text`` entries."""
+    schema = _SCHEMA[name]
+    for f, _ in schema:
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"[{name}] requires {f.name!r}")
+    if "param2" in raw:
+        for key in _AXIS2[1:]:
+            if key not in raw:
+                raise ConfigError(f"[{name}] with param2 requires {key!r}")
+    values = {f.name: parse(name, f.name, raw[f.name]) for f, parse in schema if f.name in raw}
+    if values.get("param2") is None:  # no second axis: its bounds are not kept
+        for key in _AXIS2:
+            values.pop(key, None)
+    return _SECTIONS[name](**values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -285,74 +314,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from None
 
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(cp[section]) - _SECTION_KEYS[section]
+        unknown = set(cp[section]) - {f.name for f, _ in _SCHEMA[section]}
         if unknown:
             raise ConfigError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
 
-    def get(section, key, default=None):
-        if cp.has_section(section) and key in cp[section]:
-            return cp[section][key]
-        return default
-
-    market = MarketSection(
-        T=_parse_float("market", "T", get("market", "T", "5.0")),
-        r=_parse_float("market", "r", get("market", "r", "0.05")),
-        mu=_parse_list("market", "mu", get("market", "mu", "0.15")),
-        sigma=_parse_matrix("market", "sigma", get("market", "sigma", "0.25")),
-    )
-    prefs = PreferencesSection(
-        gamma0=_parse_float("preferences", "gamma0", get("preferences", "gamma0", "2.0")),
-        phi0=_parse_float("preferences", "phi0", get("preferences", "phi0", "0.5")),
-        xi=_parse_float("preferences", "xi", get("preferences", "xi", "1.0")),
-    )
-    solver = SolverSection(
-        num_steps=_parse_int("solver", "num_steps", get("solver", "num_steps", "2000")),
-        picard_tol=_parse_float("solver", "picard_tol", get("solver", "picard_tol", "1e-10")),
-        picard_max_iter=_parse_int(
-            "solver", "picard_max_iter", get("solver", "picard_max_iter", "500")
-        ),
-        eps_den=_parse_float("solver", "eps_den", get("solver", "eps_den", "1e-12")),
-    )
-    sim = SimulationSection(
-        num_paths=_parse_int("simulation", "num_paths", get("simulation", "num_paths", "100000")),
-        seed=_parse_int("simulation", "seed", get("simulation", "seed", "42")),
-        scheme=get("simulation", "scheme", "exact").strip(),
-        measure=get("simulation", "measure", "distorted").strip(),
-        start_time=_parse_float(
-            "simulation", "start_time", get("simulation", "start_time", "0.0")
-        ),
-        start_wealth=_parse_float(
-            "simulation", "start_wealth", get("simulation", "start_wealth", "4.0")
-        ),
-        num_steps=_parse_int("simulation", "num_steps", get("simulation", "num_steps", "200")),
-    )
-    sweep = None
-    if cp.has_section("sweep"):
-        if "param" not in cp["sweep"]:
-            raise ConfigError("[sweep] requires 'param'")
-        for key in ("min", "max", "count"):
-            if key not in cp["sweep"]:
-                raise ConfigError(f"[sweep] requires {key!r}")
-        has2 = "param2" in cp["sweep"]
-        if has2:
-            for key in ("min2", "max2", "count2"):
-                if key not in cp["sweep"]:
-                    raise ConfigError(f"[sweep] with param2 requires {key!r}")
-        sweep = SweepSection(
-            param=get("sweep", "param").strip(),
-            min=_parse_float("sweep", "min", get("sweep", "min")),
-            max=_parse_float("sweep", "max", get("sweep", "max")),
-            count=_parse_int("sweep", "count", get("sweep", "count")),
-            param2=get("sweep", "param2", "").strip() or None if has2 else None,
-            min2=_parse_float("sweep", "min2", get("sweep", "min2", "0")),
-            max2=_parse_float("sweep", "max2", get("sweep", "max2", "0")),
-            count2=_parse_int("sweep", "count2", get("sweep", "count2", "0")),
-        )
-    return RunConfig(
-        market=market, preferences=prefs, solver=solver, simulation=sim, sweep=sweep
-    ).validate()
+    return RunConfig(**{
+        name: _parse_section(name, cp[name]) for name in _SCHEMA if cp.has_section(name)
+    }).validate()
 
 
 def load_config(path) -> RunConfig:

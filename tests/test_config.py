@@ -1,3 +1,7 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 from mvs_robust import ConfigError, NonPositiveHorizon, SingularGram
 from mvs_robust.config import RunConfig, SweepSection, parse_config
+from mvs_robust.presets import FIGURE_PRESETS, preset_config
 
 
 BASE_TEXT = """
@@ -30,6 +35,7 @@ class TestParsing:
         assert cfg.solver.num_steps == 2000
         assert cfg.simulation.num_paths == 100_000
         assert cfg.sweep is None
+        assert cfg == RunConfig()
 
     def test_round_trip(self):
         cfg = parse_config(BASE_TEXT)
@@ -67,6 +73,48 @@ class TestParsing:
     def test_malformed_text_rejected(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_config("not a config at all\n")
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Configuration format.*?```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(block)
+        sweep = SweepSection(param="xi", min=0.5, max=3.0, count=11)
+        assert cfg == replace(RunConfig(), sweep=sweep)
+
+
+# ``to_text`` bytes are recorded in run.meta, so they are pinned here.
+FIG01_TEXT = (
+    "[market]\nT = 5\nr = 0.050000000000000003\nmu = 0.14999999999999999\n"
+    "sigma = 0.25\n\n"
+    "[preferences]\ngamma0 = 2\nphi0 = 0.5\nxi = 1\n\n"
+    "[solver]\nnum_steps = 2000\npicard_tol = 1e-10\npicard_max_iter = 500\n"
+    "eps_den = 9.9999999999999998e-13\n\n"
+    "[simulation]\nnum_paths = 100000\nseed = 42\nscheme = exact\n"
+    "measure = distorted\nstart_time = 0\nstart_wealth = 4\nnum_steps = 200\n\n"
+    "[sweep]\nparam = w0\nmin = 2\nmax = 6\ncount = 5\n"
+    "param2 = xi\nmin2 = 0.5\nmax2 = 3\ncount2 = 11\n"
+)
+THREE_ASSET_MARKET_TEXT = (
+    "[market]\nT = 5\nr = 0.050000000000000003\n"
+    "mu = 0.12, 0.14999999999999999, 0.17999999999999999\n"
+    "sigma = 0.20000000000000001, 0, 0; 0.059999999999999998, 0.22, 0; "
+    "0.040000000000000001, 0.050000000000000003, 0.25\n"
+)
+
+
+class TestToText:
+    def test_preset_bytes(self):
+        fig01 = next(p for p in FIGURE_PRESETS if p.name == "fig01")
+        assert preset_config(fig01).to_text() == FIG01_TEXT
+
+    def test_matrix_bytes(self):
+        cfg = parse_config(
+            "[market]\nmu = 0.12, 0.15, 0.18\n"
+            "sigma = 0.2, 0, 0; 0.06, 0.22, 0; 0.04, 0.05, 0.25\n"
+        )
+        # the other sections are the defaults, written as in FIG01_TEXT
+        rest = FIG01_TEXT[FIG01_TEXT.index("\n[preferences]"):FIG01_TEXT.index("\n[sweep]")]
+        assert cfg.to_text() == THREE_ASSET_MARKET_TEXT + rest
 
 
 class TestValidation:
@@ -194,8 +242,13 @@ def _config_text(draw):
 @settings(max_examples=300, deadline=None)
 @given(_config_text())
 @example("[market]\nsigma = 0.2; 0.1, 0.3\n")  # ragged matrix rows
+@example("[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\nmin2 = 7\n")  # no param2
 def test_any_config_text_loads_or_raises_config_error(text):
     try:
-        parse_config(text)
+        cfg = parse_config(text)
     except ConfigError:
-        pass
+        return
+    # what loads is written back exactly, and the text is a fixed point
+    again = parse_config(cfg.to_text())
+    assert again == cfg
+    assert again.to_text() == cfg.to_text()
