@@ -306,7 +306,8 @@ def _parse_section(name: str, raw) -> object:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config text; raises ``ConfigError`` on problems."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] is an unknown section like any other
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keys are case-sensitive
     try:
         cp.read_string(text)

@@ -147,7 +147,7 @@ class MarketCurves:
 
     def risk_free_at(self, t):
         self._check_time(t)
-        return np.interp(t, self.grid.nodes, self.risk_free_nodes)
+        return self._interp(t, self.risk_free_nodes)
 
     def volatility_at(self, t: float) -> np.ndarray:
         self._check_time(t)
@@ -173,8 +173,8 @@ class MarketCurves:
         self._check_time(t)
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if self.num_assets == 1:
-            beta = np.interp(ts, self.grid.nodes, self.excess_nodes[:, 0])
-            gram = np.interp(ts, self.grid.nodes, self.gram_nodes[:, 0, 0])
+            beta = self._interp(ts, self.excess_nodes[:, 0])
+            gram = self._interp(ts, self.gram_nodes[:, 0, 0])
             out = beta * beta / gram
         else:
             beta = self._interp(ts, self.excess_nodes)

@@ -4,8 +4,10 @@ Everything the policy, value, and simulation layers consume is a table
 of time functions solved backward from the horizon:
 
 * ``solve_system`` integrates the differential-algebraic system for
-  ``(h1, h2, h3, g1, k1)`` with classical RK4, evaluating the ratio
-  function ``f`` algebraically from the state inside every stage.  The
+  ``(h1, h2, h3, g1)`` with classical RK4, evaluating the ratio
+  function ``f`` algebraically from the state inside every stage.
+  ``k1`` has the same equation and terminal value as ``h2``, so it is
+  not integrated: its column is ``h2``.  The
   four model variants (full robust, ambiguity-neutral, no-skewness,
   basic) are exact termwise reductions of one another obtained by
   zeroing the ambiguity weight and/or the skewness weight, so a single
@@ -25,8 +27,8 @@ of time functions solved backward from the horizon:
 
 Every backward system is one *lane* of ``integrate_lanes``, a single
 RK4 over a lane axis: a sweep integrates all of its distinct systems in
-one call, and a misspecified-value lane is integrated in lockstep with
-the coefficient lane whose ratio drives it.
+one call, and a misspecified-value lane reads, at every RK4 stage, the
+ratio of the coefficient lane that drives it.
 
 The denominator of the algebraic ratio equals ``gamma0`` at the
 terminal time and must stay positive for the backward solution to
@@ -114,8 +116,9 @@ class SolvedTable:
     """What both table kinds share: frozen node columns and one interpolant.
 
     ``COLUMNS`` lists a kind's columns in lane order: the lane's own ratio,
-    its state ``y1 .. y5`` and ``delta3`` (then, for a misspecified table,
-    the driver's ratio).
+    its state ``y1 .. y4``, ``y2`` again (``k1`` or ``c1``: the same
+    equation and terminal value as ``y2``), ``delta3`` and, for a
+    misspecified table, the driver's ratio.
     """
 
     COLUMNS: ClassVar[tuple[str, ...]]
@@ -139,8 +142,8 @@ class CoefficientTable(SolvedTable):
 
     ``gamma0``, ``phi0``, ``xi`` are the variant's effective values
     (zeroed where the variant demands it), so every downstream formula
-    can be written once against the full model.  ``k1`` duplicates
-    ``h2`` by construction and is stored for the identity check.
+    can be written once against the full model.  ``k1`` is ``h2`` by
+    construction and is stored for the identity check.
     """
 
     COLUMNS = ("f", "h1", "h2", "h3", "g1", "k1", "delta3")
@@ -212,10 +215,10 @@ class LaneResult:
 
     ``error`` is the class of the lane's failure, ``message`` its text and
     ``node`` the grid node where it occurred.  On success, ``ratio0`` and
-    ``state0`` are the ratio and ``(y1, ..., y5)`` at node 0, and
-    ``den_min`` is the smallest denominator over the nodes (bitwise the
-    minimum of the lane's table's ``delta3``).  ``ratio``
-    ``(N+1,)`` and ``state`` ``(5, N+1)`` are the full paths when kept.
+    ``state0`` are the ratio and ``(y1, y2, y3, y4)`` at node 0, and
+    ``den_min`` is the smallest denominator over the nodes.  ``ratio``
+    ``(N+1,)``, ``state`` ``(4, N+1)`` and ``den`` ``(N+1,)``, the
+    denominator (a table's ``delta3``), are the full paths when kept.
     """
 
     error: type[MvsRobustError] | None = None
@@ -226,6 +229,7 @@ class LaneResult:
     den_min: float = math.nan
     ratio: np.ndarray | None = None
     state: np.ndarray | None = None
+    den: np.ndarray | None = None
 
     def check(self) -> "LaneResult":
         """This result, or raise its failure."""
@@ -304,7 +308,7 @@ class _Columns:
 
 
 class _Floats:
-    """One lane per group as Python floats; a state is a 5-tuple."""
+    """One lane per group as Python floats; a state is a 4-tuple."""
 
     any = bool
     minimum = min
@@ -323,8 +327,7 @@ class _Floats:
 
     @staticmethod
     def axpy(y, s, g):
-        return (y[0] + s * g[0], y[1] + s * g[1], y[2] + s * g[2],
-                y[3] + s * g[3], y[4] + s * g[4])
+        return (y[0] + s * g[0], y[1] + s * g[1], y[2] + s * g[2], y[3] + s * g[3])
 
     @staticmethod
     def rk4(y, s, g1, g2, g3, g4):
@@ -333,7 +336,6 @@ class _Floats:
             y[1] + s * (g1[1] + 2.0 * (g2[1] + g3[1]) + g4[1]),
             y[2] + s * (g1[2] + 2.0 * (g2[2] + g3[2]) + g4[2]),
             y[3] + s * (g1[3] + 2.0 * (g2[3] + g3[3]) + g4[3]),
-            y[4] + s * (g1[4] + 2.0 * (g2[4] + g3[4]) + g4[4]),
         )
 
     @staticmethod
@@ -347,7 +349,7 @@ class _Floats:
 
 
 class _Arrays:
-    """Many lanes per group as arrays over the lane axis; a state is ``(5, L)``."""
+    """Many lanes per group as arrays over the lane axis; a state is ``(4, L)``."""
 
     minimum = np.minimum
 
@@ -393,12 +395,13 @@ def _rhs(ops, y, par: _Group, rates, s=None):
 
     Written with ``+ - * /`` only, so it gives bitwise the same numbers
     on Python floats and on lane arrays.  ``s`` is the strategy when it
-    comes from another group (a float driver lane); otherwise
-    ``par.own`` picks it from the group's own ratios.
+    comes from outside the group (a driver's record, for a float
+    misspecified lane); otherwise ``par.own`` picks it from the group's
+    own ratios.
     """
     r, th = rates
-    y1, y2, y3, y4, y5 = y
-    q, w = y4 * y4, y4 * y5
+    y1, y2, y3, y4 = y
+    q, w = y4 * y4, y4 * y2
     den = par.g0 * y2 + par.p2 * (w - y3)
     ratio = (y1 + par.g0 * (q - y2) + par.p0 * (y3 + 2.0 * q * y4 - 3.0 * w)) / den
     if s is None:
@@ -409,135 +412,109 @@ def _rhs(ops, y, par: _Group, rates, s=None):
     a = r + tf * par.c - par.xi_mis * v2 / (ratio * par.is_mis + par.is_coef)
     b = 2.0 * a + v2
     pen = par.hxi * v2 * den
-    return ops.pack(a * y1 + pen, b * y2, 3.0 * (a + v2) * y3, a * y4, b * y5), ratio, den
+    return ops.pack(a * y1 + pen, b * y2, 3.0 * (a + v2) * y3, a * y4), ratio, den
 
 
-def _march(batch, lead, follow, rates, grid, eps_den, keep, ops):
-    """Backward RK4 of the lanes ``lead`` and, on floats, of the one
-    misspecified lane ``follow`` driven by the lead lane; returns
-    ``{lane index: LaneResult}``.
+def _march(batch, idx, rates, grid, eps_den, keep, ops, record=None, drive=None):
+    """Backward RK4 of the lanes ``idx``; returns ``{lane index: LaneResult}``.
 
     Every guard is per lane and per stage.  A failing lane keeps its
     node and error class and is left out of every result; a lane whose
-    driver fails fails with it; every other lane goes on.  Float groups
-    raise ``ZeroDivisionError`` on an exactly zero divisor, and the
-    caller reruns them as arrays.
+    driver fails in the group fails with it; every other lane goes on.
+    The list ``record``, if given, receives the group's stage ratios in
+    order: four per step, then node 0's.  ``drive`` iterates such a
+    record as the strategy of a float misspecified lane, and raises
+    ``StopIteration`` where its driver stopped.  Float groups raise
+    ``ZeroDivisionError`` on an exactly zero divisor, and the caller
+    reruns them as arrays.
     """
     n, dt = grid.num_steps, grid.dt
     hh, h6 = 0.5 * dt, dt / 6.0
-    lead_g = ops.group(batch, lead, rates, eps_den)
-    follow_g = None if follow is None else ops.group(batch, [follow], rates, eps_den)
-    errors: dict[int, tuple[type[MvsRobustError], str, int]] = {}
+    par = ops.group(batch, idx, rates, eps_den)
+    errors: dict[int, LaneResult] = {}
 
-    def stage(par, y, rt, s=None):
-        g, ratio, den = _rhs(ops, y, par, rt, s)
+    def stage(y, rt):
+        g, ratio, den = _rhs(ops, y, par, rt, None if drive is None else next(drive))
+        if record is not None:
+            record.append(ratio)
         return g, ratio, den, (den < eps_den) | (abs(ratio) < par.ratio_guard)
 
-    def fail(idx, alive, newly, degenerate, k):
-        """Record the lanes ``newly`` failed in the step from node ``k``."""
+    def fail(alive, newly, degenerate, k):
+        """Record the lanes ``newly`` failed in the step from node ``k``,
+        then fail the living lanes whose driver has failed."""
         degenerate = np.broadcast_to(degenerate, np.shape(newly)).reshape(-1)
         for p in np.flatnonzero(newly):
             coef = batch[idx[p]].driver is None
             if degenerate[p]:
                 what = "coefficient denominator" if coef else "value-system denominator or ratio"
-                errors[idx[p]] = (DegenerateDenominator, f"{what} below guard {eps_den:g} "
-                                  f"at node {k} (t = {grid.nodes[k]:g})", k)
+                errors[idx[p]] = LaneResult(DegenerateDenominator, f"{what} below guard "
+                                            f"{eps_den:g} at node {k} (t = {grid.nodes[k]:g})", k)
             else:
                 what = "coefficient" if coef else "value-system"
-                errors[idx[p]] = (NonFiniteState, f"{what} state non-finite at node {k - 1}", k - 1)
-        return alive & np.logical_not(newly)
+                errors[idx[p]] = LaneResult(
+                    NonFiniteState, f"{what} state non-finite at node {k - 1}", k - 1
+                )
+        alive = alive & np.logical_not(newly)
+        orphans = alive & np.logical_not(par.own(alive))
+        for p in np.flatnonzero(orphans):
+            errors[idx[p]] = _orphaned(errors[idx[par.drv[p]]])
+        return alive & np.logical_not(orphans)
 
-    def orphan(idx, alive, driver_alive, drv):
-        """Fail the living lanes whose driver has failed."""
-        newly = alive & np.logical_not(driver_alive)
-        for p in np.flatnonzero(newly):
-            err, message, node = errors[lead[drv[p]]]
-            errors[idx[p]] = (err, f"driver lane failed: {message}", node)
-        return alive & np.logical_not(newly)
-
-    ones = ops.vec([1.0] * len(lead))
-    y = ops.pack(ones, ones, ones, ones, ones)
-    alive = ops.flags(len(lead))
-    yf = None if follow is None else (1.0, 1.0, 1.0, 1.0, 1.0)
-    alive_f = follow is not None
-    lo = lo_f = math.inf
-    # rows (ratio, y1, ..., y5) per node; lanes on a trailing axis as arrays
+    ones = ops.vec([1.0] * len(idx))
+    y = ops.pack(ones, ones, ones, ones)
+    alive = ops.flags(len(idx))
+    lo = math.inf
+    # rows (ratio, y1, ..., y4, den) per node; lanes on a trailing axis as arrays
     path = np.empty((n + 1, 6) + np.shape(ones)) if keep else None
-    path_f = np.empty((n + 1, 6)) if keep and follow is not None else None
-    rt, rt_f = lead_g.rates[2 * n], None if follow is None else follow_g.rates[2 * n]
+    rt = par.rates[2 * n]
     for k in range(n, 0, -1):
-        rt_mid, rt_next = lead_g.rates[2 * k - 1], lead_g.rates[2 * k - 2]
-        g1, ratio, den, b1 = stage(lead_g, y, rt)
+        rt_mid, rt_next = par.rates[2 * k - 1], par.rates[2 * k - 2]
+        g1, ratio, den, b1 = stage(y, rt)
         lo = ops.minimum(lo, den)
         if keep:
-            path[k, 0], path[k, 1:] = ratio, y
-        g2, s2, _, b2 = stage(lead_g, ops.axpy(y, hh, g1), rt_mid)
-        g3, s3, _, b3 = stage(lead_g, ops.axpy(y, hh, g2), rt_mid)
-        g4, s4, _, b4 = stage(lead_g, ops.axpy(y, dt, g3), rt_next)
-        if yf is not None:
-            rf_mid, rf_next = follow_g.rates[2 * k - 1], follow_g.rates[2 * k - 2]
-            f1, ratio_f, den_f, c1 = stage(follow_g, yf, rt_f, ratio)
-            lo_f = min(lo_f, den_f)
-            if keep:
-                path_f[k, 0], path_f[k, 1:] = ratio_f, yf
-            f2, _, _, c2 = stage(follow_g, ops.axpy(yf, hh, f1), rf_mid, s2)
-            f3, _, _, c3 = stage(follow_g, ops.axpy(yf, hh, f2), rf_mid, s3)
-            f4, _, _, c4 = stage(follow_g, ops.axpy(yf, dt, f3), rf_next, s4)
-            yf = ops.rk4(yf, h6, f1, f2, f3, f4)
-            bad = c1 | c2 | c3 | c4
-            if bad or ops.nonfinite(yf):
-                alive_f = fail([follow], alive_f, True, bad, k)
-                yf = None
-            rt_f = rf_next
+            path[k] = ratio, *y, den
+        g2, _, _, b2 = stage(ops.axpy(y, hh, g1), rt_mid)
+        g3, _, _, b3 = stage(ops.axpy(y, hh, g2), rt_mid)
+        g4, _, _, b4 = stage(ops.axpy(y, dt, g3), rt_next)
         y = ops.rk4(y, h6, g1, g2, g3, g4)
         bad = b1 | b2 | b3 | b4
         newly = alive & (bad | ops.nonfinite(y))
         if ops.any(newly):
-            alive = fail(lead, alive, newly, bad, k)
-            alive = orphan(lead, alive, lead_g.own(alive), lead_g.drv)
+            alive = fail(alive, newly, bad, k)
             if not ops.any(alive):
                 break
         rt = rt_next
     else:
         # node 0 closes the paths: its ratio and denominator
-        _, ratio, den, bad = stage(lead_g, y, rt)
+        _, ratio, den, bad = stage(y, rt)
         lo = ops.minimum(lo, den)
         newly = alive & bad
         if ops.any(newly):
-            alive = fail(lead, alive, newly, bad, 0)
-            alive = orphan(lead, alive, lead_g.own(alive), lead_g.drv)
+            alive = fail(alive, newly, bad, 0)
         if keep:
-            path[0, 0], path[0, 1:] = ratio, y
-        if yf is not None:
-            _, ratio_f, den_f, bad = stage(follow_g, yf, rt_f, ratio)
-            lo_f = min(lo_f, den_f)
-            if bad:
-                alive_f = fail([follow], alive_f, True, True, 0)
-            if keep:
-                path_f[0, 0], path_f[0, 1:] = ratio_f, yf
-    if follow is not None:
-        orphan([follow], alive_f, alive, [0])
+            path[0] = ratio, *y, den
 
     out = {}
-    groups = [(lead, path, ratio, y, lo)]
-    if follow is not None:
-        groups.append(([follow], path_f, ratio_f, yf, lo_f))
-    for idx, rows, ratio0, y0, lo in groups:
-        if keep:
-            rows = rows.reshape(n + 1, 6, -1)
-        for p, i in enumerate(idx):
-            if i in errors:
-                err, message, node = errors[i]
-                out[i] = LaneResult(error=err, message=message, node=node)
-                continue
-            out[i] = LaneResult(
-                ratio0=float(np.reshape(ratio0, -1)[p]),
-                state0=tuple(float(v) for v in np.reshape(np.asarray(y0), (5, -1))[:, p]),
-                den_min=float(np.reshape(lo, -1)[p]),
-                ratio=rows[:, 0, p].copy() if keep else None,
-                state=rows[:, 1:, p].T.copy() if keep else None,
-            )
+    rows = path.reshape(n + 1, 6, -1) if keep else None
+    for p, i in enumerate(idx):
+        if i in errors:
+            out[i] = errors[i]
+            continue
+        out[i] = LaneResult(
+            ratio0=float(np.reshape(ratio, -1)[p]),
+            state0=tuple(float(v) for v in np.reshape(np.asarray(y), (4, -1))[:, p]),
+            den_min=float(np.reshape(lo, -1)[p]),
+            ratio=rows[:, 0, p].copy() if keep else None,
+            state=rows[:, 1:5, p].T.copy() if keep else None,
+            den=rows[:, 5, p].copy() if keep else None,
+        )
     return out
+
+
+def _orphaned(driver: LaneResult) -> LaneResult:
+    """The failure of a misspecified lane whose driver failed first."""
+    return LaneResult(error=driver.error, message=f"driver lane failed: {driver.message}",
+                      node=driver.node)
 
 
 def _half_grid_rates(markets: Sequence[MarketCurves], grid: TimeGrid) -> np.ndarray:
@@ -563,6 +540,11 @@ def integrate_lanes(
     same stage.  A node's ratio is stage 1 of the step that leaves it,
     so a step costs four right-hand sides.  Failures are returned per
     lane (``LaneResult.error``), never raised.
+
+    Batches of ``SCALAR_LANE_LIMIT`` lanes or more march once as arrays.
+    Smaller ones march each lane on floats: coefficient lanes first,
+    each recording its stage ratios if a misspecified lane reads them,
+    then each misspecified lane on its driver's record.
     """
     lanes = list(lanes)
     if not lanes:
@@ -574,22 +556,26 @@ def integrate_lanes(
     with np.errstate(all="ignore"):
         if len(lanes) >= SCALAR_LANE_LIMIT:
             return _ordered(_march(
-                lanes, list(range(len(lanes))), None, rates, grid, eps_den, keep_paths, _Arrays
+                lanes, list(range(len(lanes))), rates, grid, eps_den, keep_paths, _Arrays
             ))
-        # float lanes: each coefficient lane runs alone, or once with each
-        # misspecified lane it drives
+        records = {lane.driver: [] for lane in lanes if lane.driver is not None}
         out: dict[int, LaneResult] = {}
-        for c, lane in enumerate(lanes):
-            if lane.driver is not None:
+        for i in sorted(range(len(lanes)), key=lambda i: lanes[i].driver is not None):
+            if i in out:  # marched as arrays with its driver
                 continue
-            for m in [m for m, x in enumerate(lanes) if x.driver == c] or [None]:
-                try:
-                    res = _march(lanes, [c], m, rates, grid, eps_den, keep_paths, _Floats)
-                except ZeroDivisionError:
-                    lead = [c] if m is None else [c, m]
-                    res = _march(lanes, lead, None, rates, grid, eps_den, keep_paths, _Arrays)
-                for i, r in res.items():
-                    out.setdefault(i, r)  # a driver's reruns repeat its first result
+            d = lanes[i].driver
+            try:
+                out[i] = _march(lanes, [i], rates, grid, eps_den, keep_paths, _Floats,
+                                records.get(i), None if d is None else iter(records[d]))[i]
+            except ZeroDivisionError:  # as arrays, with its driver or the lanes it drives
+                group = [d, i] if d is not None else [
+                    i, *(m for m, x in enumerate(lanes) if x.driver == i)
+                ]
+                out.update(_march(lanes, group, rates, grid, eps_den, keep_paths, _Arrays))
+            except StopIteration:  # the driver's record ran out where it failed
+                out[i] = LaneResult()
+            if d is not None and out[i].error is None and out[d].error is not None:
+                out[i] = _orphaned(out[d])
         return _ordered(out)
 
 
@@ -599,11 +585,10 @@ def _ordered(results: dict[int, LaneResult]) -> list[LaneResult]:
 
 def _table(cls, kind, grid, lane: Lane, res: LaneResult, *driver: LaneResult):
     """A ``cls`` table from a lane's full paths, laid out as ``cls.COLUMNS``:
-    ratio, state, the denominator ``delta3`` (whose minimum is the lane's
-    ``den_min``) and, for a misspecified lane, its driver's ratio."""
-    _, y2, y3, y4, y5 = state = res.check().state
-    delta3 = lane.gamma0 * y2 + 2.0 * lane.phi0 * (y4 * y5 - y3)
-    columns = (res.ratio, *state, delta3, *(d.ratio for d in driver))
+    ratio, state, ``y2`` again as ``k1`` or ``c1``, the denominator
+    ``delta3`` and, for a misspecified lane, its driver's ratio."""
+    y1, y2, y3, y4 = res.check().state
+    columns = (res.ratio, y1, y2, y3, y4, y2, res.den, *(d.ratio for d in driver))
     return cls(kind, grid, lane.gamma0, lane.phi0, lane.xi, **dict(zip(cls.COLUMNS, columns)))
 
 
@@ -633,8 +618,8 @@ def solve_system(
 ) -> CoefficientTable:
     """Solve the backward coefficient system for one model variant.
 
-    Terminal conditions are exact: all five coefficients equal 1 and
-    ``f`` equals ``1 / gamma0`` at the horizon.
+    Terminal conditions are exact: ``h1``, ``h2``, ``h3``, ``g1`` (and so
+    ``k1 = h2``) equal 1 and ``f`` equals ``1 / gamma0`` at the horizon.
     """
     return solve_tables(market, prefs, grid, (variant,), eps_den)[0]
 
@@ -807,9 +792,9 @@ def solve_mispec_system(
 
     The driver is the naive strategy's own ratio function (from the
     ambiguity-neutral table for ``IGNORE_UNCERTAINTY``, from the basic
-    table for ``IGNORE_BOTH``).  It is integrated in lockstep with the
-    value system, so its ratio is exact at every RK4 stage; a ``driver``
-    table, if given, must be that same table.  The investor's true
+    table for ``IGNORE_BOTH``).  The value system reads the driver's
+    ratio at every RK4 stage, so it is exact there; a ``driver`` table,
+    if given, must be that same table.  The investor's true
     ambiguity weight ``xi`` enters the distorted dynamics; the skewness
     weight is kept for ``IGNORE_UNCERTAINTY`` and dropped for
     ``IGNORE_BOTH``.

@@ -77,13 +77,14 @@ def _cell_row(values, cell: _Cell, plan: LanePlan, results: list[LaneResult]) ->
     lanes = [plan.lanes[i] for i in cell.lanes]
     # (h1, h2, h3, g1) of a coefficient lane, (a1, a2, a3, b1) of a misspecified one
     brackets = tuple(
-        bracket(lane.gamma0, lane.phi0, *r.state0[:4]) for lane, r in zip(lanes, res)
+        bracket(lane.gamma0, lane.phi0, *r.state0) for lane, r in zip(lanes, res)
     )
     full, lane = res[0], lanes[0]
     market = cell.market
     try:
         pol = policy_point(
-            market, 0.0, cell.w0, lane.gamma0, lane.phi0, lane.xi, (full.ratio0, *full.state0)
+            market, 0.0, cell.w0, lane.gamma0, lane.phi0, lane.xi,
+            (full.ratio0, *full.state0, full.state0[1]),  # k1 = h2
         )
         rep = value_report(0.0, cell.w0, brackets)
     except MvsRobustError as exc:

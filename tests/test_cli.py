@@ -73,6 +73,11 @@ class TestExitCodes:
         cfg = write(tmp_path, "bad.cfg", text)
         assert main(["check", "--config", cfg]) == 2
 
+    def test_default_section_is_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "bad.cfg", QUICK + "\n[DEFAULT]\nT = 3\n")
+        assert main(["check", "--config", cfg]) == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
 

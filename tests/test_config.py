@@ -149,10 +149,12 @@ class TestValidation:
         "[simulation]\nstart_time = 7.5\n",
         "[simulation]\nstart_time = -0.25\n",
         "[market]\nmu = 0.15, 0.10\nsigma = 0.2; 0.1, 0.3\n",
+        "[DEFAULT]\nT = 3\n",
     ])
     def test_rejected_at_load(self, text):
-        # non-finite numbers, start times outside [0, T) and ragged
-        # matrices never reach a solver
+        # non-finite numbers, start times outside [0, T), ragged matrices
+        # and a [DEFAULT] section (configparser would merge it into every
+        # section) never reach a solver
         with pytest.raises(ConfigError):
             parse_config(text)
 
@@ -218,6 +220,7 @@ _NUMBERS = (
 )
 _WORDS = ("xi", "w0", "mu", "sigma", "exact", "euler", "distorted", "reference", "", "1")
 _KEYS = {
+    "DEFAULT": ("T", "gamma0", "bogus"),
     "market": ("T", "r", "mu", "sigma"),
     "preferences": ("gamma0", "phi0", "xi"),
     "solver": ("num_steps", "picard_tol", "picard_max_iter", "eps_den"),

@@ -15,6 +15,7 @@ from mvs_robust import (
     solve_mispec_system,
     solve_system,
 )
+from mvs_robust import solver
 from mvs_robust.policy import value_bracket
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
 from mvs_robust.solver import LanePlan, PicardInfo, integrate_lanes, solve_all
@@ -143,6 +144,32 @@ class TestPicard:
         assert np.max(np.abs(f - table.f)) < 1e-6
 
 
+THREE_ASSET = dict(
+    mu=[0.12, 0.15, 0.18], sigma=[[0.20, 0.0, 0.0], [0.06, 0.22, 0.0], [0.04, 0.05, 0.25]]
+)
+
+
+@pytest.mark.parametrize("market", [{}, THREE_ASSET], ids=["base", "three_asset"])
+def test_step_doubling_orders(market):
+    """Observed orders in f(0): RK4 is fourth order and Picard's trapezoid
+    second order, so the 2,000-step oracle gap is Picard's error, and
+    Richardson-extrapolated Picard meets RK4 far inside ORACLE_SUP_TOL."""
+    prefs = Preferences(2.0, 0.5, 1.0)
+
+    def f0(solve, n):
+        return solve(make_market(num_steps=n, **market), prefs, TimeGrid(5.0, n))
+
+    rk4 = {n: f0(solve_system, n).f[0] for n in (250, 500, 1000, 8000)}
+    picard = {n: f0(solve_f_picard, n)[0] for n in (1000, 2000, 4000)}
+
+    def order(f, n):
+        return np.log2((f[n] - f[2 * n]) / (f[2 * n] - f[4 * n]))
+
+    assert 3.5 <= order(rk4, 250) <= 4.5
+    assert 1.8 <= order(picard, 1000) <= 2.2
+    assert abs((4.0 * picard[4000] - picard[2000]) / 3.0 - rk4[8000]) < 1e-10
+
+
 class TestClosedFormConsistency:
     def test_quadrature_reconstruction(self, base_table, base_market, base_grid):
         t = base_table
@@ -223,6 +250,17 @@ def lane_mode(request, monkeypatch):
     return request.param
 
 
+def assert_same_results(xs, ys):
+    """Lane results equal bitwise: failures, node-0 values and paths."""
+    assert len(xs) == len(ys)
+    for a, b in zip(xs, ys):
+        assert (a.error, a.message, a.node) == (b.error, b.message, b.node)
+        if a.error is None:
+            for path in ("ratio", "state", "den"):
+                assert np.array_equal(getattr(a, path), getattr(b, path))
+            assert (a.ratio0, a.state0, a.den_min) == (b.ratio0, b.state0, b.den_min)
+
+
 class TestLaneBatch:
     def test_fig02_degenerate_cells_keep_their_status(self):
         _, rows = run_sweep(preset_config(next(p for p in FIGURE_PRESETS if p.name == "fig02")))
@@ -244,16 +282,35 @@ class TestLaneBatch:
 
     def test_floats_and_arrays_agree_bitwise(self, base_market, base_grid, monkeypatch):
         plan = LanePlan()
-        for prefs in (Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0), Preferences(3.0, 0.0, 0.4)):
+        # (2, 0.5, 2) shares its neutral and basic drivers with (2, 0.5, 1),
+        # so each of them drives two misspecified lanes
+        for prefs in (Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0),
+                      Preferences(3.0, 0.0, 0.4), Preferences(2.0, 0.5, 2.0)):
             plan.add_model(0, prefs)
+        assert len(plan.lanes) < solver.SCALAR_LANE_LIMIT
         floats = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
         monkeypatch.setattr("mvs_robust.solver.SCALAR_LANE_LIMIT", 0)
         arrays = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
-        for a, b in zip(floats, arrays):
-            assert (a.error, a.message, a.node) == (b.error, b.message, b.node)
-            if a.error is None:
-                assert np.array_equal(a.ratio, b.ratio) and np.array_equal(a.state, b.state)
-                assert (a.ratio0, a.state0, a.den_min) == (b.ratio0, b.state0, b.den_min)
+        assert_same_results(floats, arrays)
+
+    @pytest.mark.parametrize("mispec", [0.0, 1.0], ids=["driver", "mispec"])
+    def test_zero_division_reruns_as_arrays(self, base_market, base_grid, monkeypatch, mispec):
+        # a float lane that divides by exactly zero is marched again as
+        # arrays, jointly with its driver or with the lanes it drives
+        plan = LanePlan()
+        plan.add_model(0, Preferences(2.0, 0.5, 1.0))
+        plan.add_model(0, Preferences(1.0, 0.5, 1.0))
+        expected = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
+        rhs = solver._rhs
+
+        def dividing_by_zero(ops, y, par, rates, s=None):
+            if ops is solver._Floats and par.is_mis == mispec and par.p0 == 0.0:
+                raise ZeroDivisionError
+            return rhs(ops, y, par, rates, s)
+
+        monkeypatch.setattr(solver, "_rhs", dividing_by_zero)
+        got = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
+        assert_same_results(got, expected)
 
     def test_running_min_is_min_delta3(self, base_market, base_prefs, base_grid, lane_mode):
         plan = LanePlan()
