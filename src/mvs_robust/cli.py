@@ -181,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
             unknown = [v for v in variants if v not in words]
             if unknown:
                 raise ConfigError(f"unknown variants {unknown}; choose from {words}")
+            if not variants:
+                raise ConfigError(f"no variant given; choose from {words}")
             return cmd_solve(config, out_dir, variants, argv)
         if args.command == "sweep":
             return cmd_sweep(config, out_dir, argv)

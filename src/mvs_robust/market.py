@@ -135,7 +135,7 @@ class MarketCurves:
 
     def _check_time(self, t) -> None:
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self.horizon):
+        if not np.all((0.0 <= t) & (t <= self.horizon)):  # NaN fails too
             raise OutOfHorizon(f"time {t} outside [0, {self.horizon}]")
 
     def _interp(self, t, nodes: np.ndarray) -> np.ndarray:

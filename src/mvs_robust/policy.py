@@ -22,7 +22,7 @@ from .solver import CoefficientTable, SolvedModel, SolvedTable
 
 def _columns_at(table: SolvedTable, t: float) -> list[float]:
     """Every column of a table (``table.COLUMNS`` order) interpolated at t."""
-    if t < 0.0 or t > table.grid.horizon:
+    if not 0.0 <= t <= table.grid.horizon:  # NaN fails too
         raise OutOfHorizon(f"time {t} outside [0, {table.grid.horizon}]")
     return table.spline(t).tolist()
 

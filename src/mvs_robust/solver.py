@@ -28,7 +28,9 @@ of time functions solved backward from the horizon:
 Every backward system is one *lane* of ``integrate_lanes``, a single
 RK4 over a lane axis: a sweep integrates all of its distinct systems in
 one call, and a misspecified-value lane reads, at every RK4 stage, the
-ratio of the coefficient lane that drives it.
+ratio of the coefficient lane that drives it.  A batch marches as lane
+arrays when it is large or holds a misspecified lane; a small batch of
+coefficient lanes marches each lane on Python floats.
 
 The denominator of the algebraic ratio equals ``gamma0`` at the
 terminal time and must stay positive for the backward solution to
@@ -62,12 +64,13 @@ DEFAULT_EPS_DEN = 1e-12
 DEFAULT_PICARD_TOL = 1e-10
 DEFAULT_PICARD_MAX_ITER = 500
 
-# Batches with fewer lanes run each lane on Python floats.  numpy's fixed
-# cost per array operation (about 1 us) puts one step over lane arrays at
-# 0.13-0.16 ms whatever the lane count, against about 11 us per lane-step
-# on floats.  Measured on a 2-core x86 machine (Python 3.11, numpy 2.4)
-# at 2,000 steps: 14 lanes take 0.20 s on floats and 0.26 s as arrays,
-# 18 lanes 0.25 s and 0.28 s, 24 lanes 0.42 s and 0.31 s.
+# Batches of fewer coefficient lanes run each lane on Python floats.
+# numpy's fixed cost per array operation (about 1 us) puts one step over
+# lane arrays at 0.13-0.16 ms whatever the lane count, against about
+# 11 us per lane-step on floats.  Measured on a 2-core x86 machine
+# (Python 3.11, numpy 2.4) at 2,000 steps: 14 lanes take 0.20 s on
+# floats and 0.26 s as arrays, 18 lanes 0.25 s and 0.28 s, 24 lanes
+# 0.42 s and 0.31 s.
 SCALAR_LANE_LIMIT = 20
 
 
@@ -343,9 +346,9 @@ class _Floats:
         return not all(map(math.isfinite, y))
 
     @staticmethod
-    def group(batch, idx, rates, eps_den):
-        col = rates[:, :, batch[idx[0]].market].tolist()
-        return _Group([batch[idx[0]]], _Floats.vec, col, [0], lambda ratio: ratio, eps_den)
+    def group(batch, rates, eps_den):
+        col = rates[:, :, batch[0].market].tolist()
+        return _Group(batch, _Floats.vec, col, [0], lambda ratio: ratio, eps_den)
 
 
 class _Arrays:
@@ -382,30 +385,27 @@ class _Arrays:
         return ~np.isfinite(y).all(axis=0)
 
     @staticmethod
-    def group(batch, idx, rates, eps_den):
-        lanes = [batch[i] for i in idx]
-        pos = {i: p for p, i in enumerate(idx)}
-        drv = np.array([pos.get(lane.driver, p) for p, lane in enumerate(lanes)], dtype=np.intp)
-        cols = _Columns(rates, [lane.market for lane in lanes])
-        return _Group(lanes, _Arrays.vec, cols, drv, lambda ratio: ratio[drv], eps_den)
+    def group(batch, rates, eps_den):
+        drv = np.array([p if lane.driver is None else lane.driver for p, lane in enumerate(batch)],
+                       dtype=np.intp)
+        cols = _Columns(rates, [lane.market for lane in batch])
+        return _Group(batch, _Arrays.vec, cols, drv, lambda ratio: ratio[drv], eps_den)
 
 
-def _rhs(ops, y, par: _Group, rates, s=None):
+def _rhs(ops, y, par: _Group, rates):
     """Right-hand side ``G`` (``dy/dt = -G``), ratio and denominator.
 
     Written with ``+ - * /`` only, so it gives bitwise the same numbers
-    on Python floats and on lane arrays.  ``s`` is the strategy when it
-    comes from outside the group (a driver's record, for a float
-    misspecified lane); otherwise ``par.own`` picks it from the group's
-    own ratios.
+    on Python floats and on lane arrays.  ``par.own`` picks each lane's
+    strategy from the group's ratios at the same stage: a coefficient
+    lane's own, a misspecified lane's driver's.
     """
     r, th = rates
     y1, y2, y3, y4 = y
     q, w = y4 * y4, y4 * y2
     den = par.g0 * y2 + par.p2 * (w - y3)
     ratio = (y1 + par.g0 * (q - y2) + par.p0 * (y3 + 2.0 * q * y4 - 3.0 * w)) / den
-    if s is None:
-        s = par.own(ratio)
+    s = par.own(ratio)
     tf = th * s
     v2 = tf * s * par.c
     # the correction divides by the ratio of misspecified lanes only
@@ -415,28 +415,23 @@ def _rhs(ops, y, par: _Group, rates, s=None):
     return ops.pack(a * y1 + pen, b * y2, 3.0 * (a + v2) * y3, a * y4), ratio, den
 
 
-def _march(batch, idx, rates, grid, eps_den, keep, ops, record=None, drive=None):
-    """Backward RK4 of the lanes ``idx``; returns ``{lane index: LaneResult}``.
+def _march(batch, rates, grid, eps_den, keep, ops):
+    """Backward RK4 of every lane of ``batch``; returns its ``LaneResult`` list.
 
     Every guard is per lane and per stage.  A failing lane keeps its
     node and error class and is left out of every result; a lane whose
-    driver fails in the group fails with it; every other lane goes on.
-    The list ``record``, if given, receives the group's stage ratios in
-    order: four per step, then node 0's.  ``drive`` iterates such a
-    record as the strategy of a float misspecified lane, and raises
-    ``StopIteration`` where its driver stopped.  Float groups raise
-    ``ZeroDivisionError`` on an exactly zero divisor, and the caller
-    reruns them as arrays.
+    driver fails fails with it; every other lane goes on.  On floats
+    (``ops`` is ``_Floats``, one coefficient lane) an exactly zero
+    divisor raises ``ZeroDivisionError``, and the caller reruns the lane
+    as arrays.
     """
     n, dt = grid.num_steps, grid.dt
     hh, h6 = 0.5 * dt, dt / 6.0
-    par = ops.group(batch, idx, rates, eps_den)
+    par = ops.group(batch, rates, eps_den)
     errors: dict[int, LaneResult] = {}
 
     def stage(y, rt):
-        g, ratio, den = _rhs(ops, y, par, rt, None if drive is None else next(drive))
-        if record is not None:
-            record.append(ratio)
+        g, ratio, den = _rhs(ops, y, par, rt)
         return g, ratio, den, (den < eps_den) | (abs(ratio) < par.ratio_guard)
 
     def fail(alive, newly, degenerate, k):
@@ -444,25 +439,27 @@ def _march(batch, idx, rates, grid, eps_den, keep, ops, record=None, drive=None)
         then fail the living lanes whose driver has failed."""
         degenerate = np.broadcast_to(degenerate, np.shape(newly)).reshape(-1)
         for p in np.flatnonzero(newly):
-            coef = batch[idx[p]].driver is None
+            coef = batch[p].driver is None
             if degenerate[p]:
                 what = "coefficient denominator" if coef else "value-system denominator or ratio"
-                errors[idx[p]] = LaneResult(DegenerateDenominator, f"{what} below guard "
-                                            f"{eps_den:g} at node {k} (t = {grid.nodes[k]:g})", k)
+                errors[p] = LaneResult(DegenerateDenominator, f"{what} below guard "
+                                       f"{eps_den:g} at node {k} (t = {grid.nodes[k]:g})", k)
             else:
                 what = "coefficient" if coef else "value-system"
-                errors[idx[p]] = LaneResult(
+                errors[p] = LaneResult(
                     NonFiniteState, f"{what} state non-finite at node {k - 1}", k - 1
                 )
         alive = alive & np.logical_not(newly)
         orphans = alive & np.logical_not(par.own(alive))
         for p in np.flatnonzero(orphans):
-            errors[idx[p]] = _orphaned(errors[idx[par.drv[p]]])
+            driver = errors[par.drv[p]]
+            errors[p] = LaneResult(driver.error, f"driver lane failed: {driver.message}",
+                                   driver.node)
         return alive & np.logical_not(orphans)
 
-    ones = ops.vec([1.0] * len(idx))
+    ones = ops.vec([1.0] * len(batch))
     y = ops.pack(ones, ones, ones, ones)
-    alive = ops.flags(len(idx))
+    alive = ops.flags(len(batch))
     lo = math.inf
     # rows (ratio, y1, ..., y4, den) per node; lanes on a trailing axis as arrays
     path = np.empty((n + 1, 6) + np.shape(ones)) if keep else None
@@ -494,27 +491,21 @@ def _march(batch, idx, rates, grid, eps_den, keep, ops, record=None, drive=None)
         if keep:
             path[0] = ratio, *y, den
 
-    out = {}
+    out = []
     rows = path.reshape(n + 1, 6, -1) if keep else None
-    for p, i in enumerate(idx):
-        if i in errors:
-            out[i] = errors[i]
+    for p in range(len(batch)):
+        if p in errors:
+            out.append(errors[p])
             continue
-        out[i] = LaneResult(
+        out.append(LaneResult(
             ratio0=float(np.reshape(ratio, -1)[p]),
             state0=tuple(float(v) for v in np.reshape(np.asarray(y), (4, -1))[:, p]),
             den_min=float(np.reshape(lo, -1)[p]),
             ratio=rows[:, 0, p].copy() if keep else None,
             state=rows[:, 1:5, p].T.copy() if keep else None,
             den=rows[:, 5, p].copy() if keep else None,
-        )
+        ))
     return out
-
-
-def _orphaned(driver: LaneResult) -> LaneResult:
-    """The failure of a misspecified lane whose driver failed first."""
-    return LaneResult(error=driver.error, message=f"driver lane failed: {driver.message}",
-                      node=driver.node)
 
 
 def _half_grid_rates(markets: Sequence[MarketCurves], grid: TimeGrid) -> np.ndarray:
@@ -541,46 +532,32 @@ def integrate_lanes(
     so a step costs four right-hand sides.  Failures are returned per
     lane (``LaneResult.error``), never raised.
 
-    Batches of ``SCALAR_LANE_LIMIT`` lanes or more march once as arrays.
-    Smaller ones march each lane on floats: coefficient lanes first,
-    each recording its stage ratios if a misspecified lane reads them,
-    then each misspecified lane on its driver's record.
+    A batch of ``SCALAR_LANE_LIMIT`` lanes or more, or one holding a
+    misspecified lane, marches once as arrays.  Any other batch marches
+    each lane alone on floats, and a lane that divides by exactly zero
+    there is marched again alone as arrays.
     """
     lanes = list(lanes)
     if not lanes:
         return []
     for lane in lanes:
-        if lane.driver is not None and lanes[lane.driver].driver is not None:
+        if not 0 <= lane.market < len(markets):
+            raise ValueError(f"lane {lane} names no market of the batch")
+        if lane.driver is not None and not (
+            0 <= lane.driver < len(lanes) and lanes[lane.driver].driver is None
+        ):
             raise ValueError(f"lane {lane} is not driven by a coefficient lane")
     rates = _half_grid_rates(markets, grid)
     with np.errstate(all="ignore"):
-        if len(lanes) >= SCALAR_LANE_LIMIT:
-            return _ordered(_march(
-                lanes, list(range(len(lanes))), rates, grid, eps_den, keep_paths, _Arrays
-            ))
-        records = {lane.driver: [] for lane in lanes if lane.driver is not None}
-        out: dict[int, LaneResult] = {}
-        for i in sorted(range(len(lanes)), key=lambda i: lanes[i].driver is not None):
-            if i in out:  # marched as arrays with its driver
-                continue
-            d = lanes[i].driver
+        if len(lanes) >= SCALAR_LANE_LIMIT or any(lane.driver is not None for lane in lanes):
+            return _march(lanes, rates, grid, eps_den, keep_paths, _Arrays)
+        out = []
+        for lane in lanes:
             try:
-                out[i] = _march(lanes, [i], rates, grid, eps_den, keep_paths, _Floats,
-                                records.get(i), None if d is None else iter(records[d]))[i]
-            except ZeroDivisionError:  # as arrays, with its driver or the lanes it drives
-                group = [d, i] if d is not None else [
-                    i, *(m for m, x in enumerate(lanes) if x.driver == i)
-                ]
-                out.update(_march(lanes, group, rates, grid, eps_den, keep_paths, _Arrays))
-            except StopIteration:  # the driver's record ran out where it failed
-                out[i] = LaneResult()
-            if d is not None and out[i].error is None and out[d].error is not None:
-                out[i] = _orphaned(out[d])
-        return _ordered(out)
-
-
-def _ordered(results: dict[int, LaneResult]) -> list[LaneResult]:
-    return [results[i] for i in range(len(results))]
+                out += _march([lane], rates, grid, eps_den, keep_paths, _Floats)
+            except ZeroDivisionError:
+                out += _march([lane], rates, grid, eps_den, keep_paths, _Arrays)
+        return out
 
 
 def _table(cls, kind, grid, lane: Lane, res: LaneResult, *driver: LaneResult):

@@ -49,6 +49,11 @@ class TestSolveCommand:
         cfg = write(tmp_path, "c.cfg", QUICK)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--variants", "bogus"]) == 2
 
+    def test_empty_variant_list_is_config_error(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg", QUICK)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--variants", ","]) == 2
+        assert not (tmp_path / "run.meta").exists()
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):

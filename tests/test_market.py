@@ -94,6 +94,10 @@ class TestBuildMarket:
             base_market.theta_at(-0.1)
         with pytest.raises(OutOfHorizon):
             base_market.theta_at(5.1)
+        with pytest.raises(OutOfHorizon):
+            base_market.theta_at(np.nan)
+        with pytest.raises(OutOfHorizon):
+            base_market.risk_free_at(np.array([1.0, np.nan]))
 
     def test_caches_match_recomputation(self, base_market):
         m = base_market

@@ -100,6 +100,12 @@ class TestEquilibriumPolicy:
             equilibrium_policy(base_model.full, base_market, 1.0, -3.0)
         with pytest.raises(OutOfHorizon):
             equilibrium_policy(base_model.full, base_market, 5.5, 4.0)
+        with pytest.raises(OutOfHorizon):
+            equilibrium_policy(base_model.full, base_market, np.nan, 4.0)
+        with pytest.raises(OutOfHorizon):
+            value_bracket(base_model.full, np.nan)
+        with pytest.raises(OutOfHorizon):
+            value_at(base_model, np.nan, 4.0)
 
     def test_neutral_variant_has_zero_distortion(self, base_model, base_market):
         p = equilibrium_policy(base_model.neutral, base_market, 1.0, 4.0)

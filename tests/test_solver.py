@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from mvs_robust import (
 from mvs_robust import solver
 from mvs_robust.policy import value_bracket
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
-from mvs_robust.solver import LanePlan, PicardInfo, integrate_lanes, solve_all
+from mvs_robust.solver import Lane, LanePlan, PicardInfo, integrate_lanes, solve_all
 from mvs_robust.sweep import run_sweep
 
 from conftest import BASE, make_market
@@ -250,6 +252,15 @@ def lane_mode(request, monkeypatch):
     return request.param
 
 
+def coefficient_plan(*prefs: Preferences) -> LanePlan:
+    """Every model variant's lane for each preference set; no misspecified lane."""
+    plan = LanePlan()
+    for p in prefs:
+        for variant in ModelVariant:
+            plan.add_variant(0, p, variant)
+    return plan
+
+
 def assert_same_results(xs, ys):
     """Lane results equal bitwise: failures, node-0 values and paths."""
     assert len(xs) == len(ys)
@@ -281,36 +292,57 @@ class TestLaneBatch:
         assert all(res[i].error is None for i in good)
 
     def test_floats_and_arrays_agree_bitwise(self, base_market, base_grid, monkeypatch):
-        plan = LanePlan()
-        # (2, 0.5, 2) shares its neutral and basic drivers with (2, 0.5, 1),
-        # so each of them drives two misspecified lanes
-        for prefs in (Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0),
-                      Preferences(3.0, 0.0, 0.4), Preferences(2.0, 0.5, 2.0)):
-            plan.add_model(0, prefs)
+        # only a batch of coefficient lanes marches on floats
+        plan = coefficient_plan(Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0),
+                                Preferences(3.0, 0.0, 0.4), Preferences(2.0, 0.5, 2.0))
         assert len(plan.lanes) < solver.SCALAR_LANE_LIMIT
         floats = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
         monkeypatch.setattr("mvs_robust.solver.SCALAR_LANE_LIMIT", 0)
         arrays = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
         assert_same_results(floats, arrays)
 
-    @pytest.mark.parametrize("mispec", [0.0, 1.0], ids=["driver", "mispec"])
-    def test_zero_division_reruns_as_arrays(self, base_market, base_grid, monkeypatch, mispec):
-        # a float lane that divides by exactly zero is marched again as
-        # arrays, jointly with its driver or with the lanes it drives
+    def test_mispec_lane_is_independent_of_its_batch(self, base_market, base_grid):
         plan = LanePlan()
-        plan.add_model(0, Preferences(2.0, 0.5, 1.0))
-        plan.add_model(0, Preferences(1.0, 0.5, 1.0))
+        # (2, 0.5, 2) shares its neutral and basic drivers with (2, 0.5, 1),
+        # so each of them drives two misspecified lanes
+        for prefs in (Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0),
+                      Preferences(3.0, 0.0, 0.4), Preferences(2.0, 0.5, 2.0)):
+            plan.add_model(0, prefs)
+        assert len(plan.lanes) == 19
+        batch = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
+        for i, lane in enumerate(plan.lanes):
+            if lane.driver is not None:
+                pair = [plan.lanes[lane.driver], dataclasses.replace(lane, driver=0)]
+                alone = integrate_lanes(pair, [base_market], base_grid, keep_paths=True)
+                assert_same_results([batch[i]], alone[1:])
+
+    def test_zero_division_reruns_as_arrays(self, base_market, base_grid, monkeypatch):
+        # a float lane that divides by exactly zero is marched again alone as arrays
+        plan = coefficient_plan(Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0))
         expected = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
         rhs = solver._rhs
+        raised = []
 
-        def dividing_by_zero(ops, y, par, rates, s=None):
-            if ops is solver._Floats and par.is_mis == mispec and par.p0 == 0.0:
+        def dividing_by_zero(ops, y, par, rates):
+            if ops is solver._Floats and par.p0 == 0.0:
+                raised.append(par.g0)
                 raise ZeroDivisionError
-            return rhs(ops, y, par, rates, s)
+            return rhs(ops, y, par, rates)
 
         monkeypatch.setattr(solver, "_rhs", dividing_by_zero)
         got = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
+        assert len(raised) == 4
         assert_same_results(got, expected)
+
+    @pytest.mark.parametrize("field,value", [("driver", -1), ("driver", 2),
+                                             ("market", -1), ("market", 1)])
+    def test_out_of_range_index_is_rejected(self, base_market, base_grid, field, value):
+        coef = Lane(0, 2.0, 0.5, 1.0)
+        mispec = Lane(0, 2.0, 0.5, 1.0, driver=1)
+        assert integrate_lanes([mispec, coef], [base_market], base_grid)[0].error is None
+        with pytest.raises(ValueError):
+            integrate_lanes([dataclasses.replace(mispec, **{field: value}), coef],
+                            [base_market], base_grid)
 
     def test_running_min_is_min_delta3(self, base_market, base_prefs, base_grid, lane_mode):
         plan = LanePlan()
