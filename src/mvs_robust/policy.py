@@ -5,8 +5,9 @@ equilibrium allocation is linear in wealth, the Girsanov distortion is
 wealth-free, and every value function is a time coefficient times
 wealth, so the three utility-loss ratios are wealth-independent.
 
-Coefficient values between grid nodes come from each table's stacked
-cubic spline, matching the integrator's order.
+Coefficient values between grid nodes come from the cubic through the
+four nearest nodes (``SolvedTable.columns_at``), matching the
+integrator's order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def _columns_at(table: SolvedTable, t: float) -> list[float]:
     """Every column of a table (``table.COLUMNS`` order) interpolated at t."""
     if not 0.0 <= t <= table.grid.horizon:  # NaN fails too
         raise OutOfHorizon(f"time {t} outside [0, {table.grid.horizon}]")
-    return table.spline(t).tolist()
+    return table.columns_at(t).tolist()
 
 
 def coefficients_at(table: CoefficientTable, t: float) -> tuple[float, ...]:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, OutOfHorizon, PenaltyUndefined, UnsolvedTable
 from .market import MarketCurves
@@ -150,7 +149,7 @@ def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Cu
         raise OutOfHorizon(f"start_time {cfg.start_time} outside [0, {horizon})")
     times = np.linspace(cfg.start_time, horizon, cfg.num_steps + 1)
     r, th = market.risk_free_at(times), market.theta_at(times)
-    return _Curves(times, *_curves(table, r, th, table.spline(times).T, cfg.measure))
+    return _Curves(times, *_curves(table, r, th, table.columns_at(times).T, cfg.measure))
 
 
 def _tail_curves(table: SolvedTable, market: MarketCurves, t: float, measure: Measure) -> _Curves:
@@ -161,7 +160,7 @@ def _tail_curves(table: SolvedTable, market: MarketCurves, t: float, measure: Me
         *(getattr(table, name) for name in table.COLUMNS),
     ])[:, table.grid.nodes >= t]
     if rows[0, 0] > t:
-        at_t = [t, float(market.risk_free_at(t)), float(market.theta_at(t)), *table.spline(t)]
+        at_t = [t, float(market.risk_free_at(t)), float(market.theta_at(t)), *table.columns_at(t)]
         rows = np.column_stack([at_t, rows])
     times, r, th, *cols = rows
     return _Curves(times, *_curves(table, r, th, cols, measure))
@@ -189,6 +188,7 @@ def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.
     Each path owns ``ceil(n_steps / 4)`` whole Philox blocks, so the
     draws for a path do not depend on how paths are chunked.
     """
+    from scipy.special import ndtri  # imported here: only simulating pays scipy's start-up
     blocks_per_path = (n_steps + 3) // 4
     bitgen = np.random.Philox(key=seed, counter=first_path * blocks_per_path)
     u = np.random.Generator(bitgen).random(n_paths * blocks_per_path * 4)

@@ -44,11 +44,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConfigError,
@@ -116,7 +114,8 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
 
 
 class SolvedTable:
-    """What both table kinds share: frozen node columns and one interpolant.
+    """What both table kinds share: frozen node columns and their values
+    between nodes.
 
     ``COLUMNS`` lists a kind's columns in lane order: the lane's own ratio,
     its state ``y1 .. y4``, ``y2`` again (``k1`` or ``c1``: the same
@@ -130,13 +129,22 @@ class SolvedTable:
         for name in self.COLUMNS:
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
-    @cached_property
-    def spline(self) -> CubicSpline:
-        """Cubic spline of every column (``COLUMNS`` order on the last
-        axis), built on first use and then kept."""
-        return CubicSpline(
-            self.grid.nodes, np.column_stack([getattr(self, name) for name in self.COLUMNS])
-        )
+    def columns_at(self, t) -> np.ndarray:
+        """Every column (``COLUMNS`` order on the last axis) at the time or
+        times ``t``: the polynomial through the ``min(4, num_steps + 1)``
+        nearest nodes, the first or last four at the ends.  It is a local
+        cubic, fourth order like the integrator, and exact at the nodes."""
+        nodes = self.grid.nodes
+        m = min(4, nodes.size)
+        j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 1)
+        first = np.clip(j - 1, 0, nodes.size - m)
+        k = np.arange(m)
+        steps = ((np.asarray(t) - nodes[j]) / self.grid.dt + (j - first))[..., None] - k
+        off = k[:, None] != k  # Lagrange weight k multiplies the factors l != k
+        den = np.prod(np.where(off, k[:, None] - k, 1), axis=-1)
+        w = np.prod(np.where(off, steps[..., None, :], 1.0), axis=-1) / den
+        vals = np.stack([getattr(self, c)[first[..., None] + k] for c in self.COLUMNS], axis=-1)
+        return (w[..., None] * vals).sum(axis=-2)
 
 
 @dataclass(frozen=True)

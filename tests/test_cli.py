@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 from mvs_robust.checks import check_lognormal_moments, solve_context
 from mvs_robust.cli import main
@@ -207,3 +211,37 @@ class TestFiguresCommand:
         for preset in FIGURE_PRESETS:
             cfg = preset_config(preset)
             assert cfg.sweep is not None
+
+
+def scipy_modules_after(code: str) -> set[str]:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def main_code(*argv: str) -> str:
+    return f"from mvs_robust.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+class TestStartupImports:
+    """Commands that never simulate load no scipy at all."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_after("import mvs_robust\nimport mvs_robust.cli") == set()
+
+    def test_sweep_loads_no_scipy(self, tmp_path):
+        cfg = preset_config(FIGURE_PRESETS[0])
+        cfg = replace(cfg, sweep=replace(cfg.sweep, count=2, count2=1))
+        path = write(tmp_path, "sweep.cfg", cfg.to_text())
+        code = main_code("sweep", "--config", path, "--out", str(tmp_path))
+        assert scipy_modules_after(code) == set()
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_simulate_loads_special_only(self, tmp_path):
+        path = write(tmp_path, "c.cfg", QUICK)
+        loaded = scipy_modules_after(main_code("simulate", "--config", path, "--out", str(tmp_path)))
+        assert "scipy.special" in loaded
+        assert not any(m.startswith("scipy.interpolate") for m in loaded)

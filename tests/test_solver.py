@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from mvs_robust import (
     ConfigError,
@@ -361,3 +362,73 @@ class TestLaneBatch:
             driver = solve_system(base_market, base_prefs, base_grid, kind.driver_variant)
             mis = solve_mispec_system(base_market, base_prefs, base_grid, kind, driver=driver)
             assert np.array_equal(mis.driver_f, driver.f)
+
+
+class TestColumnsAt:
+    """Off-node table values against scipy's not-a-knot ``CubicSpline``,
+    an independent interpolant of the same (fourth) order."""
+
+    @staticmethod
+    def node_columns(table):
+        return np.column_stack([getattr(table, c) for c in table.COLUMNS])
+
+    def spline_columns(self, table, t):
+        return CubicSpline(table.grid.nodes, self.node_columns(table))(t)
+
+    @staticmethod
+    def base_table_on(num_steps, prefs):
+        grid = TimeGrid(BASE["T"], num_steps)
+        m = build_market(BASE["T"], BASE["r"], BASE["mu"], BASE["sigma"], grid=grid)
+        return solve_system(m, prefs, grid)
+
+    @pytest.mark.parametrize("market", [{}, THREE_ASSET], ids=["base", "three_asset"])
+    @pytest.mark.parametrize("kind", ["coefficient", "mispec"])
+    def test_matches_cubic_spline_off_nodes(self, market, kind):
+        grid = TimeGrid(BASE["T"], 2000)
+        m = build_market(BASE["T"], BASE["r"], market.get("mu", BASE["mu"]),
+                         market.get("sigma", BASE["sigma"]), grid=grid)
+        prefs = Preferences(2.0, 0.5, 1.0)
+        table = (solve_system(m, prefs, grid) if kind == "coefficient" else
+                 solve_mispec_system(m, prefs, grid, MispecKind.IGNORE_UNCERTAINTY))
+        t = np.random.default_rng(7).uniform(0.0, grid.horizon, 2000)
+        got, want = table.columns_at(t), self.spline_columns(table, t)
+        assert got.shape == want.shape == (2000, len(table.COLUMNS))
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-10 * scale)
+
+    @pytest.mark.parametrize("num_steps", [1, 2, 3])
+    def test_short_grid_is_the_spline_polynomial(self, base_prefs, num_steps):
+        table = self.base_table_on(num_steps, base_prefs)
+        grid = table.grid
+        t = np.concatenate([grid.nodes, np.random.default_rng(1).uniform(0.0, grid.horizon, 50)])
+        np.testing.assert_allclose(table.columns_at(t), self.spline_columns(table, t),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("num_steps", [1, 2, 3, 2000])
+    def test_nodes_are_exact(self, base_prefs, num_steps):
+        table = self.base_table_on(num_steps, base_prefs)
+        columns = self.node_columns(table)
+        assert np.array_equal(table.columns_at(table.grid.nodes), columns)
+        assert np.array_equal(table.columns_at(table.grid.horizon), columns[-1])
+
+    def test_cubic_column_is_reproduced(self, base_table):
+        def cubic(t):
+            return 1.0 + 0.3 * t - 0.2 * t ** 2 + 0.05 * t ** 3
+
+        table = dataclasses.replace(base_table, h3=cubic(base_table.grid.nodes))
+        t = np.random.default_rng(3).uniform(0.0, base_table.grid.horizon, 2000)
+        col = base_table.COLUMNS.index("h3")
+        np.testing.assert_allclose(table.columns_at(t)[:, col], cubic(t), rtol=1e-13, atol=0.0)
+        assert table.columns_at(t[0]).shape == (len(table.COLUMNS),)
+
+    def test_midpoints_use_the_nearest_four_nodes(self, base_table):
+        y = np.random.default_rng(5).normal(size=base_table.grid.num_steps + 1)
+        table = dataclasses.replace(base_table, h3=y)
+        nodes = table.grid.nodes
+        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        inner = (9.0 * (y[1:-2] + y[2:-1]) - y[:-3] - y[3:]) / 16.0
+        end = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0  # the first four nodes at u = 1/2
+        want = np.concatenate([[end @ y[:4]], inner, [end @ y[:-5:-1]]])
+        got = table.columns_at(mid)[:, table.COLUMNS.index("h3")]
+        # rounding in t moves u by ~1e-13 steps; another stencil moves values by O(1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
