@@ -188,16 +188,11 @@ def check_moment_bound(ctx: CheckContext) -> CheckResult:
 
 
 def check_determinism(ctx: CheckContext) -> CheckResult:
-    """Two identical simulation runs agree bitwise."""
+    """Two identical simulation runs agree bitwise, every field of the result."""
     cfg = ctx.config.build_sim_config()
     a = simulate_equilibrium_wealth(ctx.table, ctx.market, cfg)
     b = simulate_equilibrium_wealth(ctx.table, ctx.market, cfg)
-    same = all(
-        a.moments[i].value == b.moments[i].value
-        and a.moments[i].std_error == b.moments[i].std_error
-        for i in range(4)
-    ) and a.sup_fourth_moment == b.sup_fourth_moment
-    return CheckResult("determinism", bool(same))
+    return CheckResult("determinism", a == b)
 
 
 ALL_CHECKS = (

@@ -27,7 +27,7 @@ from .errors import ConfigError, MvsRobustError
 from .policy import value_bracket
 from .presets import FIGURE_PRESETS, preset_config
 from .simulate import lognormal_moments, simulate_equilibrium_wealth
-from .solver import CoefficientTable, ModelVariant, solve_system, solve_tables
+from .solver import CoefficientTable, ModelVariant, solve_system
 from .sweep import rows_to_csv, run_sweep
 
 EXIT_OK = 0
@@ -59,9 +59,11 @@ def cmd_solve(config: RunConfig, out_dir: Path, variants: list[str], argv) -> in
     grid = config.build_grid()
     market = config.build_market(grid)
     prefs = config.build_preferences()
-    tables = solve_tables(
-        market, prefs, grid, [ModelVariant(name) for name in variants], config.solver.eps_den
-    )
+    # every table is solved before any file is written
+    tables = [
+        solve_system(market, prefs, grid, ModelVariant(name), config.solver.eps_den)
+        for name in variants
+    ]
     header = ",".join(("t",) + CoefficientTable.COLUMNS)
     for name, table in zip(variants, tables):
         rows = (row.tolist() for row in np.column_stack(

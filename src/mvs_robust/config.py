@@ -174,6 +174,8 @@ class RunConfig:
         return self
 
     def _validate_sweep(self, sw: SweepSection) -> None:
+        if sw.param2 == sw.param:
+            raise ConfigError(f"sweep parameter {sw.param!r} given as both param and param2")
         for name, count in ((sw.param, sw.count), (sw.param2, sw.count2)):
             if name is None:
                 continue

@@ -80,7 +80,6 @@ class SimResult:
     config: SimConfig
     moments: tuple[MomentEstimate, MomentEstimate, MomentEstimate, MomentEstimate]
     sup_fourth_moment: float
-    sup_fourth_time: float
     min_wealth: float
     penalty: MomentEstimate | None
     objective: MomentEstimate | None
@@ -277,7 +276,6 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
         config=cfg,
         moments=moments,
         sup_fourth_moment=float(node4[sup_idx] / npaths),
-        sup_fourth_time=float(times[sup_idx]),
         min_wealth=float(min_w),
         penalty=result_penalty,
         objective=result_objective,
@@ -354,7 +352,7 @@ def verify_value(
         sim = SimResult(
             config=replace(cfg, start_time=t, start_wealth=w),
             moments=tuple(MomentEstimate(w ** n, 0.0) for n in (1, 2, 3, 4)),
-            sup_fourth_moment=w ** 4, sup_fourth_time=t, min_wealth=w,
+            sup_fourth_moment=w ** 4, min_wealth=w,
             penalty=MomentEstimate(0.0, 0.0), objective=est,
         )
         return ValueCheck(

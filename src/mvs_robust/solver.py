@@ -28,9 +28,8 @@ of time functions solved backward from the horizon:
 Every backward system is one *lane* of ``integrate_lanes``, a single
 RK4 over a lane axis: a sweep integrates all of its distinct systems in
 one call, and a misspecified-value lane reads, at every RK4 stage, the
-ratio of the coefficient lane that drives it.  A batch marches as lane
-arrays when it is large or holds a misspecified lane; a small batch of
-coefficient lanes marches each lane on Python floats.
+ratio of the coefficient lane that drives it.  A lone lane marches on
+Python floats; a batch of two or more lanes marches once as lane arrays.
 
 The denominator of the algebraic ratio equals ``gamma0`` at the
 terminal time and must stay positive for the backward solution to
@@ -54,22 +53,12 @@ from .errors import (
     MvsRobustError,
     NoConvergence,
     NonFiniteState,
-    UnsolvedTable,
 )
 from .market import MarketCurves, Preferences, TimeGrid
 
 DEFAULT_EPS_DEN = 1e-12
 DEFAULT_PICARD_TOL = 1e-10
 DEFAULT_PICARD_MAX_ITER = 500
-
-# Batches of fewer coefficient lanes run each lane on Python floats.
-# numpy's fixed cost per array operation (about 1 us) puts one step over
-# lane arrays at 0.13-0.16 ms whatever the lane count, against about
-# 11 us per lane-step on floats.  Measured on a 2-core x86 machine
-# (Python 3.11, numpy 2.4) at 2,000 steps: 14 lanes take 0.20 s on
-# floats and 0.26 s as arrays, 18 lanes 0.25 s and 0.28 s, 24 lanes
-# 0.42 s and 0.31 s.
-SCALAR_LANE_LIMIT = 20
 
 
 class ModelVariant(enum.Enum):
@@ -360,7 +349,7 @@ class _Floats:
 
 
 class _Arrays:
-    """Many lanes per group as arrays over the lane axis; a state is ``(4, L)``."""
+    """Lanes as arrays over the lane axis; a state is ``(4, L)``."""
 
     minimum = np.minimum
 
@@ -540,10 +529,9 @@ def integrate_lanes(
     so a step costs four right-hand sides.  Failures are returned per
     lane (``LaneResult.error``), never raised.
 
-    A batch of ``SCALAR_LANE_LIMIT`` lanes or more, or one holding a
-    misspecified lane, marches once as arrays.  Any other batch marches
-    each lane alone on floats, and a lane that divides by exactly zero
-    there is marched again alone as arrays.
+    A lone lane (necessarily a coefficient lane) marches on floats, and
+    if it divides by exactly zero there it is marched again as arrays.
+    A batch of two or more lanes marches once as arrays.
     """
     lanes = list(lanes)
     if not lanes:
@@ -557,15 +545,15 @@ def integrate_lanes(
             raise ValueError(f"lane {lane} is not driven by a coefficient lane")
     rates = _half_grid_rates(markets, grid)
     with np.errstate(all="ignore"):
-        if len(lanes) >= SCALAR_LANE_LIMIT or any(lane.driver is not None for lane in lanes):
-            return _march(lanes, rates, grid, eps_den, keep_paths, _Arrays)
-        out = []
-        for lane in lanes:
+        # numpy's fixed cost per array operation makes a lone lane far
+        # slower as arrays: at 2,000 steps it takes about 30 ms on floats
+        # and 0.5 s as arrays (2-core x86, Python 3.11, numpy 2.4).
+        if len(lanes) == 1:
             try:
-                out += _march([lane], rates, grid, eps_den, keep_paths, _Floats)
+                return _march(lanes, rates, grid, eps_den, keep_paths, _Floats)
             except ZeroDivisionError:
-                out += _march([lane], rates, grid, eps_den, keep_paths, _Arrays)
-        return out
+                pass
+        return _march(lanes, rates, grid, eps_den, keep_paths, _Arrays)
 
 
 def _table(cls, kind, grid, lane: Lane, res: LaneResult, *driver: LaneResult):
@@ -575,23 +563,6 @@ def _table(cls, kind, grid, lane: Lane, res: LaneResult, *driver: LaneResult):
     y1, y2, y3, y4 = res.check().state
     columns = (res.ratio, y1, y2, y3, y4, y2, res.den, *(d.ratio for d in driver))
     return cls(kind, grid, lane.gamma0, lane.phi0, lane.xi, **dict(zip(cls.COLUMNS, columns)))
-
-
-def solve_tables(
-    market: MarketCurves,
-    prefs: Preferences,
-    grid: TimeGrid,
-    variants: Sequence[ModelVariant],
-    eps_den: float = DEFAULT_EPS_DEN,
-) -> list[CoefficientTable]:
-    """Solve several model variants in one batch; raises the first failure
-    in ``variants`` order."""
-    plan = LanePlan()
-    idx = [plan.add_variant(0, prefs, v) for v in variants]
-    res = integrate_lanes(plan.lanes, [market], grid, eps_den, keep_paths=True)
-    return [
-        _table(CoefficientTable, v, grid, plan.lanes[i], res[i]) for v, i in zip(variants, idx)
-    ]
 
 
 def solve_system(
@@ -606,7 +577,9 @@ def solve_system(
     Terminal conditions are exact: ``h1``, ``h2``, ``h3``, ``g1`` (and so
     ``k1 = h2``) equal 1 and ``f`` equals ``1 / gamma0`` at the horizon.
     """
-    return solve_tables(market, prefs, grid, (variant,), eps_den)[0]
+    lane = Lane(0, *variant.effective(prefs))
+    [res] = integrate_lanes([lane], [market], grid, eps_den, keep_paths=True)
+    return _table(CoefficientTable, variant, grid, lane, res)
 
 
 # ---------------------------------------------------------------------------
@@ -771,29 +744,17 @@ def solve_mispec_system(
     grid: TimeGrid,
     kind: MispecKind,
     eps_den: float = DEFAULT_EPS_DEN,
-    driver: CoefficientTable | None = None,
 ) -> MispecTable:
     """Solve the backward value system under a pre-specified naive strategy.
 
     The driver is the naive strategy's own ratio function (from the
     ambiguity-neutral table for ``IGNORE_UNCERTAINTY``, from the basic
     table for ``IGNORE_BOTH``).  The value system reads the driver's
-    ratio at every RK4 stage, so it is exact there; a ``driver`` table,
-    if given, must be that same table.  The investor's true
-    ambiguity weight ``xi`` enters the distorted dynamics; the skewness
-    weight is kept for ``IGNORE_UNCERTAINTY`` and dropped for
-    ``IGNORE_BOTH``.
+    ratio at every RK4 stage, so it is exact there; both are integrated
+    in one batch.  The investor's true ambiguity weight ``xi`` enters the
+    distorted dynamics; the skewness weight is kept for
+    ``IGNORE_UNCERTAINTY`` and dropped for ``IGNORE_BOTH``.
     """
-    want = kind.driver_variant
-    if driver is not None and (
-        driver.variant is not want
-        or (driver.gamma0, driver.phi0, driver.xi) != want.effective(prefs)
-        or not driver.grid.same_nodes(grid)
-    ):
-        raise UnsolvedTable(
-            f"driver table ({driver.variant}, gamma0={driver.gamma0}, "
-            f"phi0={driver.phi0}, xi={driver.xi}) does not drive {kind}"
-        )
     plan = LanePlan()
     lane = plan.add_mispec(0, prefs, kind)
     res = integrate_lanes(plan.lanes, [market], grid, eps_den, keep_paths=True)

@@ -4,6 +4,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from mvs_robust import checks
 from mvs_robust.checks import check_lognormal_moments, solve_context
 from mvs_robust.cli import main
 from mvs_robust.config import parse_config
@@ -90,6 +91,14 @@ class TestExitCodes:
     def test_missing_config_is_2(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_sweep_axis_given_twice_is_2(self, tmp_path, capsys):
+        text = QUICK + ("\n[sweep]\nparam = xi\nmin = 0.5\nmax = 1.0\ncount = 2\n"
+                        "param2 = xi\nmin2 = 2\nmax2 = 3\ncount2 = 2\n")
+        cfg = write(tmp_path, "twice.cfg", text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "given as both param and param2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCheckCommand:
     def test_passes_on_quick_config(self, tmp_path, capsys):
@@ -110,6 +119,16 @@ class TestCheckCommand:
         )
         res = check_lognormal_moments(solve_context(cfg))
         assert res.passed, res.summary_line()
+
+    def test_determinism_compares_every_field(self, monkeypatch):
+        # two runs that differ only in the penalty estimate are not identical
+        ctx = solve_context(parse_config(QUICK))
+        first = checks.simulate_equilibrium_wealth(ctx.table, ctx.market,
+                                                   ctx.config.build_sim_config())
+        second = replace(first, penalty=replace(first.penalty, value=first.penalty.value + 1.0))
+        runs = iter((first, second))
+        monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: next(runs))
+        assert not checks.check_determinism(ctx).passed
 
     def test_coarse_grid_fails_oracle_band(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", "[solver]\nnum_steps = 10\n[simulation]\nnum_paths = 2000\nnum_steps = 10\n")

@@ -150,11 +150,14 @@ class TestValidation:
         "[simulation]\nstart_time = -0.25\n",
         "[market]\nmu = 0.15, 0.10\nsigma = 0.2; 0.1, 0.3\n",
         "[DEFAULT]\nT = 3\n",
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 1\ncount = 2\n"
+        "param2 = xi\nmin2 = 2\nmax2 = 3\ncount2 = 2\n",
     ])
     def test_rejected_at_load(self, text):
-        # non-finite numbers, start times outside [0, T), ragged matrices
-        # and a [DEFAULT] section (configparser would merge it into every
-        # section) never reach a solver
+        # non-finite numbers, start times outside [0, T), ragged matrices,
+        # a [DEFAULT] section (configparser would merge it into every
+        # section) and a sweep axis given twice (the cell would keep only
+        # the second value) never reach a solver
         with pytest.raises(ConfigError):
             parse_config(text)
 
