@@ -276,6 +276,26 @@ def test_solve_all_reuses_consistent_drivers(base_model):
     assert np.array_equal(base_model.mispec_both.driver_f, base_model.basic.f)
 
 
+def march_each_alone(lanes, markets, grid, **kw):
+    """Each coefficient lane alone (on floats), each misspecified lane with
+    only its driver (a two-lane batch); results in the order of ``lanes``."""
+    out = []
+    for lane in lanes:
+        if lane.driver is None:
+            out.append(integrate_lanes([lane], markets, grid, **kw)[0])
+        else:
+            pair = [lanes[lane.driver], dataclasses.replace(lane, driver=0)]
+            out.append(integrate_lanes(pair, markets, grid, **kw)[1])
+    return out
+
+
+@pytest.fixture(params=["floats", "arrays"])
+def lane_mode(request):
+    """March a plan as one array batch, or lane by lane so that every
+    coefficient lane marches on Python floats."""
+    return integrate_lanes if request.param == "arrays" else march_each_alone
+
+
 def coefficient_plan(*prefs: Preferences) -> LanePlan:
     """Every model variant's lane for each preference set; no misspecified lane."""
     plan = LanePlan()
@@ -304,11 +324,11 @@ class TestLaneBatch:
         assert all(g == 1.5 and mu > 0.15 and st == "DegenerateDenominator" for mu, g, st in failed)
         assert sum(r.status == "ok" for r in rows) == 33
 
-    def test_failing_driver_fails_its_mispec_lane(self, base_market, base_grid):
+    def test_failing_driver_fails_its_mispec_lane(self, base_market, base_grid, lane_mode):
         plan = LanePlan()
         good = plan.add_model(0, Preferences(2.0, 0.5, 1.0))
         bad = plan.add_model(0, Preferences(1.0, 0.5, 1.0))
-        res = integrate_lanes(plan.lanes, [base_market], base_grid)
+        res = lane_mode(plan.lanes, [base_market], base_grid)
         neutral, mispec_u = res[bad[1]], res[bad[4]]
         assert neutral.error is DegenerateDenominator
         assert mispec_u.error is DegenerateDenominator
@@ -320,8 +340,7 @@ class TestLaneBatch:
         plan = coefficient_plan(Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0),
                                 Preferences(3.0, 0.0, 0.4), Preferences(2.0, 0.5, 2.0))
         arrays = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
-        floats = [integrate_lanes([lane], [base_market], base_grid, keep_paths=True)[0]
-                  for lane in plan.lanes]
+        floats = march_each_alone(plan.lanes, [base_market], base_grid, keep_paths=True)
         assert any(res.error is not None for res in arrays)
         assert_same_results(floats, arrays)
 
@@ -334,11 +353,8 @@ class TestLaneBatch:
             plan.add_model(0, prefs)
         assert len(plan.lanes) == 19
         batch = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
-        for i, lane in enumerate(plan.lanes):
-            if lane.driver is not None:
-                pair = [plan.lanes[lane.driver], dataclasses.replace(lane, driver=0)]
-                alone = integrate_lanes(pair, [base_market], base_grid, keep_paths=True)
-                assert_same_results([batch[i]], alone[1:])
+        alone = march_each_alone(plan.lanes, [base_market], base_grid, keep_paths=True)
+        assert_same_results(alone, batch)
 
     def test_zero_division_reruns_as_arrays(self, base_market, base_grid, monkeypatch):
         # a lone lane that divides by exactly zero on floats is marched again as arrays
@@ -373,10 +389,10 @@ class TestLaneBatch:
             integrate_lanes([dataclasses.replace(mispec, **{field: value}), coef],
                             [base_market], base_grid)
 
-    def test_running_min_is_min_delta3(self, base_market, base_prefs, base_grid):
+    def test_running_min_is_min_delta3(self, base_market, base_prefs, base_grid, lane_mode):
         plan = LanePlan()
         idx = plan.add_model(0, base_prefs)
-        res = integrate_lanes(plan.lanes, [base_market], base_grid)
+        res = lane_mode(plan.lanes, [base_market], base_grid)
         model = solve_all(base_market, base_prefs, base_grid)
         for i, table in zip(idx, (model.full, model.neutral, model.noskew, model.basic)):
             assert res[i].den_min == np.min(table.delta3)
