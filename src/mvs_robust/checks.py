@@ -2,8 +2,10 @@
 
 Every check runs at the configuration's own parameters with pinned
 tolerances and returns a machine-readable result.  The checks share one
-solved FULL table (``CheckContext``).  The same bounds are asserted by
-the acceptance test suite.
+market and solved FULL table (``solve_context``, which ``simulate`` uses
+too).  The same bounds are asserted by the acceptance test suite.  At
+2,000 steps Picard's own error can exceed ``ORACLE_SUP_TOL`` on a few
+solvable configs (see README), and ``oracle_equivalence`` fails there.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import MvsRobustError
-from .market import MarketCurves, Preferences, TimeGrid
+from .market import MarketCurves, Preferences
 from .policy import coefficients_at, delta3_scan
 from .simulate import (
     lognormal_moments,
@@ -35,7 +37,6 @@ CLOSED_FORM_REL_TOL = 1e-7     # quadrature reconstruction of h2, h3, g1
 MOMENT_REL_TOL = 1e-7          # lognormal moments vs solved coefficients
 VALUE_REL_TOL = 1e-6           # analytic objective reassembly vs value
 MC_Z_BOUND = 3.0               # Monte Carlo bands, in standard errors
-FOURTH_MOMENT_BAND = (0.8, 1.25)
 
 
 @dataclass(frozen=True)
@@ -55,23 +56,19 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CheckContext:
-    """A configuration with its grid, market, preferences and FULL table."""
+    """A configuration with its market, preferences and FULL table."""
 
     config: RunConfig
-    grid: TimeGrid
     market: MarketCurves
     prefs: Preferences
     table: CoefficientTable
 
 
 def solve_context(config: RunConfig) -> CheckContext:
-    grid = config.build_grid()
-    market = config.build_market(grid)
+    market = config.build_market()
     prefs = config.build_preferences()
-    table = solve_system(
-        market, prefs, grid, ModelVariant.FULL, config.solver.eps_den
-    )
-    return CheckContext(config, grid, market, prefs, table)
+    table = solve_system(market, prefs, market.grid, ModelVariant.FULL, config.solver.eps_den)
+    return CheckContext(config, market, prefs, table)
 
 
 def check_terminal_conditions(ctx: CheckContext) -> CheckResult:
@@ -90,7 +87,7 @@ def check_oracle_equivalence(ctx: CheckContext) -> CheckResult:
     """RK4 route and integral-equation route agree on f."""
     solver = ctx.config.solver
     f_pic = solve_f_picard(
-        ctx.market, ctx.prefs, ctx.grid,
+        ctx.market, ctx.prefs, ctx.market.grid,
         tol=solver.picard_tol,
         max_iter=solver.picard_max_iter,
         eps_den=solver.eps_den,
@@ -105,8 +102,8 @@ def check_oracle_equivalence(ctx: CheckContext) -> CheckResult:
 def check_closed_form_consistency(ctx: CheckContext) -> CheckResult:
     """Exponential reconstructions from the solved f match the ODE output."""
     table = ctx.table
-    dt = ctx.grid.dt
-    nodes = ctx.grid.nodes
+    dt = ctx.market.grid.dt
+    nodes = ctx.market.grid.nodes
     r = np.asarray(ctx.market.risk_free_at(nodes), dtype=float)
     th = np.asarray(ctx.market.theta_at(nodes), dtype=float)
     c = 1.0 / ((table.xi + 1.0) ** 2)
@@ -176,7 +173,7 @@ def check_delta3_positivity(ctx: CheckContext) -> CheckResult:
 
 def check_moment_bound(ctx: CheckContext) -> CheckResult:
     cfg = ctx.config.build_sim_config()
-    res = moment_bound_check(ctx.table, ctx.market, cfg, FOURTH_MOMENT_BAND)
+    res = moment_bound_check(ctx.table, ctx.market, cfg)
     return CheckResult(
         "moment_bound", res.finite and res.consistent,
         {

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import MC_Z_BOUND, run_checks
-from .config import RunConfig, load_config
+from .checks import MC_Z_BOUND, run_checks, solve_context
+from .config import RunConfig, _member, load_config
 from .errors import ConfigError, MvsRobustError
 from .policy import value_bracket
 from .presets import FIGURE_PRESETS, preset_config
@@ -55,22 +55,21 @@ def _write_meta(out_dir: Path, config: RunConfig, argv: list[str]) -> None:
     _write(out_dir / "run.meta", "\n".join(lines))
 
 
-def cmd_solve(config: RunConfig, out_dir: Path, variants: list[str], argv) -> int:
+def cmd_solve(config: RunConfig, out_dir: Path, variants: list[ModelVariant], argv) -> int:
     grid = config.build_grid()
     market = config.build_market(grid)
     prefs = config.build_preferences()
     # every table is solved before any file is written
     tables = [
-        solve_system(market, prefs, grid, ModelVariant(name), config.solver.eps_den)
-        for name in variants
+        solve_system(market, prefs, grid, variant, config.solver.eps_den) for variant in variants
     ]
     header = ",".join(("t",) + CoefficientTable.COLUMNS)
-    for name, table in zip(variants, tables):
+    for variant, table in zip(variants, tables):
         rows = (row.tolist() for row in np.column_stack(
             [grid.nodes] + [getattr(table, column) for column in CoefficientTable.COLUMNS]
         ))
         lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-        _write(out_dir / f"coefficients_{name}.csv", "\n".join(lines) + "\n")
+        _write(out_dir / f"coefficients_{variant.value}.csv", "\n".join(lines) + "\n")
     _write_meta(out_dir, config, argv)
     return EXIT_OK
 
@@ -100,10 +99,8 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, argv) -> int:
-    grid = config.build_grid()
-    market = config.build_market(grid)
-    prefs = config.build_preferences()
-    table = solve_system(market, prefs, grid, ModelVariant.FULL, config.solver.eps_den)
+    ctx = solve_context(config)
+    table, market = ctx.table, ctx.market
     cfg = config.build_sim_config()
     res = simulate_equilibrium_wealth(table, market, cfg)
 
@@ -178,13 +175,11 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_check(config)
         out_dir = Path(args.out)
         if args.command == "solve":
-            variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-            words = sorted(v.value for v in ModelVariant)
-            unknown = [v for v in variants if v not in words]
-            if unknown:
-                raise ConfigError(f"unknown variants {unknown}; choose from {words}")
-            if not variants:
+            names = [v.strip() for v in args.variants.split(",") if v.strip()]
+            if not names:
+                words = sorted(v.value for v in ModelVariant)
                 raise ConfigError(f"no variant given; choose from {words}")
+            variants = [_member(ModelVariant, "variant", name) for name in names]
             return cmd_solve(config, out_dir, variants, argv)
         if args.command == "sweep":
             return cmd_sweep(config, out_dir, argv)

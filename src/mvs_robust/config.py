@@ -7,8 +7,11 @@ field of that name, and its keys are the fields of the section's
 dataclass, which declares their order, types and defaults once for
 parsing, the key check and ``to_text``.  A missing key takes its
 default (the base experiment: five-year horizon, one risky asset); a
-field without one is required.  Every number must be finite, and every
-numeric field is validated against the module preconditions at load.
+field without one is required, and a field whose value is ``None`` is
+absent and not written.  A sweep's second axis (``param2``, ``min2``,
+``max2``, ``count2``) is given whole or not at all.  Every number must
+be finite, and every numeric field is validated against the module
+preconditions at load.
 
 Example::
 
@@ -87,15 +90,10 @@ class SweepSection:
     min: float
     max: float
     count: int
-    param2: str | None = None
-    min2: float = 0.0
-    max2: float = 0.0
-    count2: int = 0
-
-
-# The second sweep axis: its bounds are required with param2, and all
-# four keys are written only when param2 is set.
-_AXIS2 = ("param2", "min2", "max2", "count2")
+    param2: str | None = None  # the second axis: all four keys or none
+    min2: float | None = None
+    max2: float | None = None
+    count2: int | None = None
 
 
 def _member(kind, key: str, word: str):
@@ -123,9 +121,7 @@ class RunConfig:
     def build_market(self, grid: TimeGrid | None = None) -> MarketCurves:
         m = self.market
         sigma = np.asarray(m.sigma, dtype=float)
-        if sigma.shape == (1, 1):
-            sigma = sigma[0, 0]
-        elif sigma.shape[0] == 1 and sigma.shape[1] == len(m.mu):
+        if sigma.shape[0] == 1 and sigma.shape[1] == len(m.mu):
             sigma = sigma[0]  # one row of per-asset volatilities = diagonal
         return build_market(
             horizon=m.T,
@@ -154,8 +150,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Instantiate every domain object once so bad values fail at load."""
-        grid = self.build_grid()
-        self.build_market(grid)
+        self.build_market()
         self.build_preferences()
         self.build_sim_config()
         if self.solver.picard_tol <= 0.0:
@@ -174,6 +169,8 @@ class RunConfig:
         return self
 
     def _validate_sweep(self, sw: SweepSection) -> None:
+        if (sw.param2, sw.min2, sw.max2, sw.count2).count(None) not in (0, 4):
+            raise ConfigError("[sweep] second axis needs param2, min2, max2 and count2, or none")
         if sw.param2 == sw.param:
             raise ConfigError(f"sweep parameter {sw.param!r} given as both param and param2")
         for name, count in ((sw.param, sw.count), (sw.param2, sw.count2)):
@@ -205,11 +202,9 @@ class RunConfig:
             section = getattr(self, name)
             if section is None:
                 continue
-            keys = [f.name for f in fields(section)]
-            if getattr(section, "param2", "") is None:
-                keys = [key for key in keys if key not in _AXIS2]
+            values = ((f.name, getattr(section, f.name)) for f in fields(section))
             blocks.append(f"[{name}]\n" + "".join(
-                f"{key} = {_format(getattr(section, key))}\n" for key in keys
+                f"{key} = {_format(value)}\n" for key, value in values if value is not None
             ))
         return "\n".join(blocks)
 
@@ -270,7 +265,9 @@ def _parse_matrix(section: str, key: str, raw: str) -> Matrix:
 
 _PARSERS = {  # field type -> parser(section, key, raw text)
     float: _parse_float,
+    float | None: _parse_float,
     int: _parse_int,
+    int | None: _parse_int,
     tuple[float, ...]: _parse_list,
     Matrix: _parse_matrix,
     str: lambda section, key, raw: raw.strip(),
@@ -295,14 +292,7 @@ def _parse_section(name: str, raw) -> object:
     for f, _ in schema:
         if f.default is MISSING and f.name not in raw:
             raise ConfigError(f"[{name}] requires {f.name!r}")
-    if "param2" in raw:
-        for key in _AXIS2[1:]:
-            if key not in raw:
-                raise ConfigError(f"[{name}] with param2 requires {key!r}")
     values = {f.name: parse(name, f.name, raw[f.name]) for f, parse in schema if f.name in raw}
-    if values.get("param2") is None:  # no second axis: its bounds are not kept
-        for key in _AXIS2:
-            values.pop(key, None)
     return _SECTIONS[name](**values)
 
 

@@ -52,6 +52,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.num_steps
 
+    def locate(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Each time's segment start node ``j`` (the last node is its own
+        segment) and offset ``(t - nodes[j]) / dt``, exactly 0 at a node."""
+        j = np.clip(np.searchsorted(self.nodes, t, side="right") - 1, 0, self.num_steps)
+        return j, (np.asarray(t, dtype=float) - self.nodes[j]) / self.dt
+
     def half_times(self) -> np.ndarray:
         """Nodes plus midpoints: ``2 * num_steps + 1`` points."""
         return np.linspace(0.0, self.horizon, 2 * self.num_steps + 1)
@@ -115,7 +121,6 @@ class MarketCurves:
     """
 
     num_assets: int
-    horizon: float
     grid: TimeGrid
     risk_free_nodes: np.ndarray    # (N+1,)
     drift_nodes: np.ndarray        # (N+1, M)
@@ -135,15 +140,15 @@ class MarketCurves:
 
     def _check_time(self, t) -> None:
         t = np.asarray(t, dtype=float)
-        if not np.all((0.0 <= t) & (t <= self.horizon)):  # NaN fails too
-            raise OutOfHorizon(f"time {t} outside [0, {self.horizon}]")
+        if not np.all((0.0 <= t) & (t <= self.grid.horizon)):  # NaN fails too
+            raise OutOfHorizon(f"time {t} outside [0, {self.grid.horizon}]")
 
     def _interp(self, t, nodes: np.ndarray) -> np.ndarray:
-        """Linear interpolation of a per-node array at a time or an array of times."""
-        x = np.asarray(t, dtype=float) / self.grid.dt
-        k = np.minimum(x.astype(int), self.grid.num_steps - 1)
-        w = (x - k).reshape(x.shape + (1,) * (nodes.ndim - 1))
-        return (1.0 - w) * nodes[k] + w * nodes[k + 1]
+        """Linear interpolation of a per-node array at a time or an array of
+        times: exact at the nodes and on a constant curve."""
+        j, w = self.grid.locate(t)
+        a, b = nodes[j], nodes[np.minimum(j + 1, self.grid.num_steps)]
+        return a + w.reshape(w.shape + (1,) * (nodes.ndim - 1)) * (b - a)
 
     def risk_free_at(self, t):
         self._check_time(t)
@@ -228,6 +233,8 @@ def build_market(
         mu = mu.reshape(1)
     # A 1-D drift is a constant M-vector; per-node tables must be (N+1, M).
     num_assets = mu.shape[-1]
+    if num_assets == 0:
+        raise ConfigError("drift has no asset: give at least one risky asset's drift")
     mu_nodes = _as_node_curve(mu, grid, (num_assets,), "drift")
 
     sig = np.asarray(volatility, dtype=float)
@@ -261,7 +268,6 @@ def build_market(
 
     return MarketCurves(
         num_assets=num_assets,
-        horizon=float(horizon),
         grid=grid,
         risk_free_nodes=r_nodes,
         drift_nodes=mu_nodes,

@@ -10,7 +10,8 @@ describes the same kind of process, driven by the naive strategy's ratio
 (``_curves`` gives both kinds' curves).  Closed-form lognormal moments
 provide the independent oracle against the solved coefficient tables:
 the order-1..3 moments must reproduce ``g1 w``, ``h2 w**2`` and
-``h3 w**3``.
+``h3 w**3``, and the sampled running fourth moment must stay within
+``FOURTH_MOMENT_BAND`` of its closed form.
 
 Randomness is counter-based: path ``i`` consumes a fixed block range of
 a Philox stream keyed by the seed, so results are bitwise independent
@@ -32,6 +33,7 @@ from .solver import MispecTable, SolvedTable
 
 _CHUNK = 16384          # paths per accumulation block, fixed for determinism
 _MIN_UNIFORM = 5e-324   # keeps ndtri finite if a raw uniform is exactly 0
+FOURTH_MOMENT_BAND = (0.8, 1.25)  # sampled / analytic running fourth moment
 
 
 class Scheme(enum.Enum):
@@ -401,17 +403,13 @@ class MomentBound:
     consistent: bool
 
 
-def moment_bound_check(
-    table: SolvedTable,
-    market: MarketCurves,
-    cfg: SimConfig,
-    ratio_band: tuple[float, float] = (0.8, 1.25),
-) -> MomentBound:
+def moment_bound_check(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> MomentBound:
     """Compare the analytic running fourth moment with the sampled one.
 
     The analytic curve is ``w**4 * exp(integral of 4*drift + 6*vol2)``
     accumulated forward from the start node; the Monte Carlo figure is
-    the maximum over sim nodes of the sample fourth moment.
+    the maximum over sim nodes of the sample fourth moment.  They are
+    consistent when their ratio lies in ``FOURTH_MOMENT_BAND``.
     """
     paths = _sim_curves(table, market, cfg)
     grow = _cumtrapz(4.0 * paths.drift + 6.0 * paths.vol2, paths.times)
@@ -427,5 +425,5 @@ def moment_bound_check(
         mc_sup=sim.sup_fourth_moment,
         ratio=float(ratio),
         finite=bool(np.isfinite(analytic_sup) and np.isfinite(sim.sup_fourth_moment)),
-        consistent=bool(ratio_band[0] <= ratio <= ratio_band[1]),
+        consistent=bool(FOURTH_MOMENT_BAND[0] <= ratio <= FOURTH_MOMENT_BAND[1]),
     )

@@ -125,10 +125,10 @@ class SolvedTable:
         cubic, fourth order like the integrator, and exact at the nodes."""
         nodes = self.grid.nodes
         m = min(4, nodes.size)
-        j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 1)
+        j, u = self.grid.locate(t)
         first = np.clip(j - 1, 0, nodes.size - m)
         k = np.arange(m)
-        steps = ((np.asarray(t) - nodes[j]) / self.grid.dt + (j - first))[..., None] - k
+        steps = (u + (j - first))[..., None] - k
         off = k[:, None] != k  # Lagrange weight k multiplies the factors l != k
         den = np.prod(np.where(off, k[:, None] - k, 1), axis=-1)
         w = np.prod(np.where(off, steps[..., None, :], 1.0), axis=-1) / den

@@ -99,6 +99,13 @@ class TestExitCodes:
         assert "given as both param and param2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_sweep_axis_given_in_part_is_2(self, tmp_path, capsys):
+        text = QUICK + "\n[sweep]\nparam = xi\nmin = 0.5\nmax = 1.0\ncount = 2\nmin2 = 7\n"
+        cfg = write(tmp_path, "half.cfg", text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "second axis" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCheckCommand:
     def test_passes_on_quick_config(self, tmp_path, capsys):

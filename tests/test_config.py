@@ -152,14 +152,24 @@ class TestValidation:
         "[DEFAULT]\nT = 3\n",
         "[sweep]\nparam = xi\nmin = 0.5\nmax = 1\ncount = 2\n"
         "param2 = xi\nmin2 = 2\nmax2 = 3\ncount2 = 2\n",
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\nmin2 = 7\n",
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\ncount2 = 3\n",
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\nparam2 = w0\n",
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\n"
+        "param2 = w0\nmin2 = 2\nmax2 = 6\n",
     ])
     def test_rejected_at_load(self, text):
         # non-finite numbers, start times outside [0, T), ragged matrices,
         # a [DEFAULT] section (configparser would merge it into every
-        # section) and a sweep axis given twice (the cell would keep only
-        # the second value) never reach a solver
+        # section), a sweep axis given twice (the cell would keep only
+        # the second value) and a second axis given in part (the sweep
+        # would run on one axis) never reach a solver
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_empty_drift_rejected(self):
+        with pytest.raises(ConfigError, match="drift has no asset"):
+            parse_config("[market]\nmu =\n")
 
 
 class TestSweepSection:

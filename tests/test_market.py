@@ -120,6 +120,23 @@ class TestBuildMarket:
         assert m.risk_free_at(0.25) == pytest.approx(0.025, abs=1e-15)
         assert m.excess_at(0.25)[0] == pytest.approx(0.1125 - 0.025, abs=1e-15)
 
+    def test_per_node_curve_exact_at_nodes(self, base_grid):
+        # t / dt is not an integer at many nodes: the segment comes from the nodes
+        r = 0.05 + 0.02 * np.sin(3.0 * base_grid.nodes)
+        m = build_market(5.0, r, 0.15, 0.25, grid=base_grid)
+        np.testing.assert_array_equal(m.risk_free_at(base_grid.nodes), r)
+        np.testing.assert_array_equal(m.excess_at(base_grid.nodes)[:, 0], m.excess_nodes[:, 0])
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (0.15, 0.25),
+        ((0.12, 0.15, 0.18), ((0.20, 0.0, 0.0), (0.06, 0.22, 0.0), (0.04, 0.05, 0.25))),
+    ])
+    def test_constant_market_constant_between_nodes(self, mu, sigma):
+        m = make_market(mu=mu, sigma=sigma)
+        times = np.random.default_rng(3).uniform(0.0, 5.0, 10_000)
+        np.testing.assert_array_equal(m.theta_at(times), m.theta_at(0.0))
+        np.testing.assert_array_equal(m.risk_free_at(times), 0.05)
+
 
 @settings(max_examples=25, deadline=None)
 @given(c=st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
