@@ -5,14 +5,16 @@ risky assets with drift vector ``mu(t)`` and volatility matrix
 ``sigma(t)``, whose column ``i`` holds asset ``i``'s loadings on the
 Brownian motions.  Curves are either constants or piecewise-linear
 tables over a uniform time grid; evaluation between nodes interpolates
-linearly.
+linearly.  Every reader between nodes goes through ``TimeGrid.locate``,
+which raises ``OutOfHorizon`` for a time outside ``[0, horizon]``.
 
 Derived quantities cached at every grid node:
 
 * excess return ``beta = mu - r * 1``
 * Gram matrix ``Sigma = sigma' sigma``, the assets' return covariance
   (must be symmetric positive definite)
-* squared market price of risk ``theta = beta' Sigma^{-1} beta``
+* squared market price of risk ``theta = beta' Sigma^{-1} beta``, by the
+  formula (``_theta``) that ``theta_at`` applies between nodes
 """
 
 from __future__ import annotations
@@ -54,9 +56,13 @@ class TimeGrid:
 
     def locate(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Each time's segment start node ``j`` (the last node is its own
-        segment) and offset ``(t - nodes[j]) / dt``, exactly 0 at a node."""
-        j = np.clip(np.searchsorted(self.nodes, t, side="right") - 1, 0, self.num_steps)
-        return j, (np.asarray(t, dtype=float) - self.nodes[j]) / self.dt
+        segment) and offset ``(t - nodes[j]) / dt``, exactly 0 at a node;
+        ``OutOfHorizon`` for a time outside ``[0, horizon]``."""
+        t = np.asarray(t, dtype=float)
+        if not np.all((0.0 <= t) & (t <= self.horizon)):  # NaN fails too
+            raise OutOfHorizon(f"time {t} outside [0, {self.horizon}]")
+        j = np.searchsorted(self.nodes, t, side="right") - 1
+        return j, (t - self.nodes[j]) / self.dt
 
     def half_times(self) -> np.ndarray:
         """Nodes plus midpoints: ``2 * num_steps + 1`` points."""
@@ -138,11 +144,6 @@ class MarketCurves:
 
     # -- interpolation ------------------------------------------------
 
-    def _check_time(self, t) -> None:
-        t = np.asarray(t, dtype=float)
-        if not np.all((0.0 <= t) & (t <= self.grid.horizon)):  # NaN fails too
-            raise OutOfHorizon(f"time {t} outside [0, {self.grid.horizon}]")
-
     def _interp(self, t, nodes: np.ndarray) -> np.ndarray:
         """Linear interpolation of a per-node array at a time or an array of
         times: exact at the nodes and on a constant curve."""
@@ -151,19 +152,15 @@ class MarketCurves:
         return a + w.reshape(w.shape + (1,) * (nodes.ndim - 1)) * (b - a)
 
     def risk_free_at(self, t):
-        self._check_time(t)
         return self._interp(t, self.risk_free_nodes)
 
     def volatility_at(self, t: float) -> np.ndarray:
-        self._check_time(t)
         return self._interp(t, self.volatility_nodes)
 
     def excess_at(self, t: float) -> np.ndarray:
-        self._check_time(t)
         return self._interp(t, self.excess_nodes)
 
     def gram_at(self, t: float) -> np.ndarray:
-        self._check_time(t)
         return self._interp(t, self.gram_nodes)
 
     def gram_solve(self, t: float, rhs: np.ndarray) -> np.ndarray:
@@ -171,33 +168,33 @@ class MarketCurves:
         return np.linalg.solve(self.gram_at(t), rhs)
 
     def theta_at(self, t):
-        """``beta(t)' Sigma(t)^{-1} beta(t)`` at interpolated curves.
-
-        Accepts a scalar or an array of times.
-        """
-        self._check_time(t)
+        """``theta`` at interpolated curves, at a time or an array of times;
+        bitwise ``theta_nodes`` at the nodes."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.num_assets == 1:
-            beta = self._interp(ts, self.excess_nodes[:, 0])
-            gram = self._interp(ts, self.gram_nodes[:, 0, 0])
-            out = beta * beta / gram
-        else:
-            beta = self._interp(ts, self.excess_nodes)
-            x = np.linalg.solve(self._interp(ts, self.gram_nodes), beta[..., None])[..., 0]
-            out = np.einsum("ti,ti->t", beta, x)
-        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+        out = _theta(self._interp(ts, self.excess_nodes), self._interp(ts, self.gram_nodes))
+        return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _solve_gram(gram: np.ndarray, excess: np.ndarray) -> np.ndarray:
-    """``Sigma^{-1} beta`` at every node; ``LinAlgError`` unless every
-    ``Sigma`` factors by Cholesky and is nonsingular."""
+def _theta(beta: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``beta' Sigma^{-1} beta`` at each of ``(T, M)`` excess returns and
+    ``(T, M, M)`` Gram matrices; one asset divides instead of solving."""
+    if beta.shape[-1] == 1:
+        return beta[:, 0] * beta[:, 0] / gram[:, 0, 0]
+    x = np.linalg.solve(gram, beta[..., None])[..., 0]
+    return np.einsum("ti,ti->t", beta, x)
+
+
+def _checked_theta(beta: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``_theta`` at every node; ``LinAlgError`` unless every ``Sigma``
+    factors by Cholesky and is nonsingular: Cholesky alone passes some
+    numerically singular matrices, which ``_theta``'s solve rejects."""
     np.linalg.cholesky(gram)
-    return np.linalg.solve(gram, excess[..., None])[..., 0]
+    return _theta(beta, gram)
 
 
 def _solves(gram: np.ndarray, excess: np.ndarray) -> bool:
     try:
-        _solve_gram(gram, excess)
+        _checked_theta(excess, gram)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -257,14 +254,13 @@ def build_market(
     gram = 0.5 * (gram + np.transpose(gram, (0, 2, 1)))  # enforce exact symmetry
 
     try:
-        x = _solve_gram(gram, excess)
+        theta = _checked_theta(excess, gram)
     except np.linalg.LinAlgError:
         bad = next(k for k in range(n) if not _solves(gram[k:k + 1], excess[k:k + 1]))
         raise SingularGram(
             f"Gram matrix singular or not positive definite at node {bad} "
             f"(t = {grid.nodes[bad]:g})"
         ) from None
-    theta = np.einsum("ti,ti->t", excess, x)
 
     return MarketCurves(
         num_assets=num_assets,

@@ -7,7 +7,7 @@ wealth, so the three utility-loss ratios are wealth-independent.
 
 Coefficient values between grid nodes come from the cubic through the
 four nearest nodes (``SolvedTable.columns_at``), matching the
-integrator's order.
+integrator's order; exact at the nodes, ``OutOfHorizon`` past either end.
 """
 
 from __future__ import annotations
@@ -16,21 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveWealth, OutOfHorizon, ZeroDenominatorValue
+from .errors import NonPositiveWealth, ZeroDenominatorValue
 from .market import MarketCurves
 from .solver import CoefficientTable, SolvedModel, SolvedTable
 
 
-def _columns_at(table: SolvedTable, t: float) -> list[float]:
-    """Every column of a table (``table.COLUMNS`` order) interpolated at t."""
-    if not 0.0 <= t <= table.grid.horizon:  # NaN fails too
-        raise OutOfHorizon(f"time {t} outside [0, {table.grid.horizon}]")
-    return table.columns_at(t).tolist()
-
-
 def coefficients_at(table: CoefficientTable, t: float) -> tuple[float, ...]:
     """(f, h1, h2, h3, g1, k1) interpolated at time t."""
-    return tuple(_columns_at(table, t)[:6])
+    return tuple(table.columns_at(t).tolist()[:6])
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ def bracket(gamma0: float, phi0: float, h1: float, h2: float, h3: float, g1: flo
 def value_bracket(table: SolvedTable, t: float) -> float:
     """Coefficient multiplying wealth in the value function of either
     table kind: ``(h1, h2, h3, g1)`` or ``(a1, a2, a3, b1)`` at t."""
-    return bracket(table.gamma0, table.phi0, *_columns_at(table, t)[1:5])
+    return bracket(table.gamma0, table.phi0, *table.columns_at(t).tolist()[1:5])
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ explicit geometric Brownian motion with deterministic drift
 ``theta f**2 / (xi+1)**2``, so paths can be generated exactly from
 per-step lognormal increments; an Euler-Maruyama scheme is retained
 purely as a discretization cross-check.  A misspecified-strategy table
-describes the same kind of process, driven by the naive strategy's ratio
-(``_curves`` gives both kinds' curves).  Closed-form lognormal moments
+describes the same kind of process, driven by the naive strategy's ratio.
+``_curves`` builds both kinds' curves at any times from ``risk_free_at``,
+``theta_at`` and ``columns_at``.  Closed-form lognormal moments
 provide the independent oracle against the solved coefficient tables:
 the order-1..3 moments must reproduce ``g1 w``, ``h2 w**2`` and
 ``h3 w**3``, and the sampled running fourth moment must stay within
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,26 +97,13 @@ class _Curves(NamedTuple):
     pen_rate: np.ndarray   # penalty integrand per unit wealth
 
 
-def _check_grids(table: SolvedTable, market: MarketCurves) -> None:
-    if not table.grid.same_nodes(market.grid):
-        raise UnsolvedTable(
-            f"table grid ({table.grid.num_steps} steps over {table.grid.horizon}) "
-            f"does not match market grid ({market.grid.num_steps} steps over "
-            f"{market.grid.horizon})"
-        )
-
-
 def _curves(
-    table: SolvedTable,
-    r: np.ndarray,
-    th: np.ndarray,
-    cols: Sequence[np.ndarray],
-    measure: Measure,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(drift, vol2, pen_rate) of the wealth GBM a solved table describes.
+    table: SolvedTable, market: MarketCurves, times: np.ndarray, measure: Measure
+) -> _Curves:
+    """The curves of the wealth GBM a solved table describes, at ``times``.
 
-    ``r``, ``th`` and the rows of ``cols`` (``table.COLUMNS`` order) are
-    the rates and the table's columns at the same times.  The investor
+    The rates come from ``risk_free_at`` and ``theta_at`` and the table's
+    columns from ``columns_at``, each exact at the nodes.  The investor
     holds the strategy ratio ``s`` scaled by ``1/d`` (drift
     ``r + theta s / d`` under the reference measure): a coefficient
     table's own ``f`` with ``d = xi + 1``, a misspecified table's naive
@@ -126,7 +114,14 @@ def _curves(
     ``a`` (``xi_a = xi``).  Every unused weight is exact, so each kind
     gets bitwise its own formula.
     """
-    col = dict(zip(table.COLUMNS, cols))
+    if not table.grid.same_nodes(market.grid):
+        raise UnsolvedTable(
+            f"table grid ({table.grid.num_steps} steps over {table.grid.horizon}) "
+            f"does not match market grid ({market.grid.num_steps} steps over "
+            f"{market.grid.horizon})"
+        )
+    r, th = market.risk_free_at(times), market.theta_at(times)
+    col = dict(zip(table.COLUMNS, table.columns_at(times).T))
     xi = table.xi
     if isinstance(table, MispecTable):
         s, d, xi_a, a = col["driver_f"], 1.0, xi, col["a"]
@@ -139,32 +134,22 @@ def _curves(
         drift = r + th * s / d
     vol2 = th * s * s * c
     pen_rate = 0.5 * xi * c * th * s * s * col["delta3"]
-    return drift, vol2, pen_rate
+    return _Curves(times, drift, vol2, pen_rate)
 
 
 def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Curves:
-    """The curves on the simulation grid, interpolated from the table."""
-    _check_grids(table, market)
+    """The curves on the simulation grid."""
     horizon = table.grid.horizon
     if not 0.0 <= cfg.start_time < horizon:
         raise OutOfHorizon(f"start_time {cfg.start_time} outside [0, {horizon})")
     times = np.linspace(cfg.start_time, horizon, cfg.num_steps + 1)
-    r, th = market.risk_free_at(times), market.theta_at(times)
-    return _Curves(times, *_curves(table, r, th, table.columns_at(times).T, cfg.measure))
+    return _curves(table, market, times, cfg.measure)
 
 
 def _tail_curves(table: SolvedTable, market: MarketCurves, t: float, measure: Measure) -> _Curves:
-    """The curves on grid nodes >= t, with t prepended (interpolated) when
-    it is not a node."""
-    rows = np.array([
-        table.grid.nodes, market.risk_free_nodes, market.theta_nodes,
-        *(getattr(table, name) for name in table.COLUMNS),
-    ])[:, table.grid.nodes >= t]
-    if rows[0, 0] > t:
-        at_t = [t, float(market.risk_free_at(t)), float(market.theta_at(t)), *table.columns_at(t)]
-        rows = np.column_stack([at_t, rows])
-    times, r, th, *cols = rows
-    return _Curves(times, *_curves(table, r, th, cols, measure))
+    """The curves at t and at the grid nodes after it."""
+    nodes = table.grid.nodes
+    return _curves(table, market, np.concatenate([[t], nodes[nodes > t]]), measure)
 
 
 def _cumtrapz(g: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -309,7 +294,6 @@ def lognormal_moments(
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"order must be 1..4, got {order}")
-    _check_grids(table, market)
     horizon = table.grid.horizon
     if not 0.0 <= t <= horizon:
         raise OutOfHorizon(f"time {t} outside [0, {horizon}]")

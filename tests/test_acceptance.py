@@ -28,17 +28,18 @@ from mvs_robust import (
     build_market,
     delta3_scan,
     equilibrium_policy,
+    integrate_lanes,
     lognormal_moments,
     moment_bound_check,
     simulate_equilibrium_wealth,
     solve_f_picard,
-    solve_mispec_system,
     solve_system,
     verify_value,
 )
 from mvs_robust.cli import main
-from mvs_robust.policy import value_bracket
+from mvs_robust.policy import bracket, policy_point
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
+from mvs_robust.solver import LanePlan
 from mvs_robust.sweep import sweep_grid
 
 from conftest import BASE, make_market
@@ -216,19 +217,29 @@ def test_acceptance_09_delta3_positivity(base_model):
             )
             combos.setdefault(key, cell)
     worst = delta3_scan(base_model.full).min_value
-    bad = []
+    # each combination's FULL table is one lane of a single batch; its
+    # running minimum of the denominator is the grid minimum of delta3
+    grid = next(iter(combos.values())).build_grid()
+    assert all(cell.build_grid() == grid for cell in combos.values())
+    plan, markets, market_index, lanes = LanePlan(), [], {}, {}
     for key, cell in combos.items():
-        grid = cell.build_grid()
-        market = cell.build_market(grid)
-        prefs = cell.build_preferences()
-        try:
-            scan = delta3_scan(solve_system(market, prefs, grid))
-        except (DegenerateDenominator, NonFiniteState) as exc:
-            bad.append((key, type(exc).__name__))
+        if cell.market not in market_index:
+            market_index[cell.market] = len(markets)
+            markets.append(cell.build_market(grid))
+        lanes[key] = plan.add_variant(
+            market_index[cell.market], cell.build_preferences(), ModelVariant.FULL
+        )
+    results = integrate_lanes(plan.lanes, markets, grid)
+    bad = []
+    for key, lane in lanes.items():
+        res = results[lane]
+        if res.error in (DegenerateDenominator, NonFiniteState):
+            bad.append((key, res.error.__name__))
             continue
-        worst = min(worst, scan.min_value)
-        if not scan.all_positive:
-            bad.append((key, scan.min_value))
+        min_delta3 = res.check().den_min
+        worst = min(worst, min_delta3)
+        if not min_delta3 > 0.0:
+            bad.append((key, min_delta3))
     report("09", "delta3_positivity", not bad and worst > 0.0,
            f"{len(combos)} unique parameter combinations; min delta3 = {worst:.4f}; "
            f"violations={bad}", t0)
@@ -250,78 +261,122 @@ def test_acceptance_10_figure_monotonicity(base_grid):
     grid = base_grid
     w0 = BASE["w0"]
 
+    # Every solve below is one lane of a single batch: a lane is a
+    # (market index, lane index) pair, read after the one integration at
+    # node 0 as the sweep reads it (policy_point, bracket).
+    plan, markets = LanePlan(), []
+
+    def market(**kwargs):
+        markets.append(make_market(**kwargs))
+        return len(markets) - 1
+
+    def lane(mk, prefs, variant=ModelVariant.FULL):
+        return mk, plan.add_variant(mk, prefs, variant)
+
+    def mispec(mk, prefs, kind):
+        return mk, plan.add_mispec(mk, prefs, kind)
+
+    base_m = market()
+    xi_lanes = [lane(base_m, Preferences(2.0, 0.5, x)) for x in np.linspace(0.5, 3, 20)]
+    gamma_lanes = [(g, lane(base_m, Preferences(g, 0.5, 1.0))) for g in np.linspace(1.0, 4.0, 20)]
+    mu_lanes = [
+        lane(market(mu=m), Preferences(2.0, 0.5, 1.0)) for m in np.linspace(0.10, 0.20, 20)
+    ]
+    w_lane = lane(base_m, Preferences(2.0, 0.5, 1.0))
+
+    def skew_pair(mk, pf):
+        return lane(mk, pf), lane(mk, pf, ModelVariant.NO_SKEW)
+
+    xi_gaps = [(x, skew_pair(base_m, Preferences(2.0, 0.5, x))) for x in np.linspace(1.0, 3.0, 9)]
+    mu_gamma_gaps = []
+    for m in np.linspace(0.10, 0.20, 6):
+        mk = market(mu=m)
+        for g in np.linspace(1.5, 4.0, 6):
+            mu_gamma_gaps.append((m, g, skew_pair(mk, Preferences(g, 0.5, 1.0))))
+
+    l1_xi = [skew_pair(base_m, Preferences(2.0, 0.5, x)) for x in np.linspace(0.5, 3, 8)]
+    l1_sigma = [
+        skew_pair(market(sigma=s), Preferences(2.0, 0.5, 1.0)) for s in np.linspace(0.16, 0.35, 8)
+    ]
+    l1_mu = [
+        skew_pair(market(mu=m), Preferences(2.0, 0.5, 1.0)) for m in np.linspace(0.10, 0.20, 8)
+    ]
+    l1_phi0 = [skew_pair(base_m, Preferences(2.0, p, 1.0)) for p in np.linspace(0.1, 1.0, 8)]
+
+    low_m = market(mu=0.10)
+    low_lanes = []
+    for x in np.linspace(0.5, 3.0, 8):
+        pf = Preferences(2.0, 0.5, x)
+        low_lanes.append((
+            lane(low_m, pf),
+            mispec(low_m, pf, MispecKind.IGNORE_UNCERTAINTY),
+            mispec(low_m, pf, MispecKind.IGNORE_BOTH),
+        ))
+
+    results = integrate_lanes(plan.lanes, markets, grid)
+
+    def u_star(entry, w=w0):
+        mk, i = entry
+        res, ln = results[i].check(), plan.lanes[i]
+        coefficients = (res.ratio0, *res.state0, res.state0[1])  # k1 = h2
+        return policy_point(markets[mk], 0.0, w, ln.gamma0, ln.phi0, ln.xi, coefficients).allocation[0]
+
+    def value0(entry):
+        res, ln = results[entry[1]].check(), plan.lanes[entry[1]]
+        return bracket(ln.gamma0, ln.phi0, *res.state0)
+
     # allocation monotone in xi, gamma0, mu, w0
-    base_m = make_market()
-    us = [_u_star(base_m, Preferences(2.0, 0.5, x), grid, w0) for x in np.linspace(0.5, 3, 20)]
+    us = [u_star(e) for e in xi_lanes]
     if not _strictly(us, "down"):
         failures.append("u* not strictly decreasing in xi")
 
     us, degenerate = [], []
-    for g in np.linspace(1.0, 4.0, 20):
-        try:
-            us.append(_u_star(base_m, Preferences(g, 0.5, 1.0), grid, w0))
-        except DegenerateDenominator:
+    for g, e in gamma_lanes:
+        error = results[e[1]].error
+        if error is not None and issubclass(error, DegenerateDenominator):
             degenerate.append(round(float(g), 6))
+        else:
+            us.append(u_star(e))
     if degenerate != [1.0]:
         failures.append(f"unexpected degenerate gamma0 cells {degenerate}")
     if not _strictly(us, "down"):
         failures.append("u* not strictly decreasing in gamma0 over solved cells")
 
-    us = [
-        _u_star(make_market(mu=m), Preferences(2.0, 0.5, 1.0), grid, w0)
-        for m in np.linspace(0.10, 0.20, 20)
-    ]
+    us = [u_star(e) for e in mu_lanes]
     if not _strictly(us, "up"):
         failures.append("u* not strictly increasing in mu")
 
-    table = solve_system(base_m, Preferences(2.0, 0.5, 1.0), grid)
-    us = [equilibrium_policy(table, base_m, 0.0, w).allocation[0] for w in np.linspace(1, 10, 20)]
+    us = [u_star(w_lane, w) for w in np.linspace(1, 10, 20)]
     if not _strictly(us, "up"):
         failures.append("u* not strictly increasing in w0")
 
     # allocation gap to the no-skew strategy positive on both grids
-    for x in np.linspace(1.0, 3.0, 9):
-        pf = Preferences(2.0, 0.5, x)
-        gap = _u_star(base_m, pf, grid, w0) - _u_star(base_m, pf, grid, w0, ModelVariant.NO_SKEW)
-        if gap <= 0:
+    for x, (full, noskew) in xi_gaps:
+        if u_star(full) - u_star(noskew) <= 0:
             failures.append(f"skew gap nonpositive at xi={x:.2f}")
-    for m in np.linspace(0.10, 0.20, 6):
-        mk = make_market(mu=m)
-        for g in np.linspace(1.5, 4.0, 6):
-            pf = Preferences(g, 0.5, 1.0)
-            gap = _u_star(mk, pf, grid, w0) - _u_star(mk, pf, grid, w0, ModelVariant.NO_SKEW)
-            if gap <= 0:
-                failures.append(f"skew gap nonpositive at mu={m:.2f}, gamma0={g:.2f}")
+    for m, g, (full, noskew) in mu_gamma_gaps:
+        if u_star(full) - u_star(noskew) <= 0:
+            failures.append(f"skew gap nonpositive at mu={m:.2f}, gamma0={g:.2f}")
 
     # skewness loss monotone in xi (down), sigma (down), mu (up), phi0 (up)
-    def loss_skew(market, prefs):
-        v = value_bracket(solve_system(market, prefs, grid), 0.0)
-        vh = value_bracket(solve_system(market, prefs, grid, ModelVariant.NO_SKEW), 0.0)
-        return 1.0 - vh / v
+    def loss_skew(pairs):
+        return [1.0 - value0(noskew) / value0(full) for full, noskew in pairs]
 
-    l1 = [loss_skew(base_m, Preferences(2.0, 0.5, x)) for x in np.linspace(0.5, 3, 8)]
-    if not _strictly(l1, "down"):
+    if not _strictly(loss_skew(l1_xi), "down"):
         failures.append("L1 not decreasing in xi")
-    l1 = [loss_skew(make_market(sigma=s), Preferences(2.0, 0.5, 1.0)) for s in np.linspace(0.16, 0.35, 8)]
-    if not _strictly(l1, "down"):
+    if not _strictly(loss_skew(l1_sigma), "down"):
         failures.append("L1 not decreasing in sigma")
-    l1 = [loss_skew(make_market(mu=m), Preferences(2.0, 0.5, 1.0)) for m in np.linspace(0.10, 0.20, 8)]
-    if not _strictly(l1, "up"):
+    if not _strictly(loss_skew(l1_mu), "up"):
         failures.append("L1 not increasing in mu")
-    l1 = [loss_skew(base_m, Preferences(2.0, p, 1.0)) for p in np.linspace(0.1, 1.0, 8)]
-    if not _strictly(l1, "up"):
+    if not _strictly(loss_skew(l1_phi0), "up"):
         failures.append("L1 not increasing in phi0")
 
     # lowered drift: uncertainty and combined losses vs xi
-    low_m = make_market(mu=0.10)
     l2s, l3s = [], []
-    for x in np.linspace(0.5, 3.0, 8):
-        pf = Preferences(2.0, 0.5, x)
-        v = value_bracket(solve_system(low_m, pf, grid), 0.0)
-        v1 = value_bracket(solve_mispec_system(low_m, pf, grid, MispecKind.IGNORE_UNCERTAINTY), 0.0)
-        v2 = value_bracket(solve_mispec_system(low_m, pf, grid, MispecKind.IGNORE_BOTH), 0.0)
-        l2s.append(1.0 - v1 / v)
-        l3s.append(1.0 - v2 / v)
+    for full, mis_u, mis_both in low_lanes:
+        v = value0(full)
+        l2s.append(1.0 - value0(mis_u) / v)
+        l3s.append(1.0 - value0(mis_both) / v)
     if not (all(v > 0 for v in l2s) and _strictly(l2s, "up")):
         failures.append(f"L2 not positive/increasing in xi: {np.round(l2s, 5)}")
     if not (all(v > 0 for v in l3s) and _strictly(l3s, "up")):

@@ -138,10 +138,20 @@ class TestCheckCommand:
         assert not checks.check_determinism(ctx).passed
 
     def test_coarse_grid_fails_oracle_band(self, tmp_path, capsys):
-        cfg = write(tmp_path, "c.cfg", "[solver]\nnum_steps = 10\n[simulation]\nnum_paths = 2000\nnum_steps = 10\n")
+        # RK4's own error in f is 5.8e-6 at 5 steps (4.1e-7 at 10), and the
+        # extrapolated oracle is far closer to the true f than that
+        cfg = write(tmp_path, "c.cfg", "[solver]\nnum_steps = 5\n[simulation]\nnum_paths = 2000\nnum_steps = 10\n")
         assert main(["check", "--config", cfg]) == 1
         out = capsys.readouterr().out
         assert "check=oracle_equivalence status=fail" in out
+
+    def test_raised_f_node_fails_oracle(self):
+        ctx = solve_context(parse_config(QUICK))
+        assert checks.check_oracle_equivalence(ctx).passed
+        f = ctx.table.f.copy()
+        f[150] += 2e-6
+        raised = replace(ctx, table=replace(ctx.table, f=f))
+        assert not checks.check_oracle_equivalence(raised).passed
 
 
 class TestSimulateCommand:

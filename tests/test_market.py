@@ -89,15 +89,24 @@ class TestBuildMarket:
         m = make_market(mu=0.05, num_steps=50)
         assert m.theta_at(0.0) == 0.0
 
-    def test_out_of_horizon(self, base_market):
-        with pytest.raises(OutOfHorizon):
-            base_market.theta_at(-0.1)
-        with pytest.raises(OutOfHorizon):
-            base_market.theta_at(5.1)
-        with pytest.raises(OutOfHorizon):
-            base_market.theta_at(np.nan)
+    def test_out_of_horizon(self, base_market, base_table):
+        # the market's and the table's readers between nodes share one check
+        for read in (base_market.theta_at, base_table.columns_at):
+            for t in (-0.1, 5.1, np.nan):
+                with pytest.raises(OutOfHorizon):
+                    read(t)
         with pytest.raises(OutOfHorizon):
             base_market.risk_free_at(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (0.10, 0.2),
+        (0.25, 0.32978),
+        ([0.12, 0.15, 0.18], [[0.20, 0.0, 0.0], [0.06, 0.22, 0.0], [0.04, 0.05, 0.25]]),
+    ], ids=["mu0.10-sigma0.2", "mu0.25-sigma0.32978", "three_asset"])
+    def test_theta_nodes_are_theta_at_nodes(self, mu, sigma, base_grid):
+        # one formula: the cached nodes and the interpolating reader agree bitwise
+        m = make_market(mu=mu, sigma=sigma)
+        np.testing.assert_array_equal(m.theta_nodes, m.theta_at(base_grid.nodes))
 
     def test_caches_match_recomputation(self, base_market):
         m = base_market

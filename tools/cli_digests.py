@@ -1,0 +1,81 @@
+"""Digest every CLI output on a fixed set of configs, to compare two checkouts.
+
+    PYTHONPATH=src python tools/cli_digests.py > digests.txt
+
+Run it from the root of each checkout and ``diff`` the two listings.  It
+runs ``mvs_robust.cli.main`` in this process on the configs below (``solve``
+of four variants, ``simulate`` and ``check``) and on ``sweep`` of every
+figure preset, in a temporary directory it removes afterwards.  It prints
+one ``exit <code>  <command>`` line per command and one ``<sha256>  <path>``
+line per output file; ``check``'s standard output is hashed as
+``<config>/check.out``, and ``run.meta`` without its ``command =`` line,
+which names the temporary directory.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+from mvs_robust.cli import main
+
+THREE_ASSET = (
+    "[market]\nmu = 0.12, 0.15, 0.18\n"
+    "sigma = 0.20, 0, 0; 0.06, 0.22, 0; 0.04, 0.05, 0.25\n"
+)
+CONFIGS = {
+    "base": "",
+    "three-asset": THREE_ASSET,
+    "off-node": "[simulation]\nstart_time = 0.0013\n",
+    "reference-euler": (
+        "[simulation]\nstart_time = 1.2345\nmeasure = reference\nscheme = euler\n"
+    ),
+    # a one-asset market where beta^2 / Sigma and a solve-and-dot differ by 1 ulp
+    "mu-0.10-sigma-0.2": "[market]\nmu = 0.10\nsigma = 0.2\n",
+    # solvable, but plain Picard's own error at 2,000 steps exceeds 1e-6
+    "found": (
+        "[market]\nmu = 0.27903\nsigma = 0.32978\n"
+        "[preferences]\ngamma0 = 2.27791\nphi0 = 2.62057\nxi = 1.41690\n"
+    ),
+}
+
+
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(argv)
+    print(f"exit {code}  {' '.join(argv[:1] + [Path(a).name for a in argv[1:]])}")
+    return out.getvalue()
+
+
+def _digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "run.meta":
+        data = b"".join(
+            line for line in data.splitlines(keepends=True) if not line.startswith(b"command =")
+        )
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_all(root: Path) -> None:
+    for name, text in CONFIGS.items():
+        cfg = root / f"{name}.cfg"
+        cfg.write_text(text)
+        (root / name).mkdir()
+        _run(["solve", "--config", str(cfg), "--out", str(root / name / "solve"),
+              "--variants", "full,neutral,noskew,basic"])
+        _run(["simulate", "--config", str(cfg), "--out", str(root / name / "simulate")])
+        (root / name / "check.out").write_text(_run(["check", "--config", str(cfg)]))
+    _run(["figures", "--out", str(root / "presets")])
+    for cfg in sorted((root / "presets").glob("*.cfg")):
+        _run(["sweep", "--config", str(cfg), "--out", str(root / "sweep" / cfg.stem)])
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and p.parent != root):
+        print(f"{_digest(path)}  {path.relative_to(root)}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        run_all(Path(tmp))
