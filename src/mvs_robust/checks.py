@@ -3,7 +3,8 @@
 Every check runs at the configuration's own parameters with pinned
 tolerances and returns a machine-readable result.  The checks share one
 market and solved FULL table (``solve_context``, which ``simulate`` uses
-too).  The same bounds are asserted by the acceptance test suite.
+too), and one Monte Carlo run (``CheckContext.sim``) for the checks that
+simulate.  The same bounds are asserted by the acceptance test suite.
 ``oracle_equivalence`` extrapolates Picard (Richardson); the trapezoid
 rules of ``closed_form_consistency`` and ``lognormal_moments`` are not,
 and on a few solvable configs their own error fails them (see README).
@@ -12,6 +13,7 @@ and on a few solvable configs their own error fails them (see README).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .errors import MvsRobustError
 from .market import MarketCurves, Preferences, TimeGrid
 from .policy import coefficients_at, delta3_scan
 from .simulate import (
+    SimResult,
     lognormal_moments,
     moment_bound_check,
     simulate_equilibrium_wealth,
@@ -63,6 +66,11 @@ class CheckContext:
     market: MarketCurves
     prefs: Preferences
     table: CoefficientTable
+
+    @cached_property
+    def sim(self) -> SimResult:
+        """The configured simulation of the table, run once on first use."""
+        return simulate_equilibrium_wealth(self.table, self.market, self.config.build_sim_config())
 
 
 def solve_context(config: RunConfig) -> CheckContext:
@@ -149,10 +157,9 @@ def check_lognormal_moments(ctx: CheckContext) -> CheckResult:
 
 def check_value_verification(ctx: CheckContext) -> CheckResult:
     """Analytic and Monte Carlo objective reassembly hit the value function."""
-    sim = ctx.config.simulation
-    res = verify_value(
-        ctx.table, ctx.market, sim.start_time, sim.start_wealth, ctx.config.build_sim_config(),
-    )
+    s = ctx.config.simulation
+    res = verify_value(ctx.table, ctx.market, s.start_time, s.start_wealth,
+                       ctx.config.build_sim_config(), sim=ctx.sim)
     ok = res.analytic_rel_err < VALUE_REL_TOL and abs(res.mc_z) <= MC_Z_BOUND
     return CheckResult(
         "value_verification", ok,
@@ -174,7 +181,7 @@ def check_delta3_positivity(ctx: CheckContext) -> CheckResult:
 
 def check_moment_bound(ctx: CheckContext) -> CheckResult:
     cfg = ctx.config.build_sim_config()
-    res = moment_bound_check(ctx.table, ctx.market, cfg)
+    res = moment_bound_check(ctx.table, ctx.market, cfg, sim=ctx.sim)
     return CheckResult(
         "moment_bound", res.finite and res.consistent,
         {
@@ -186,11 +193,9 @@ def check_moment_bound(ctx: CheckContext) -> CheckResult:
 
 
 def check_determinism(ctx: CheckContext) -> CheckResult:
-    """Two identical simulation runs agree bitwise, every field of the result."""
+    """A second run of the shared simulation agrees bitwise, every field."""
     cfg = ctx.config.build_sim_config()
-    a = simulate_equilibrium_wealth(ctx.table, ctx.market, cfg)
-    b = simulate_equilibrium_wealth(ctx.table, ctx.market, cfg)
-    return CheckResult("determinism", a == b)
+    return CheckResult("determinism", ctx.sim == simulate_equilibrium_wealth(ctx.table, ctx.market, cfg))
 
 
 ALL_CHECKS = (

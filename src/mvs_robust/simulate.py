@@ -15,13 +15,16 @@ the order-1..3 moments must reproduce ``g1 w``, ``h2 w**2`` and
 ``FOURTH_MOMENT_BAND`` of its closed form.
 
 Randomness is counter-based: path ``i`` consumes a fixed block range of
-a Philox stream keyed by the seed, so results are bitwise independent
-of chunking, execution order, and worker count.
+a Philox stream keyed by the seed.  Each chunk's normals are filled in
+place, in row slices spread over up to four threads, and accumulated on
+the calling thread, so results are bitwise independent of chunking and
+of the worker count.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -168,18 +171,35 @@ def _objective(m1, m2, m3, penalty, w: float, gamma0: float, phi0: float):
     )
 
 
+def _normal_workers() -> int:
+    """Threads that fill the normals: the CPUs this process may use, at most 4."""
+    return min(4, len(os.sched_getaffinity(0)))
+
+
 def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Standard normals, row i belonging to global path ``first_path + i``.
 
     Each path owns ``ceil(n_steps / 4)`` whole Philox blocks, so the
-    draws for a path do not depend on how paths are chunked.
+    draws for a path do not depend on how paths are chunked, nor on
+    which thread fills the row slice they fall in.
     """
     from scipy.special import ndtri  # imported here: only simulating pays scipy's start-up
     blocks_per_path = (n_steps + 3) // 4
-    bitgen = np.random.Philox(key=seed, counter=first_path * blocks_per_path)
-    u = np.random.Generator(bitgen).random(n_paths * blocks_per_path * 4)
-    u = u.reshape(n_paths, blocks_per_path * 4)[:, :n_steps]
-    return ndtri(np.maximum(u, _MIN_UNIFORM))
+    z = np.empty((n_paths, blocks_per_path * 4))
+
+    def fill(lo: int, hi: int) -> None:
+        rows = z[lo:hi]
+        bitgen = np.random.Philox(key=seed, counter=(first_path + lo) * blocks_per_path)
+        np.random.Generator(bitgen).random(out=rows)
+        np.maximum(rows, _MIN_UNIFORM, out=rows)
+        ndtri(rows, out=rows)
+
+    from concurrent.futures import ThreadPoolExecutor  # no thread until a simulation
+    workers = _normal_workers()
+    bounds = [n_paths * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, bounds[:-1], bounds[1:]))
+    return z[:, :n_steps]
 
 
 def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
@@ -322,6 +342,7 @@ def verify_value(
     t: float,
     w: float,
     cfg: SimConfig,
+    sim: SimResult | None = None,
 ) -> ValueCheck:
     """Reassemble the objective from moments plus the penalty quadrature.
 
@@ -330,7 +351,8 @@ def verify_value(
     route assembles the same objective from sample moments.  Both are
     compared against the value function implied by the solved table,
     a coefficient table or a misspecified-strategy one, simulated under
-    the distorted dynamics that table describes.
+    the distorted dynamics that table describes.  A given ``sim`` is
+    reused when it ran ``cfg`` from (t, w) under the distorted measure.
     """
     if t == table.grid.horizon:
         # degenerate terminal distribution: value equals wealth, no penalty
@@ -364,7 +386,8 @@ def verify_value(
     value = value_bracket(table, t) * w
     rel_err = abs(analytic - value) / abs(value)
 
-    sim = _simulate(table, paths, cfg)
+    if sim is None or sim.config != cfg:
+        sim = _simulate(table, paths, cfg)
     mc = sim.objective
     z = (mc.value - value) / mc.std_error if mc.std_error > 0.0 else 0.0
 
@@ -387,13 +410,16 @@ class MomentBound:
     consistent: bool
 
 
-def moment_bound_check(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> MomentBound:
+def moment_bound_check(
+    table: SolvedTable, market: MarketCurves, cfg: SimConfig, sim: SimResult | None = None,
+) -> MomentBound:
     """Compare the analytic running fourth moment with the sampled one.
 
     The analytic curve is ``w**4 * exp(integral of 4*drift + 6*vol2)``
     accumulated forward from the start node; the Monte Carlo figure is
     the maximum over sim nodes of the sample fourth moment.  They are
-    consistent when their ratio lies in ``FOURTH_MOMENT_BAND``.
+    consistent when their ratio lies in ``FOURTH_MOMENT_BAND``.  A given
+    ``sim`` run with ``cfg`` is reused.
     """
     paths = _sim_curves(table, market, cfg)
     grow = _cumtrapz(4.0 * paths.drift + 6.0 * paths.vol2, paths.times)
@@ -401,7 +427,8 @@ def moment_bound_check(table: SolvedTable, market: MarketCurves, cfg: SimConfig)
     idx = int(np.argmax(curve))
     analytic_sup = float(curve[idx])
 
-    sim = _simulate(table, paths, cfg)
+    if sim is None or sim.config != cfg:
+        sim = _simulate(table, paths, cfg)
     ratio = sim.sup_fourth_moment / analytic_sup
     return MomentBound(
         analytic_sup=analytic_sup,

@@ -4,7 +4,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from mvs_robust import checks
+import pytest
+
+from mvs_robust import checks, simulate
 from mvs_robust.checks import check_lognormal_moments, solve_context
 from mvs_robust.cli import main
 from mvs_robust.config import parse_config
@@ -137,6 +139,17 @@ class TestCheckCommand:
         monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: next(runs))
         assert not checks.check_determinism(ctx).passed
 
+    @pytest.mark.parametrize("measure, runs", [("distorted", 2), ("reference", 3)])
+    def test_simulation_runs_per_check(self, monkeypatch, measure, runs):
+        # the checks share one run; determinism makes a second, and under the
+        # reference measure value_verification needs its own distorted one
+        real, calls = simulate._simulate, []
+        monkeypatch.setattr(simulate, "_simulate", lambda *a: calls.append(1) or real(*a))
+        results = checks.run_checks(parse_config(QUICK + f"measure = {measure}\n"))
+        mc = [r for r in results if r.name in ("value_verification", "moment_bound", "determinism")]
+        assert len(mc) == 3 and all(r.passed for r in mc), [r.summary_line() for r in mc]
+        assert len(calls) == runs
+
     def test_coarse_grid_fails_oracle_band(self, tmp_path, capsys):
         # RK4's own error in f is 5.8e-6 at 5 steps (4.1e-7 at 10), and the
         # extrapolated oracle is far closer to the true f than that
@@ -249,13 +262,19 @@ class TestFiguresCommand:
             assert cfg.sweep is not None
 
 
-def scipy_modules_after(code: str) -> set[str]:
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
-    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('scipy')))"
+def loaded_after(code: str) -> tuple[set[str], int]:
+    """The scipy and ``concurrent`` modules loaded, and the threads alive,
+    once ``code`` has run in a fresh interpreter."""
+    probe = code + (
+        "\nimport sys, threading"
+        "\nprint(' '.join(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))"
+        "\nprint(threading.active_count())"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    return set(done.stdout.splitlines()[-1].split())
+    *_, modules, threads = done.stdout.splitlines()
+    return set(modules.split()), int(threads)
 
 
 def main_code(*argv: str) -> str:
@@ -263,21 +282,22 @@ def main_code(*argv: str) -> str:
 
 
 class TestStartupImports:
-    """Commands that never simulate load no scipy at all."""
+    """Commands that never simulate load no scipy at all and start no thread."""
 
     def test_import_loads_no_scipy(self):
-        assert scipy_modules_after("import mvs_robust\nimport mvs_robust.cli") == set()
+        assert loaded_after("import mvs_robust\nimport mvs_robust.cli") == (set(), 1)
 
     def test_sweep_loads_no_scipy(self, tmp_path):
         cfg = preset_config(FIGURE_PRESETS[0])
         cfg = replace(cfg, sweep=replace(cfg.sweep, count=2, count2=1))
         path = write(tmp_path, "sweep.cfg", cfg.to_text())
         code = main_code("sweep", "--config", path, "--out", str(tmp_path))
-        assert scipy_modules_after(code) == set()
+        assert loaded_after(code) == (set(), 1)
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
     def test_simulate_loads_special_only(self, tmp_path):
         path = write(tmp_path, "c.cfg", QUICK)
-        loaded = scipy_modules_after(main_code("simulate", "--config", path, "--out", str(tmp_path)))
+        loaded, threads = loaded_after(main_code("simulate", "--config", path, "--out", str(tmp_path)))
         assert "scipy.special" in loaded
         assert not any(m.startswith("scipy.interpolate") for m in loaded)
+        assert threads == 1  # the normals' threads end with each chunk

@@ -21,8 +21,9 @@ from mvs_robust import (
     solve_system,
     verify_value,
 )
+from mvs_robust import simulate
 from mvs_robust.policy import value_bracket
-from mvs_robust.simulate import _path_normals
+from mvs_robust.simulate import _MIN_UNIFORM, _path_normals
 
 from conftest import BASE, make_market
 
@@ -41,8 +42,30 @@ class TestRandomSource:
     def test_seed_sensitivity(self):
         assert not np.array_equal(_path_normals(1, 0, 4, 8), _path_normals(2, 0, 4, 8))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_steps", [199, 200])
+    @pytest.mark.parametrize("n_paths", [2, 50])
+    def test_worker_count_invariance(self, monkeypatch, workers, n_steps, n_paths):
+        # 199 steps leave the last Philox block padded; 2 paths leave a worker idle
+        from scipy.special import ndtri
+        monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
+        blocks, first = (n_steps + 3) // 4, 5
+        u = np.random.Generator(np.random.Philox(key=42, counter=first * blocks))
+        u = u.random(n_paths * blocks * 4).reshape(n_paths, 4 * blocks)[:, :n_steps]
+        serial = ndtri(np.maximum(u, _MIN_UNIFORM))
+        assert np.array_equal(_path_normals(42, first, n_paths, n_steps), serial)
+
 
 class TestSimulation:
+    def test_worker_count_invariance(self, monkeypatch, base_table, base_market):
+        # three chunks, the last one partial, and padded Philox blocks
+        cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
+            results.append(simulate_equilibrium_wealth(base_table, base_market, cfg))
+        assert results[0] == results[1]
+
     def test_determinism(self, base_table, base_market, quick_sim):
         a = simulate_equilibrium_wealth(base_table, base_market, quick_sim)
         b = simulate_equilibrium_wealth(base_table, base_market, quick_sim)
@@ -146,6 +169,15 @@ class TestVerifyValue:
         assert res.analytic_rel_err < 1e-6
         assert abs(res.mc_z) <= 3.0
 
+    def test_given_sim_reused_only_for_its_config(self, base_table, base_market):
+        cfg = SimConfig(num_paths=2_000, seed=5, num_steps=20)
+        own = verify_value(base_table, base_market, 0.0, 4.0, cfg)
+        shared = simulate_equilibrium_wealth(base_table, base_market, cfg)
+        assert verify_value(base_table, base_market, 0.0, 4.0, cfg, sim=shared).sim is shared
+        foreign = simulate_equilibrium_wealth(base_table, base_market, dataclasses.replace(cfg, seed=6))
+        assert foreign.objective != own.sim.objective
+        assert verify_value(base_table, base_market, 0.0, 4.0, cfg, sim=foreign) == own
+
     def test_terminal_time_is_exact(self, base_table, base_market):
         cfg = SimConfig(num_paths=200, seed=1, num_steps=4)
         res = verify_value(base_table, base_market, 5.0, 4.0, cfg)
@@ -192,6 +224,15 @@ class TestMomentBound:
         assert res.finite
         assert res.analytic_argmax_time == pytest.approx(BASE["T"])
         assert res.consistent
+
+    def test_given_sim_reused_only_for_its_config(self, base_table, base_market):
+        cfg = SimConfig(num_paths=2_000, seed=5, num_steps=20)
+        own = moment_bound_check(base_table, base_market, cfg)
+        shared = simulate_equilibrium_wealth(base_table, base_market, cfg)
+        assert moment_bound_check(base_table, base_market, cfg, sim=shared) == own
+        foreign = simulate_equilibrium_wealth(base_table, base_market, dataclasses.replace(cfg, seed=6))
+        assert foreign.sup_fourth_moment != shared.sup_fourth_moment
+        assert moment_bound_check(base_table, base_market, cfg, sim=foreign) == own
 
     def test_zero_theta_exact(self, base_grid):
         market = make_market(mu=BASE["r"])

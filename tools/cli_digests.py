@@ -40,6 +40,8 @@ CONFIGS = {
         "[market]\nmu = 0.27903\nsigma = 0.32978\n"
         "[preferences]\ngamma0 = 2.27791\nphi0 = 2.62057\nxi = 1.41690\n"
     ),
+    # padded Philox blocks (199 steps) and several chunks, the last one partial
+    "padded-multichunk": "[simulation]\nnum_steps = 199\nnum_paths = 40000\n",
 }
 
 
