@@ -5,9 +5,8 @@ tolerances and returns a machine-readable result.  The checks share one
 market and solved FULL table (``solve_context``, which ``simulate`` uses
 too), and one Monte Carlo run (``CheckContext.sim``) for the checks that
 simulate.  The same bounds are asserted by the acceptance test suite.
-``oracle_equivalence`` extrapolates Picard (Richardson); the trapezoid
-rules of ``closed_form_consistency`` and ``lognormal_moments`` are not,
-and on a few solvable configs their own error fails them (see README).
+``oracle_equivalence`` (Picard), ``closed_form_consistency`` and
+``lognormal_moments`` (``log_moment_growth``) use extrapolated quadratures.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .market import MarketCurves, Preferences, TimeGrid
 from .policy import coefficients_at, delta3_scan
 from .simulate import (
     SimResult,
+    log_moment_growth,
     lognormal_moments,
     moment_bound_check,
     simulate_equilibrium_wealth,
@@ -31,7 +31,6 @@ from .simulate import (
 from .solver import (
     CoefficientTable,
     ModelVariant,
-    reverse_cumtrapz,
     solve_f_picard,
     solve_system,
 )
@@ -109,21 +108,12 @@ def check_oracle_equivalence(ctx: CheckContext) -> CheckResult:
 
 
 def check_closed_form_consistency(ctx: CheckContext) -> CheckResult:
-    """Exponential reconstructions from the solved f match the ODE output."""
+    """g1, h2, h3 at every node are the lognormal moment growths of orders
+    1..3, the exponentials of their rates integrated to the horizon."""
     table = ctx.table
-    dt = ctx.market.grid.dt
-    nodes = ctx.market.grid.nodes
-    r = np.asarray(ctx.market.risk_free_at(nodes), dtype=float)
-    th = np.asarray(ctx.market.theta_at(nodes), dtype=float)
-    c = 1.0 / ((table.xi + 1.0) ** 2)
-    f = table.f
-    g1 = np.exp(reverse_cumtrapz(r + th * f * c, dt))
-    h2 = np.exp(reverse_cumtrapz(2 * r + (2 * th * f + th * f * f) * c, dt))
-    h3 = np.exp(reverse_cumtrapz(3 * (r + (th * f + th * f * f) * c), dt))
     rel = max(
-        float(np.max(np.abs(g1 / table.g1 - 1.0))),
-        float(np.max(np.abs(h2 / table.h2 - 1.0))),
-        float(np.max(np.abs(h3 / table.h3 - 1.0))),
+        float(np.max(np.abs(np.exp(log_moment_growth(table, ctx.market, 0.0, n)) / col - 1.0)))
+        for n, col in ((1, table.g1), (2, table.h2), (3, table.h3))
     )
     return CheckResult(
         "closed_form_consistency", rel < CLOSED_FORM_REL_TOL,

@@ -8,17 +8,18 @@ per-step lognormal increments; an Euler-Maruyama scheme is retained
 purely as a discretization cross-check.  A misspecified-strategy table
 describes the same kind of process, driven by the naive strategy's ratio.
 ``_curves`` builds both kinds' curves at any times from ``risk_free_at``,
-``theta_at`` and ``columns_at``.  Closed-form lognormal moments
-provide the independent oracle against the solved coefficient tables:
-the order-1..3 moments must reproduce ``g1 w``, ``h2 w**2`` and
-``h3 w**3``, and the sampled running fourth moment must stay within
-``FOURTH_MOMENT_BAND`` of its closed form.
+``theta_at`` and ``columns_at``.  Closed-form lognormal moments are the
+independent oracle against the solved tables: orders 1..3, integrated by
+Simpson's rule (``log_moment_growth``), must reproduce ``g1 w``,
+``h2 w**2`` and ``h3 w**3``, and the sampled running fourth moment must
+stay within ``FOURTH_MOMENT_BAND`` of its closed form.
 
 Randomness is counter-based: path ``i`` consumes a fixed block range of
 a Philox stream keyed by the seed.  Each chunk's normals are filled in
-place, in row slices spread over up to four threads, and accumulated on
-the calling thread, so results are bitwise independent of chunking and
-of the worker count.
+place, in row slices on up to four threads, and accumulated on
+the calling thread in chunk order: estimates as plain sums, standard
+errors from one centred comoment matrix (``_merge``).  So results are
+bitwise independent of the worker count.
 """
 
 from __future__ import annotations
@@ -149,10 +150,9 @@ def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Cu
     return _curves(table, market, times, cfg.measure)
 
 
-def _tail_curves(table: SolvedTable, market: MarketCurves, t: float, measure: Measure) -> _Curves:
-    """The curves at t and at the grid nodes after it."""
-    nodes = table.grid.nodes
-    return _curves(table, market, np.concatenate([[t], nodes[nodes > t]]), measure)
+def _tail_times(table: SolvedTable, t: float) -> np.ndarray:
+    """t and the grid nodes after it."""
+    return np.concatenate([[t], table.grid.nodes[table.grid.nodes > t]])
 
 
 def _cumtrapz(g: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -202,6 +202,19 @@ def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.
     return z[:, :n_steps]
 
 
+def _merge(sums, centre, comoments, count: int, x: np.ndarray) -> None:
+    """Add paths ``x``, a row per quantity, to the plain ``sums``, the mean ``centre``
+    and the centred ``comoments`` of ``count`` earlier paths, in place (Chan, Golub &
+    LeVeque, 1983).  Centring on the first path plus the mean offset zeroes a constant row."""
+    n = x.shape[1]
+    chunk_mean = x[:, 0] + (x - x[:, :1]).sum(axis=1) / n
+    centred = x - chunk_mean[:, None]
+    delta = chunk_mean - centre
+    comoments += centred @ centred.T + np.outer(delta, delta) * (count * n / (count + n))
+    centre += delta * (n / (count + n))
+    sums += x.sum(axis=1)
+
+
 def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
     times, drift, vol2, pen_rate = curves
     n_steps = cfg.num_steps
@@ -216,10 +229,10 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
         e_step = np.sqrt(vol2[:-1]) * np.sqrt(ds)
 
     w0 = cfg.start_wealth
-    pow_sums = np.zeros(8)                  # sums of W_T ** (1..8)
     node4 = np.zeros(n_steps + 1)           # sums of W_s ** 4 per node
-    vec_sum = np.zeros(4)                   # (W_T, W_T^2, W_T^3, penalty)
-    vec_outer = np.zeros((4, 4))
+    sums = np.zeros(5)                      # of (W_T, W_T^2, W_T^3, W_T^4, penalty)
+    centre = np.zeros(5)                    # their mean, merged chunk by chunk
+    comoments = np.zeros((5, 5))            # sums of (x - centre)(x - centre)'
     min_w = w0
 
     for first in range(0, cfg.num_paths, _CHUNK):
@@ -239,33 +252,18 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
             pen += 0.5 * ds[k] * (pen_rate[k] * w_prev + pen_rate[k + 1] * w)
             node4[k + 1] += float(np.sum(w ** 4))
             min_w = min(min_w, float(np.min(w)))
-        for p in range(1, 9):
-            pow_sums[p - 1] += float(np.sum(w ** p))
-        x = np.stack([w, w * w, w ** 3, pen])
-        vec_sum += x.sum(axis=1)
-        vec_outer += x @ x.T
+        _merge(sums, centre, comoments, first, np.stack([w, w * w, w ** 3, w ** 4, pen]))
 
     npaths = cfg.num_paths
-    raw = pow_sums / npaths
-    bessel = npaths / (npaths - 1.0)
+    mean = sums / npaths
+    cov = comoments / (npaths - 1.0)
+    se = np.sqrt(np.diag(cov) / npaths)
+    moments = tuple(MomentEstimate(value=mean[k], std_error=float(se[k])) for k in range(4))
 
-    def estimate(k: int) -> MomentEstimate:
-        var = max(0.0, (raw[2 * k - 1] - raw[k - 1] ** 2) * bessel)
-        return MomentEstimate(value=raw[k - 1], std_error=float(np.sqrt(var / npaths)))
-
-    moments = tuple(estimate(k) for k in range(1, 5))
-
-    mean4 = vec_sum / npaths
-    cov = (vec_outer / npaths - np.outer(mean4, mean4)) * bessel
-
-    sup_idx = int(np.argmax(node4))
     result_penalty = result_objective = None
     if cfg.measure is Measure.DISTORTED:
-        result_penalty = MomentEstimate(
-            value=float(mean4[3]),
-            std_error=float(np.sqrt(max(0.0, cov[3, 3]) / npaths)),
-        )
-        m1, m2, m3, mp = mean4
+        result_penalty = MomentEstimate(value=float(mean[4]), std_error=float(se[4]))
+        m1, m2, m3, _, mp = mean
         g0, p0 = table.gamma0, table.phi0
         obj = _objective(m1, m2, m3, mp, w0, g0, p0)
         grad = np.array([
@@ -274,7 +272,8 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
             p0 / (3.0 * w0 * w0),
             1.0,
         ])
-        obj_var = max(0.0, float(grad @ cov @ grad))
+        block = cov[np.ix_((0, 1, 2, 4), (0, 1, 2, 4))]
+        obj_var = max(0.0, float(grad @ block @ grad))
         result_objective = MomentEstimate(
             value=float(obj), std_error=float(np.sqrt(obj_var / npaths))
         )
@@ -282,7 +281,7 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
     return SimResult(
         config=cfg,
         moments=moments,
-        sup_fourth_moment=float(node4[sup_idx] / npaths),
+        sup_fourth_moment=float(node4.max() / npaths),
         min_wealth=float(min_w),
         penalty=result_penalty,
         objective=result_objective,
@@ -298,6 +297,24 @@ def simulate_equilibrium_wealth(
     return _simulate(table, _sim_curves(table, market, cfg), cfg)
 
 
+def log_moment_growth(
+    table: SolvedTable, market: MarketCurves, t: float, order: int,
+    measure: Measure = Measure.DISTORTED,
+) -> np.ndarray:
+    """``log(E[W_T ** order] / w ** order)`` from t and from each node after
+    it: the integral of ``order*drift + order(order-1)/2 * vol2`` to the
+    horizon as ``(4 T_half - T) / 3``, ``T`` the trapezoid rule on those
+    times and ``T_half`` on their steps halved (Simpson's rule per step)."""
+    times = _tail_times(table, t)
+    fine = np.empty(2 * times.size - 1)
+    fine[::2], fine[1::2] = times, 0.5 * (times[:-1] + times[1:])
+    _, drift, vol2, _ = _curves(table, market, fine, measure)
+    g = order * drift + 0.5 * order * (order - 1) * vol2
+    # accumulated backwards from the horizon, where the integrals are 0
+    back = (4.0 * _cumtrapz(g[::-1], fine[::-1])[::2] - _cumtrapz(g[::-2], times[::-1])) / 3.0
+    return -back[::-1]
+
+
 def lognormal_moments(
     table: SolvedTable,
     market: MarketCurves,
@@ -306,20 +323,13 @@ def lognormal_moments(
     order: int,
     measure: Measure = Measure.DISTORTED,
 ) -> float:
-    """Exact GBM moment ``E[W_T ** order]`` started from (t, w).
-
-    Computed as ``w**n * exp(integral of n*drift + n(n-1)/2 * vol2)``
-    with trapezoid quadrature on the solver grid; orders 1..3 must
-    reproduce the solved ``g1 w``, ``h2 w**2``, ``h3 w**3``.
+    """Exact GBM moment ``E[W_T ** order]`` started from (t, w), as
+    ``w**order * exp(log_moment_growth)``; orders 1..3 must reproduce
+    the solved ``g1 w``, ``h2 w**2``, ``h3 w**3``.
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"order must be 1..4, got {order}")
-    horizon = table.grid.horizon
-    if not 0.0 <= t <= horizon:
-        raise OutOfHorizon(f"time {t} outside [0, {horizon}]")
-    times, drift, vol2, _ = _tail_curves(table, market, t, measure)
-    integrand = order * drift + 0.5 * order * (order - 1) * vol2
-    return w ** order * float(np.exp(np.trapezoid(integrand, times)))
+    return w ** order * float(np.exp(log_moment_growth(table, market, t, order, measure)[0]))
 
 
 @dataclass(frozen=True)
@@ -378,7 +388,7 @@ def verify_value(
         )
 
     m1, m2, m3 = (lognormal_moments(table, market, t, w, n) for n in (1, 2, 3))
-    times, drift, _, pen_rate = _tail_curves(table, market, t, Measure.DISTORTED)
+    times, drift, _, pen_rate = _curves(table, market, _tail_times(table, t), Measure.DISTORTED)
     expected_w = w * np.exp(_cumtrapz(drift, times))
     penalty = float(np.trapezoid(pen_rate * expected_w, times))
     analytic = _objective(m1, m2, m3, penalty, w, table.gamma0, table.phi0)

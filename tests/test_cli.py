@@ -23,6 +23,12 @@ num_steps = 50
 seed = 42
 """
 
+# solvable, with an f steep enough that plain trapezoid rules miss 1e-7
+STEEP = (
+    "[market]\nmu = 0.27903\nsigma = 0.32978\n"
+    "[preferences]\ngamma0 = 2.27791\nphi0 = 2.62057\nxi = 1.41690\n"
+)
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -165,6 +171,20 @@ class TestCheckCommand:
         f[150] += 2e-6
         raised = replace(ctx, table=replace(ctx.table, f=f))
         assert not checks.check_oracle_equivalence(raised).passed
+
+    @pytest.mark.parametrize("check", ["closed_form_consistency", "lognormal_moments"])
+    def test_steep_config_passes_moment_quadrature(self, check):
+        # plain trapezoid rules are 1.7e-6 off here, the extrapolated ones 7.6e-10
+        res = getattr(checks, f"check_{check}")(solve_context(parse_config(STEEP)))
+        assert res.passed and res.metrics["max_rel_err"] < 1e-8, res.summary_line()
+
+    def test_raised_h2_node_fails_closed_form(self):
+        ctx = solve_context(parse_config(STEEP))
+        assert checks.check_closed_form_consistency(ctx).passed
+        h2 = ctx.table.h2.copy()
+        h2[1000] *= 1.0 + 1e-6
+        raised = replace(ctx, table=replace(ctx.table, h2=h2))
+        assert not checks.check_closed_form_consistency(raised).passed
 
 
 class TestSimulateCommand:

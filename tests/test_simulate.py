@@ -66,6 +66,29 @@ class TestSimulation:
             results.append(simulate_equilibrium_wealth(base_table, base_market, cfg))
         assert results[0] == results[1]
 
+    def test_centred_accumulator_matches_two_pass(self, monkeypatch, base_table, base_market):
+        # three chunks, the last one partial: the merged standard errors against a
+        # long-double two-pass over the kept per-path (W, W^2, W^3, W^4, penalty)
+        kept, merge = [], simulate._merge
+        monkeypatch.setattr(simulate, "_merge", lambda *a: kept.append(a[-1].copy()) or merge(*a))
+        cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
+        res = simulate_equilibrium_wealth(base_table, base_market, cfg)
+        assert [x.shape[1] for x in kept] == [16384, 16384, 7232]
+        plain = sum(x.sum(axis=1) for x in kept) / cfg.num_paths
+        assert [m.value for m in res.moments] + [res.penalty.value] == plain.tolist()
+        x = np.concatenate(kept, axis=1).astype(np.longdouble)
+        centred = x - x.mean(axis=1)[:, None]
+        cov = centred @ centred.T / (cfg.num_paths - 1)
+        m1, m2 = x[0].mean(), x[1].mean()
+        w, g0, p0 = cfg.start_wealth, base_table.gamma0, base_table.phi0
+        assert res.objective.value == simulate._objective(*plain[[0, 1, 2, 4]], w, g0, p0)
+        grad = np.array([1 + g0 * m1 / w + p0 / w**2 * (2 * m1 * m1 - m2),
+                         -0.5 * g0 / w - p0 * m1 / w**2, p0 / (3 * w**2), 0, 1])
+        ref = np.sqrt(np.append(np.diag(cov), grad @ cov @ grad) / cfg.num_paths)
+        got = [m.std_error for m in res.moments + (res.penalty, res.objective)]
+        rel = np.abs(np.array(got, dtype=np.longdouble) / ref - 1.0)
+        assert np.all(rel[:5] <= 1e-15) and rel[5] <= 2e-14, rel
+
     def test_determinism(self, base_table, base_market, quick_sim):
         a = simulate_equilibrium_wealth(base_table, base_market, quick_sim)
         b = simulate_equilibrium_wealth(base_table, base_market, quick_sim)
@@ -99,6 +122,15 @@ class TestSimulation:
         assert abs(variance) < 1e-9
         assert res.moments[0].std_error < 1e-12
         assert res.sup_fourth_moment == pytest.approx(target**4, rel=1e-12)
+
+    def test_constant_paths_have_zero_standard_errors(self, base_grid):
+        # zero theta makes every path the same curve; three chunks are merged
+        market = make_market(mu=BASE["r"])
+        table = solve_system(market, Preferences(2.0, 0.5, 1.0), base_grid)
+        cfg = SimConfig(num_paths=40_000, seed=3, num_steps=5)
+        res = simulate_equilibrium_wealth(table, market, cfg)
+        errors = [m.std_error for m in res.moments + (res.penalty, res.objective)]
+        assert errors == [0.0] * 6
 
     def test_standard_error_scaling(self, base_table, base_market):
         small = simulate_equilibrium_wealth(
@@ -146,10 +178,13 @@ class TestLognormalMoments:
             assert lognormal_moments(base_table, base_market, 5.0, 3.0, order) == 3.0**order
 
     def test_measure_gap_is_girsanov_correction(self, base_table, base_market, base_grid):
-        # reference-vs-distorted drift differs by xi * theta * f / (xi+1)^2
-        xi = base_table.xi
-        gap = xi * base_market.theta_nodes * base_table.f / (xi + 1.0) ** 2
-        expected = np.exp(np.trapezoid(gap, base_grid.nodes))
+        # reference-vs-distorted drift differs by xi * theta * f / (xi+1)^2,
+        # integrated by the same extrapolated rule (4 T_half - T) / 3
+        xi, half = base_table.xi, base_grid.half_times()
+        f = base_table.columns_at(half)[:, base_table.COLUMNS.index("f")]
+        gap = xi * base_market.theta_at(half) * f / (xi + 1.0) ** 2
+        fine, coarse = np.trapezoid(gap, half), np.trapezoid(gap[::2], base_grid.nodes)
+        expected = np.exp((4.0 * fine - coarse) / 3.0)
         mp = lognormal_moments(base_table, base_market, 0.0, 1.0, 1, Measure.REFERENCE)
         mq = lognormal_moments(base_table, base_market, 0.0, 1.0, 1, Measure.DISTORTED)
         assert mp / mq == pytest.approx(expected, rel=1e-12)

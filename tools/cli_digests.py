@@ -42,6 +42,8 @@ CONFIGS = {
     ),
     # padded Philox blocks (199 steps) and several chunks, the last one partial
     "padded-multichunk": "[simulation]\nnum_steps = 199\nnum_paths = 40000\n",
+    # one chunk, so no chunk merge
+    "single-chunk": "[simulation]\nnum_paths = 1000\n",
 }
 
 
