@@ -5,8 +5,8 @@ tolerances and returns a machine-readable result.  The checks share one
 market and solved FULL table (``solve_context``, which ``simulate`` uses
 too), and one Monte Carlo run (``CheckContext.sim``) for the checks that
 simulate.  The same bounds are asserted by the acceptance test suite.
-``oracle_equivalence`` (Picard), ``closed_form_consistency`` and
-``lognormal_moments`` (``log_moment_growth``) use extrapolated quadratures.
+``oracle_equivalence`` extrapolates Picard; every other oracle integral (moments,
+penalty, running fourth moment) is ``simulate``'s one extrapolated rule.
 """
 
 from __future__ import annotations
@@ -111,10 +111,8 @@ def check_closed_form_consistency(ctx: CheckContext) -> CheckResult:
     """g1, h2, h3 at every node are the lognormal moment growths of orders
     1..3, the exponentials of their rates integrated to the horizon."""
     table = ctx.table
-    rel = max(
-        float(np.max(np.abs(np.exp(log_moment_growth(table, ctx.market, 0.0, n)) / col - 1.0)))
-        for n, col in ((1, table.g1), (2, table.h2), (3, table.h3))
-    )
+    growth = np.exp(log_moment_growth(table, ctx.market, 0.0, (1, 2, 3)))
+    rel = float(np.max(np.abs(growth / np.array([table.g1, table.h2, table.h3]) - 1.0)))
     return CheckResult(
         "closed_form_consistency", rel < CLOSED_FORM_REL_TOL,
         {"max_rel_err": rel, "tol": CLOSED_FORM_REL_TOL},

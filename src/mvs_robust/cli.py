@@ -86,7 +86,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, argv) -> int:
 def _z_line(name: str, est, analytic: float) -> str:
     """A Monte Carlo estimate against its analytic value, failing outside
     the z band (z is 0 for a zero standard error)."""
-    z = (est.value - analytic) / est.std_error if est.std_error > 0 else 0.0
+    z = est.z_score(analytic)
     flag = "pass" if abs(z) <= MC_Z_BOUND else "fail"
     return f"{name},{_fmt(est.value)},{_fmt(est.std_error)},{_fmt(analytic)},{_fmt(z)},{flag}"
 

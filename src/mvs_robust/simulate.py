@@ -9,10 +9,10 @@ purely as a discretization cross-check.  A misspecified-strategy table
 describes the same kind of process, driven by the naive strategy's ratio.
 ``_curves`` builds both kinds' curves at any times from ``risk_free_at``,
 ``theta_at`` and ``columns_at``.  Closed-form lognormal moments are the
-independent oracle against the solved tables: orders 1..3, integrated by
-Simpson's rule (``log_moment_growth``), must reproduce ``g1 w``,
-``h2 w**2`` and ``h3 w**3``, and the sampled running fourth moment must
-stay within ``FOURTH_MOMENT_BAND`` of its closed form.
+independent oracle against the solved tables: orders 1..3 must reproduce
+``g1 w``, ``h2 w**2`` and ``h3 w**3``, and the sampled running fourth
+moment must stay within ``FOURTH_MOMENT_BAND`` of its closed form.  Each
+oracle integral, the penalty's too, is Simpson's rule (``_tail_integrals``).
 
 Randomness is counter-based: path ``i`` consumes a fixed block range of
 a Philox stream keyed by the seed.  Each chunk's normals are filled in
@@ -78,6 +78,10 @@ class SimConfig:
 class MomentEstimate:
     value: float
     std_error: float
+
+    def z_score(self, target: float) -> float:
+        """``(value - target) / std_error``, or 0 for a zero standard error."""
+        return float((self.value - target) / self.std_error) if self.std_error > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -156,8 +160,23 @@ def _tail_times(table: SolvedTable, t: float) -> np.ndarray:
 
 
 def _cumtrapz(g: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """out[i] = trapezoid integral of g from times[0] to times[i]."""
-    return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (g[:-1] + g[1:]))])
+    """out[..., i] = trapezoid integral of each row of g from times[0] to times[i]."""
+    steps = np.cumsum(0.5 * np.diff(times) * (g[..., :-1] + g[..., 1:]), axis=-1)
+    return np.concatenate([np.zeros(g.shape[:-1] + (1,)), steps], axis=-1)
+
+
+def _tail_integrals(table: SolvedTable, market: MarketCurves, times: np.ndarray,
+                    measure: Measure, integrand) -> np.ndarray:
+    """Integrals of each row of ``integrand(curves)`` from each of ``times`` to the last, as
+    ``(4 R_half - R) / 3`` (Simpson's rule per step): ``R`` the trapezoid rule on ``times``,
+    ``R_half`` on their steps halved.  The curves are built once, at ``times`` and each
+    step's midpoint; ``integrand`` may hold a trapezoid rule on the grid it is given."""
+    fine = np.empty(2 * times.size - 1)
+    fine[::2], fine[1::2] = times, 0.5 * (times[:-1] + times[1:])
+    curves = _curves(table, market, fine, measure)
+    half, plain = integrand(curves), integrand(_Curves(*(c[::2] for c in curves)))
+    return -(4.0 * _cumtrapz(half[..., ::-1], fine[::-1])[..., ::2]
+             - _cumtrapz(plain[..., ::-1], times[::-1]))[..., ::-1] / 3.0
 
 
 def _objective(m1, m2, m3, penalty, w: float, gamma0: float, phi0: float):
@@ -297,22 +316,12 @@ def simulate_equilibrium_wealth(
     return _simulate(table, _sim_curves(table, market, cfg), cfg)
 
 
-def log_moment_growth(
-    table: SolvedTable, market: MarketCurves, t: float, order: int,
-    measure: Measure = Measure.DISTORTED,
-) -> np.ndarray:
-    """``log(E[W_T ** order] / w ** order)`` from t and from each node after
-    it: the integral of ``order*drift + order(order-1)/2 * vol2`` to the
-    horizon as ``(4 T_half - T) / 3``, ``T`` the trapezoid rule on those
-    times and ``T_half`` on their steps halved (Simpson's rule per step)."""
-    times = _tail_times(table, t)
-    fine = np.empty(2 * times.size - 1)
-    fine[::2], fine[1::2] = times, 0.5 * (times[:-1] + times[1:])
-    _, drift, vol2, _ = _curves(table, market, fine, measure)
-    g = order * drift + 0.5 * order * (order - 1) * vol2
-    # accumulated backwards from the horizon, where the integrals are 0
-    back = (4.0 * _cumtrapz(g[::-1], fine[::-1])[::2] - _cumtrapz(g[::-2], times[::-1])) / 3.0
-    return -back[::-1]
+def log_moment_growth(table: SolvedTable, market: MarketCurves, t: float, orders: tuple[int, ...],
+                      measure: Measure = Measure.DISTORTED) -> np.ndarray:
+    """``log(E[W_T ** n] / w ** n)`` from t and each node after it, a row per
+    order ``n``: ``n*drift + n(n-1)/2 * vol2`` integrated to the horizon."""
+    return _tail_integrals(table, market, _tail_times(table, t), measure, lambda c: np.array(
+        [n * c.drift + 0.5 * n * (n - 1) * c.vol2 for n in orders]))
 
 
 def lognormal_moments(
@@ -329,7 +338,7 @@ def lognormal_moments(
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"order must be 1..4, got {order}")
-    return w ** order * float(np.exp(log_moment_growth(table, market, t, order, measure)[0]))
+    return w ** order * float(np.exp(log_moment_growth(table, market, t, (order,), measure)[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -356,9 +365,9 @@ def verify_value(
 ) -> ValueCheck:
     """Reassemble the objective from moments plus the penalty quadrature.
 
-    The analytic route uses exact lognormal moments and a trapezoid
-    penalty integral along the expected wealth curve; the Monte Carlo
-    route assembles the same objective from sample moments.  Both are
+    The analytic route integrates the moments and the penalty along the
+    expected wealth curve by ``_tail_integrals``; the Monte Carlo route
+    assembles the same objective from sample moments.  Both are
     compared against the value function implied by the solved table,
     a coefficient table or a misspecified-strategy one, simulated under
     the distorted dynamics that table describes.  A given ``sim`` is
@@ -387,11 +396,10 @@ def verify_value(
             f"(min delta3 = {d3_floor:g})"
         )
 
-    m1, m2, m3 = (lognormal_moments(table, market, t, w, n) for n in (1, 2, 3))
-    times, drift, _, pen_rate = _curves(table, market, _tail_times(table, t), Measure.DISTORTED)
-    expected_w = w * np.exp(_cumtrapz(drift, times))
-    penalty = float(np.trapezoid(pen_rate * expected_w, times))
-    analytic = _objective(m1, m2, m3, penalty, w, table.gamma0, table.phi0)
+    m1, m2, m3 = w ** np.arange(1, 4) * np.exp(log_moment_growth(table, market, t, (1, 2, 3))[:, 0])
+    penalty = _tail_integrals(table, market, _tail_times(table, t), Measure.DISTORTED,
+                              lambda c: c.pen_rate * np.exp(_cumtrapz(c.drift, c.times)))[0]
+    analytic = _objective(m1, m2, m3, w * penalty, w, table.gamma0, table.phi0)
 
     value = value_bracket(table, t) * w
     rel_err = abs(analytic - value) / abs(value)
@@ -399,12 +407,10 @@ def verify_value(
     if sim is None or sim.config != cfg:
         sim = _simulate(table, paths, cfg)
     mc = sim.objective
-    z = (mc.value - value) / mc.std_error if mc.std_error > 0.0 else 0.0
-
     return ValueCheck(
         time=t, wealth=w, value=value,
         analytic_objective=float(analytic), analytic_rel_err=float(rel_err),
-        mc_objective=mc, mc_z=float(z), sim=sim,
+        mc_objective=mc, mc_z=mc.z_score(value), sim=sim,
     )
 
 
@@ -426,14 +432,15 @@ def moment_bound_check(
     """Compare the analytic running fourth moment with the sampled one.
 
     The analytic curve is ``w**4 * exp(integral of 4*drift + 6*vol2)``
-    accumulated forward from the start node; the Monte Carlo figure is
-    the maximum over sim nodes of the sample fourth moment.  They are
-    consistent when their ratio lies in ``FOURTH_MOMENT_BAND``.  A given
-    ``sim`` run with ``cfg`` is reused.
+    from the start to each sim node, by ``_tail_integrals``; the Monte
+    Carlo figure is the maximum over sim nodes of the sample fourth moment.
+    They are consistent when their ratio lies in ``FOURTH_MOMENT_BAND``.
+    A given ``sim`` run with ``cfg`` is reused.
     """
     paths = _sim_curves(table, market, cfg)
-    grow = _cumtrapz(4.0 * paths.drift + 6.0 * paths.vol2, paths.times)
-    curve = cfg.start_wealth ** 4 * np.exp(grow)
+    tail = _tail_integrals(table, market, paths.times, cfg.measure,
+                           lambda c: 4.0 * c.drift + 6.0 * c.vol2)
+    curve = cfg.start_wealth ** 4 * np.exp(tail[0] - tail)
     idx = int(np.argmax(curve))
     analytic_sup = float(curve[idx])
 

@@ -28,6 +28,14 @@ from mvs_robust.simulate import _MIN_UNIFORM, _path_normals
 from conftest import BASE, make_market
 
 
+@pytest.fixture(scope="module")
+def steep():
+    """Table and market of a solvable config with a steep f, where plain
+    trapezoid oracles are 1e-7 to 3e-4 off."""
+    market = make_market(mu=0.27903, sigma=0.32978)
+    return solve_system(market, Preferences(2.27791, 2.62057, 1.41690), market.grid), market
+
+
 class TestRandomSource:
     def test_chunk_split_invariance(self):
         whole = _path_normals(42, 0, 10, 7)
@@ -190,6 +198,15 @@ class TestLognormalMoments:
         assert mp / mq == pytest.approx(expected, rel=1e-12)
         assert mp > mq  # reference drift dominates under ambiguity aversion
 
+    @pytest.mark.parametrize("t", [0.0, 0.0013])
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_orders_in_one_build_match_single_orders_bitwise(self, base_table, base_market,
+                                                             t, measure):
+        rows = simulate.log_moment_growth(base_table, base_market, t, (1, 2, 3, 4), measure)
+        for row, n in zip(rows, (1, 2, 3, 4)):
+            single = simulate.log_moment_growth(base_table, base_market, t, (n,), measure)
+            assert single.shape == (1, row.size) and np.array_equal(row, single[0])
+
     def test_bad_inputs(self, base_table, base_market):
         with pytest.raises(ConfigError):
             lognormal_moments(base_table, base_market, 0.0, 4.0, 5)
@@ -203,6 +220,12 @@ class TestVerifyValue:
         assert res.value == pytest.approx(value_bracket(base_table, 0.0) * 4.0)
         assert res.analytic_rel_err < 1e-6
         assert abs(res.mc_z) <= 3.0
+
+    @pytest.mark.parametrize("t", [0.0, 0.0013])
+    def test_steep_config_analytic_assembly(self, steep, t):
+        # plain trapezoid penalty quadrature was 1.5e-7 off here
+        res = verify_value(*steep, t, 4.0, SimConfig(num_paths=2_000, seed=1, num_steps=20))
+        assert res.analytic_rel_err < 1e-8
 
     def test_given_sim_reused_only_for_its_config(self, base_table, base_market):
         cfg = SimConfig(num_paths=2_000, seed=5, num_steps=20)
@@ -268,6 +291,16 @@ class TestMomentBound:
         foreign = simulate_equilibrium_wealth(base_table, base_market, dataclasses.replace(cfg, seed=6))
         assert foreign.sup_fourth_moment != shared.sup_fourth_moment
         assert moment_bound_check(base_table, base_market, cfg, sim=foreign) == own
+
+    def test_sup_at_horizon_is_fourth_lognormal_moment(self, base_table, base_market, steep):
+        # the analytic curve on the 200-step sim grid against the solver grid's
+        # closed form; plain trapezoid rules were 4.2e-7 and 3.1e-4 off
+        cfg = SimConfig(num_paths=200, seed=3, num_steps=200)
+        for (table, market), rel in (((base_table, base_market), 1e-10), (steep, 1e-5)):
+            res = moment_bound_check(table, market, cfg)
+            assert res.analytic_argmax_time == BASE["T"]
+            fourth = lognormal_moments(table, market, 0.0, cfg.start_wealth, 4)
+            assert res.analytic_sup == pytest.approx(fourth, rel=rel)
 
     def test_zero_theta_exact(self, base_grid):
         market = make_market(mu=BASE["r"])
