@@ -15,17 +15,20 @@ moment must stay within ``FOURTH_MOMENT_BAND`` of its closed form.  Each
 oracle integral, the penalty's too, is Simpson's rule (``_tail_integrals``).
 
 Randomness is counter-based: path ``i`` consumes a fixed block range of
-a Philox stream keyed by the seed.  Each chunk's normals are filled in
-place, in row slices on up to four threads, and accumulated on
-the calling thread in chunk order: estimates as plain sums, standard
-errors from one centred comoment matrix (``_merge``).  So results are
-bitwise independent of the worker count.
+a Philox stream keyed by the seed.  A simulation's normals come from one
+stream (``_normal_stream``) with two chunk buffers: while the calling
+thread marches one chunk, a pool of up to four threads fills the next
+into the other buffer, in row slices.  Paths are accumulated on the
+calling thread in chunk order: estimates as plain sums, standard errors
+from one centred comoment matrix (``_merge``).  So results are bitwise
+independent of the worker count.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -145,13 +148,17 @@ def _curves(
     return _Curves(times, drift, vol2, pen_rate)
 
 
-def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Curves:
-    """The curves on the simulation grid."""
+def _sim_times(table: SolvedTable, cfg: SimConfig) -> np.ndarray:
+    """The simulation grid: ``num_steps`` equal steps from the start time to the horizon."""
     horizon = table.grid.horizon
     if not 0.0 <= cfg.start_time < horizon:
         raise OutOfHorizon(f"start_time {cfg.start_time} outside [0, {horizon})")
-    times = np.linspace(cfg.start_time, horizon, cfg.num_steps + 1)
-    return _curves(table, market, times, cfg.measure)
+    return np.linspace(cfg.start_time, horizon, cfg.num_steps + 1)
+
+
+def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Curves:
+    """The curves on the simulation grid."""
+    return _curves(table, market, _sim_times(table, cfg), cfg.measure)
 
 
 def _tail_times(table: SolvedTable, t: float) -> np.ndarray:
@@ -192,33 +199,44 @@ def _objective(m1, m2, m3, penalty, w: float, gamma0: float, phi0: float):
 
 def _normal_workers() -> int:
     """Threads that fill the normals: the CPUs this process may use, at most 4."""
-    return min(4, len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return min(4, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def _path_normals(seed: int, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Standard normals, row i belonging to global path ``first_path + i``.
-
-    Each path owns ``ceil(n_steps / 4)`` whole Philox blocks, so the
-    draws for a path do not depend on how paths are chunked, nor on
-    which thread fills the row slice they fall in.
-    """
+def _fill_normals(pool, workers: int, seed: int, first_path: int, z: np.ndarray):
+    """Start filling ``z`` with standard normals, row i belonging to global path
+    ``first_path + i``, in ``workers`` row slices on ``pool``; consuming the result
+    waits for them.  Each path owns ``z.shape[1] / 4`` whole Philox blocks, so its
+    draws depend neither on how paths are chunked nor on which thread fills them."""
     from scipy.special import ndtri  # imported here: only simulating pays scipy's start-up
-    blocks_per_path = (n_steps + 3) // 4
-    z = np.empty((n_paths, blocks_per_path * 4))
 
     def fill(lo: int, hi: int) -> None:
         rows = z[lo:hi]
-        bitgen = np.random.Philox(key=seed, counter=(first_path + lo) * blocks_per_path)
+        bitgen = np.random.Philox(key=seed, counter=(first_path + lo) * (z.shape[1] // 4))
         np.random.Generator(bitgen).random(out=rows)
         np.maximum(rows, _MIN_UNIFORM, out=rows)
         ndtri(rows, out=rows)
 
+    bounds = [len(z) * i // workers for i in range(workers + 1)]
+    return pool.map(fill, bounds[:-1], bounds[1:])
+
+
+def _normal_stream(seed: int, num_paths: int, n_steps: int):
+    """Each chunk's first path and normals, in chunk order.  While the caller reads a
+    chunk from one of two buffers, the pool fills the next into the other.  Closing
+    the stream shuts the pool down."""
     from concurrent.futures import ThreadPoolExecutor  # no thread until a simulation
+    bufs = [np.empty((min(_CHUNK, num_paths), (n_steps + 3) // 4 * 4)) for _ in range(2)]
+    chunks = [(first, bufs[i % 2][:min(_CHUNK, num_paths - first)])
+              for i, first in enumerate(range(0, num_paths, _CHUNK))]
     workers = _normal_workers()
-    bounds = [n_paths * i // workers for i in range(workers + 1)]
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fill, bounds[:-1], bounds[1:]))
-    return z[:, :n_steps]
+        filled = _fill_normals(pool, workers, seed, *chunks[0])
+        for i, (first, z) in enumerate(chunks):
+            list(filled)  # waits for this chunk, and raises what its fill raised
+            if i + 1 < len(chunks):
+                filled = _fill_normals(pool, workers, seed, *chunks[i + 1])
+            yield first, z[:, :n_steps]
 
 
 def _merge(sums, centre, comoments, count: int, x: np.ndarray) -> None:
@@ -254,24 +272,24 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
     comoments = np.zeros((5, 5))            # sums of (x - centre)(x - centre)'
     min_w = w0
 
-    for first in range(0, cfg.num_paths, _CHUNK):
-        n = min(_CHUNK, cfg.num_paths - first)
-        z = _path_normals(cfg.seed, first, n, n_steps)
-        pen = np.zeros(n)
-        logw = np.full(n, np.log(w0))
-        w = np.full(n, w0)
-        node4[0] += n * w0 ** 4
-        for k in range(n_steps):
-            w_prev = w
-            if exact:
-                logw = logw + m_step[k] + s_step[k] * z[:, k]
-                w = np.exp(logw)
-            else:
-                w = w * (1.0 + d_step[k] + e_step[k] * z[:, k])
-            pen += 0.5 * ds[k] * (pen_rate[k] * w_prev + pen_rate[k + 1] * w)
-            node4[k + 1] += float(np.sum(w ** 4))
-            min_w = min(min_w, float(np.min(w)))
-        _merge(sums, centre, comoments, first, np.stack([w, w * w, w ** 3, w ** 4, pen]))
+    with closing(_normal_stream(cfg.seed, cfg.num_paths, n_steps)) as stream:
+        for first, z in stream:
+            n = len(z)
+            pen = np.zeros(n)
+            logw = np.full(n, np.log(w0))
+            w = np.full(n, w0)
+            node4[0] += n * w0 ** 4
+            for k in range(n_steps):
+                w_prev = w
+                if exact:
+                    logw = logw + m_step[k] + s_step[k] * z[:, k]
+                    w = np.exp(logw)
+                else:
+                    w = w * (1.0 + d_step[k] + e_step[k] * z[:, k])
+                pen += 0.5 * ds[k] * (pen_rate[k] * w_prev + pen_rate[k + 1] * w)
+                node4[k + 1] += float(np.sum(w ** 4))
+                min_w = min(min_w, float(np.min(w)))
+            _merge(sums, centre, comoments, first, np.stack([w, w * w, w ** 3, w ** 4, pen]))
 
     npaths = cfg.num_paths
     mean = sums / npaths
@@ -437,19 +455,19 @@ def moment_bound_check(
     They are consistent when their ratio lies in ``FOURTH_MOMENT_BAND``.
     A given ``sim`` run with ``cfg`` is reused.
     """
-    paths = _sim_curves(table, market, cfg)
-    tail = _tail_integrals(table, market, paths.times, cfg.measure,
+    times = _sim_times(table, cfg)
+    tail = _tail_integrals(table, market, times, cfg.measure,
                            lambda c: 4.0 * c.drift + 6.0 * c.vol2)
     curve = cfg.start_wealth ** 4 * np.exp(tail[0] - tail)
     idx = int(np.argmax(curve))
     analytic_sup = float(curve[idx])
 
     if sim is None or sim.config != cfg:
-        sim = _simulate(table, paths, cfg)
+        sim = _simulate(table, _curves(table, market, times, cfg.measure), cfg)
     ratio = sim.sup_fourth_moment / analytic_sup
     return MomentBound(
         analytic_sup=analytic_sup,
-        analytic_argmax_time=float(paths.times[idx]),
+        analytic_argmax_time=float(times[idx]),
         mc_sup=sim.sup_fourth_moment,
         ratio=float(ratio),
         finite=bool(np.isfinite(analytic_sup) and np.isfinite(sim.sup_fourth_moment)),

@@ -320,4 +320,4 @@ class TestStartupImports:
         loaded, threads = loaded_after(main_code("simulate", "--config", path, "--out", str(tmp_path)))
         assert "scipy.special" in loaded
         assert not any(m.startswith("scipy.interpolate") for m in loaded)
-        assert threads == 1  # the normals' threads end with each chunk
+        assert threads == 1  # the normals' threads end with each simulation

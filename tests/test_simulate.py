@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,9 +26,17 @@ from mvs_robust import (
 )
 from mvs_robust import simulate
 from mvs_robust.policy import value_bracket
-from mvs_robust.simulate import _MIN_UNIFORM, _path_normals
+from mvs_robust.simulate import _CHUNK, _MIN_UNIFORM
 
 from conftest import BASE, make_market
+
+
+def path_normals(seed, first_path, n_paths, n_steps):
+    """One independent single-chunk fill, on its own pool of ``_normal_workers()``."""
+    z, workers = np.empty((n_paths, (n_steps + 3) // 4 * 4)), simulate._normal_workers()
+    with ThreadPoolExecutor(workers) as pool:
+        list(simulate._fill_normals(pool, workers, seed, first_path, z))
+    return z[:, :n_steps]
 
 
 @pytest.fixture(scope="module")
@@ -38,17 +49,17 @@ def steep():
 
 class TestRandomSource:
     def test_chunk_split_invariance(self):
-        whole = _path_normals(42, 0, 10, 7)
-        split = np.vstack([_path_normals(42, 0, 3, 7), _path_normals(42, 3, 7, 7)])
+        whole = path_normals(42, 0, 10, 7)
+        split = np.vstack([path_normals(42, 0, 3, 7), path_normals(42, 3, 7, 7)])
         assert np.array_equal(whole, split)
 
     def test_per_path_purity(self):
-        whole = _path_normals(42, 0, 10, 7)
-        rows = np.vstack([_path_normals(42, i, 1, 7) for i in range(10)])
+        whole = path_normals(42, 0, 10, 7)
+        rows = np.vstack([path_normals(42, i, 1, 7) for i in range(10)])
         assert np.array_equal(whole, rows)
 
     def test_seed_sensitivity(self):
-        assert not np.array_equal(_path_normals(1, 0, 4, 8), _path_normals(2, 0, 4, 8))
+        assert not np.array_equal(path_normals(1, 0, 4, 8), path_normals(2, 0, 4, 8))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_steps", [199, 200])
@@ -61,7 +72,31 @@ class TestRandomSource:
         u = np.random.Generator(np.random.Philox(key=42, counter=first * blocks))
         u = u.random(n_paths * blocks * 4).reshape(n_paths, 4 * blocks)[:, :n_steps]
         serial = ndtri(np.maximum(u, _MIN_UNIFORM))
-        assert np.array_equal(_path_normals(42, first, n_paths, n_steps), serial)
+        assert np.array_equal(path_normals(42, first, n_paths, n_steps), serial)
+
+    def test_workers_without_affinity(self, monkeypatch):
+        # os.sched_getaffinity does not exist on macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert 1 <= simulate._normal_workers() <= 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._normal_workers() == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_steps", [13, 200])
+    @pytest.mark.parametrize("num_paths", [2 * _CHUNK + 1, 40_000])
+    def test_stream_matches_single_chunk_fills(self, monkeypatch, workers, n_steps, num_paths):
+        # at least three chunks and a short last one; 2 * _CHUNK + 1 leaves a worker idle
+        monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
+        stream = simulate._normal_stream(9, num_paths, n_steps)
+        firsts, bases = [], []
+        for first, z in stream:
+            n = min(_CHUNK, num_paths - first)
+            assert z.shape == (n, n_steps)
+            assert np.array_equal(z, path_normals(9, first, n, n_steps))
+            firsts.append(first)
+            bases.append(z.base)
+        assert firsts == list(range(0, num_paths, _CHUNK)) and len(firsts) >= 3
+        assert all(b is not None for b in bases) and len({id(b) for b in bases}) <= 2
 
 
 class TestSimulation:
@@ -73,6 +108,24 @@ class TestSimulation:
             monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
             results.append(simulate_equilibrium_wealth(base_table, base_market, cfg))
         assert results[0] == results[1]
+
+    def test_failed_march_stops_the_fill_pool(self, monkeypatch, base_table, base_market):
+        # the pool must not outlive a raise, even while the traceback holds its frames
+        merged, merge = [], simulate._merge
+
+        def fail_second(*a):
+            merged.append(None)
+            if len(merged) == 2:
+                raise RuntimeError("second chunk")
+            merge(*a)
+
+        monkeypatch.setattr(simulate, "_merge", fail_second)
+        monkeypatch.setattr(simulate, "_normal_workers", lambda: 2)
+        before = threading.active_count()
+        cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
+        with pytest.raises(RuntimeError, match="second chunk") as raised:
+            simulate_equilibrium_wealth(base_table, base_market, cfg)
+        assert raised.traceback and threading.active_count() == before
 
     def test_centred_accumulator_matches_two_pass(self, monkeypatch, base_table, base_market):
         # three chunks, the last one partial: the merged standard errors against a
