@@ -27,7 +27,7 @@ from .errors import ConfigError, MvsRobustError
 from .policy import value_bracket
 from .presets import FIGURE_PRESETS, preset_config
 from .simulate import lognormal_moments, simulate_equilibrium_wealth
-from .solver import CoefficientTable, ModelVariant, solve_system
+from .solver import ModelVariant, solve_system
 from .sweep import rows_to_csv, run_sweep
 
 EXIT_OK = 0
@@ -63,12 +63,12 @@ def cmd_solve(config: RunConfig, out_dir: Path, variants: list[ModelVariant], ar
     tables = [
         solve_system(market, prefs, grid, variant, config.solver.eps_den) for variant in variants
     ]
-    header = ",".join(("t",) + CoefficientTable.COLUMNS)
     for variant, table in zip(variants, tables):
+        # k1 has h2's equation and terminal value, so its column repeats h2
         rows = (row.tolist() for row in np.column_stack(
-            [grid.nodes] + [getattr(table, column) for column in CoefficientTable.COLUMNS]
+            (grid.nodes, table.f, table.h1, table.h2, table.h3, table.g1, table.h2, table.delta3)
         ))
-        lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+        lines = ["t,f,h1,h2,h3,g1,k1,delta3"] + [",".join(_fmt(v) for v in row) for row in rows]
         _write(out_dir / f"coefficients_{variant.value}.csv", "\n".join(lines) + "\n")
     _write_meta(out_dir, config, argv)
     return EXIT_OK

@@ -22,8 +22,8 @@ from .solver import CoefficientTable, SolvedModel, SolvedTable
 
 
 def coefficients_at(table: CoefficientTable, t: float) -> tuple[float, ...]:
-    """(f, h1, h2, h3, g1, k1) interpolated at time t."""
-    return tuple(table.columns_at(t).tolist()[:6])
+    """(f, h1, h2, h3, g1) interpolated at time t."""
+    return tuple(table.columns_at(t).tolist()[:5])
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,12 @@ def equilibrium_policy(
     distortion is ``-xi / (xi + 1) * sigma Sigma^{-1} beta``: with
     ``Sigma = sigma' sigma`` the columns of ``sigma`` are the assets'
     loadings, so ``|q|^2 = (xi / (xi + 1))^2 theta``.  The
-    sensitivity aggregates are assembled term by term from the solved
-    coefficients (not through ``f``), so the identities
-    ``delta1 = f * delta3`` and ``delta3 = -w * delta2`` are genuine
-    cross-checks of the solution rather than restatements.
+    sensitivity aggregates are assembled term by term from the
+    interpolated coefficients, not through ``f``.  ``delta1`` is ``f``'s
+    numerator and ``delta3`` its denominator, term for term, so at the
+    nodes the identities ``delta1 = f * delta3`` and
+    ``delta3 = -w * delta2`` restate ``f``'s definition; between nodes
+    they test only that the interpolated columns agree with each other.
     """
     return policy_point(
         market, t, w, table.gamma0, table.phi0, table.xi, coefficients_at(table, t)
@@ -71,10 +73,10 @@ def policy_point(
     xi: float,
     coefficients: tuple[float, ...],
 ) -> PolicyPoint:
-    """``equilibrium_policy`` from the coefficients ``(f, h1, h2, h3, g1, k1)`` at t."""
-    if w <= 0.0:
+    """``equilibrium_policy`` from the coefficients ``(f, h1, h2, h3, g1)`` at t."""
+    if not (np.isfinite(w) and w > 0.0):
         raise NonPositiveWealth(f"wealth must be positive, got {w}")
-    f, h1, h2, h3, g1, k1 = coefficients
+    f, h1, h2, h3, g1 = coefficients
     g0, p0 = gamma0, phi0
 
     beta = market.excess_at(t)
@@ -86,11 +88,11 @@ def policy_point(
     delta1 = (
         h1 - g0 * h2 + p0 * h3
         + (g0 * g1 + 2.0 * p0 * g1 * g1) * g1
-        - p0 * k1 * g1
-        - 2.0 * p0 * g1 * k1
+        - p0 * h2 * g1
+        - 2.0 * p0 * g1 * h2
     )
-    delta2 = (-g0 * h2 + 2.0 * p0 * h3) / w - 2.0 * p0 * g1 * k1 / w
-    delta3 = g0 * h2 + 2.0 * p0 * (g1 * k1 - h3)
+    delta2 = (-g0 * h2 + 2.0 * p0 * h3) / w - 2.0 * p0 * g1 * h2 / w
+    delta3 = g0 * h2 + 2.0 * p0 * (g1 * h2 - h3)
     ambiguity_pref = -delta2 / (delta1 * delta1)
 
     return PolicyPoint(
@@ -150,7 +152,7 @@ def value_at(model: SolvedModel, t: float, w: float) -> ValueReport:
 
 def value_report(t: float, w: float, brackets: tuple[float, ...]) -> ValueReport:
     """``value_at`` from the six brackets, in ``SolvedModel`` field order."""
-    if w <= 0.0:
+    if not (np.isfinite(w) and w > 0.0):
         raise NonPositiveWealth(f"wealth must be positive, got {w}")
     b_full, b_neutral, b_noskew, b_basic, b_mu, b_mb = brackets
     if b_full == 0.0:

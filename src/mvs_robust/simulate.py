@@ -71,7 +71,7 @@ class SimConfig:
             raise ConfigError(f"num_paths must be >= 2, got {self.num_paths}")
         if self.num_steps < 1:
             raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
-        if self.start_wealth <= 0.0:
+        if not (np.isfinite(self.start_wealth) and self.start_wealth > 0.0):
             raise ConfigError(f"start_wealth must be positive, got {self.start_wealth}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed must fit in 64 unsigned bits")

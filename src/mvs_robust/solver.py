@@ -5,9 +5,7 @@ of time functions solved backward from the horizon:
 
 * ``solve_system`` integrates the differential-algebraic system for
   ``(h1, h2, h3, g1)`` with classical RK4, evaluating the ratio
-  function ``f`` algebraically from the state inside every stage.
-  ``k1`` has the same equation and terminal value as ``h2``, so it is
-  not integrated: its column is ``h2``.  The
+  function ``f`` algebraically from the state inside every stage.  The
   four model variants (full robust, ambiguity-neutral, no-skewness,
   basic) are exact termwise reductions of one another obtained by
   zeroing the ambiguity weight and/or the skewness weight, so a single
@@ -106,10 +104,9 @@ class SolvedTable:
     """What both table kinds share: frozen node columns and their values
     between nodes.
 
-    ``COLUMNS`` lists a kind's columns in lane order: the lane's own ratio,
-    its state ``y1 .. y4``, ``y2`` again (``k1`` or ``c1``: the same
-    equation and terminal value as ``y2``), ``delta3`` and, for a
-    misspecified table, the driver's ratio.
+    ``COLUMNS`` lists a kind's columns in the order of its lane's path
+    rows: the lane's own ratio, its state ``y1 .. y4`` and its denominator
+    ``delta3``, then, for a misspecified table, the driver's ratio.
     """
 
     COLUMNS: ClassVar[tuple[str, ...]]
@@ -142,11 +139,10 @@ class CoefficientTable(SolvedTable):
 
     ``gamma0``, ``phi0``, ``xi`` are the variant's effective values
     (zeroed where the variant demands it), so every downstream formula
-    can be written once against the full model.  ``k1`` is ``h2`` by
-    construction and is stored for the identity check.
+    can be written once against the full model.
     """
 
-    COLUMNS = ("f", "h1", "h2", "h3", "g1", "k1", "delta3")
+    COLUMNS = ("f", "h1", "h2", "h3", "g1", "delta3")
 
     variant: ModelVariant
     grid: TimeGrid
@@ -158,7 +154,6 @@ class CoefficientTable(SolvedTable):
     h2: np.ndarray
     h3: np.ndarray
     g1: np.ndarray
-    k1: np.ndarray
     delta3: np.ndarray
 
 
@@ -170,7 +165,7 @@ class MispecTable(SolvedTable):
     strategy's; ``delta3`` is the value system's denominator.
     """
 
-    COLUMNS = ("a", "a1", "a2", "a3", "b1", "c1", "delta3", "driver_f")
+    COLUMNS = ("a", "a1", "a2", "a3", "b1", "delta3", "driver_f")
 
     kind: MispecKind
     grid: TimeGrid
@@ -183,7 +178,6 @@ class MispecTable(SolvedTable):
     a2: np.ndarray
     a3: np.ndarray
     b1: np.ndarray
-    c1: np.ndarray
     delta3: np.ndarray
 
 
@@ -216,9 +210,9 @@ class LaneResult:
     ``error`` is the class of the lane's failure, ``message`` its text and
     ``node`` the grid node where it occurred.  On success, ``ratio0`` and
     ``state0`` are the ratio and ``(y1, y2, y3, y4)`` at node 0, and
-    ``den_min`` is the smallest denominator over the nodes.  ``ratio``
-    ``(N+1,)``, ``state`` ``(4, N+1)`` and ``den`` ``(N+1,)``, the
-    denominator (a table's ``delta3``), are the full paths when kept.
+    ``den_min`` is the smallest denominator over the nodes.  ``path``,
+    when kept, is ``(6, N+1)``: the rows ratio, ``y1 .. y4`` and the
+    denominator over the nodes, a table's ``COLUMNS`` order.
     """
 
     error: type[MvsRobustError] | None = None
@@ -227,9 +221,7 @@ class LaneResult:
     ratio0: float = math.nan
     state0: tuple[float, ...] = ()
     den_min: float = math.nan
-    ratio: np.ndarray | None = None
-    state: np.ndarray | None = None
-    den: np.ndarray | None = None
+    path: np.ndarray | None = None
 
     def check(self) -> "LaneResult":
         """This result, or raise its failure."""
@@ -458,15 +450,15 @@ def _march(batch, rates, grid, eps_den, keep, ops):
     y = ops.pack(ones, ones, ones, ones)
     alive = ops.flags(len(batch))
     lo = math.inf
-    # rows (ratio, y1, ..., y4, den) per node; lanes on a trailing axis as arrays
-    path = np.empty((n + 1, 6) + np.shape(ones)) if keep else None
+    # rows (ratio, y1, ..., y4, den) over the nodes; lanes on a trailing axis as arrays
+    path = np.empty((6, n + 1) + np.shape(ones)) if keep else None
     rt = par.rates[2 * n]
     for k in range(n, 0, -1):
         rt_mid, rt_next = par.rates[2 * k - 1], par.rates[2 * k - 2]
         g1, ratio, den, b1 = stage(y, rt)
         lo = ops.minimum(lo, den)
         if keep:
-            path[k] = ratio, *y, den
+            path[:, k] = ratio, *y, den
         g2, _, _, b2 = stage(ops.axpy(y, hh, g1), rt_mid)
         g3, _, _, b3 = stage(ops.axpy(y, hh, g2), rt_mid)
         g4, _, _, b4 = stage(ops.axpy(y, dt, g3), rt_next)
@@ -486,10 +478,10 @@ def _march(batch, rates, grid, eps_den, keep, ops):
         if ops.any(newly):
             alive = fail(alive, newly, bad, 0)
         if keep:
-            path[0] = ratio, *y, den
+            path[:, 0] = ratio, *y, den
 
     out = []
-    rows = path.reshape(n + 1, 6, -1) if keep else None
+    rows = path.reshape(6, n + 1, -1) if keep else None
     for p in range(len(batch)):
         if p in errors:
             out.append(errors[p])
@@ -498,9 +490,7 @@ def _march(batch, rates, grid, eps_den, keep, ops):
             ratio0=float(np.reshape(ratio, -1)[p]),
             state0=tuple(float(v) for v in np.reshape(np.asarray(y), (4, -1))[:, p]),
             den_min=float(np.reshape(lo, -1)[p]),
-            ratio=rows[:, 0, p].copy() if keep else None,
-            state=rows[:, 1:5, p].T.copy() if keep else None,
-            den=rows[:, 5, p].copy() if keep else None,
+            path=rows[..., p].copy() if keep else None,
         ))
     return out
 
@@ -557,11 +547,9 @@ def integrate_lanes(
 
 
 def _table(cls, kind, grid, lane: Lane, res: LaneResult, *driver: LaneResult):
-    """A ``cls`` table from a lane's full paths, laid out as ``cls.COLUMNS``:
-    ratio, state, ``y2`` again as ``k1`` or ``c1``, the denominator
-    ``delta3`` and, for a misspecified lane, its driver's ratio."""
-    y1, y2, y3, y4 = res.check().state
-    columns = (res.ratio, y1, y2, y3, y4, y2, res.den, *(d.ratio for d in driver))
+    """A ``cls`` table whose columns are the lane's path rows and, for a
+    misspecified lane, its driver's ratio row."""
+    columns = (*res.check().path, *(d.path[0] for d in driver))
     return cls(kind, grid, lane.gamma0, lane.phi0, lane.xi, **dict(zip(cls.COLUMNS, columns)))
 
 
@@ -574,8 +562,8 @@ def solve_system(
 ) -> CoefficientTable:
     """Solve the backward coefficient system for one model variant.
 
-    Terminal conditions are exact: ``h1``, ``h2``, ``h3``, ``g1`` (and so
-    ``k1 = h2``) equal 1 and ``f`` equals ``1 / gamma0`` at the horizon.
+    Terminal conditions are exact: ``h1``, ``h2``, ``h3``, ``g1`` equal 1
+    and ``f`` equals ``1 / gamma0`` at the horizon.
     """
     lane = Lane(0, *variant.effective(prefs))
     [res] = integrate_lanes([lane], [market], grid, eps_den, keep_paths=True)

@@ -84,7 +84,7 @@ def _cell_row(values, cell: _Cell, plan: LanePlan, results: list[LaneResult]) ->
     try:
         pol = policy_point(
             market, 0.0, cell.w0, lane.gamma0, lane.phi0, lane.xi,
-            (full.ratio0, *full.state0, full.state0[1]),  # k1 = h2
+            (full.ratio0, *full.state0),
         )
         rep = value_report(0.0, cell.w0, brackets)
     except MvsRobustError as exc:

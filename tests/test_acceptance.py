@@ -95,7 +95,7 @@ def test_acceptance_01_terminal_exactness(draws):
     for _, prefs, _, table in draws:
         if table.f[-1] != 1.0 / prefs.gamma0:
             bad.append(("f", prefs.gamma0))
-        for name in ("h1", "h2", "h3", "g1", "k1"):
+        for name in ("h1", "h2", "h3", "g1"):
             if getattr(table, name)[-1] != 1.0:
                 bad.append((name, prefs.gamma0))
     report("01", "terminal_exactness", not bad,
@@ -159,12 +159,30 @@ def test_acceptance_05_variant_limits(base_market, base_grid):
            f"xi->0 gap = {gap_xi:.3e} < 1e-05; phi0=0 gap = {gap_phi:.3e} < 1e-10", t0)
 
 
-def test_acceptance_06_h2_equals_k1(draws, base_table):
+def test_acceptance_06_h2_equals_k1(tmp_path):
+    # the contract users read: every solve CSV writes k1 as the same string as h2
     t0 = time.perf_counter()
-    ok = np.array_equal(base_table.h2, base_table.k1) and all(
-        np.array_equal(tab.h2, tab.k1) for *_, tab in draws
+    header = "t,f,h1,h2,h3,g1,k1,delta3"
+    three_asset = (
+        "[market]\nmu = 0.12, 0.15, 0.18\n"
+        "sigma = 0.20, 0, 0; 0.06, 0.22, 0; 0.04, 0.05, 0.25\n"
     )
-    report("06", "h2_equals_k1", ok, "identical arrays at machine precision", t0)
+    files, rows, bad = 0, 0, []
+    for name, text in (("base", ""), ("three-asset", three_asset)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / name),
+                "--variants", "full,neutral,noskew,basic"]
+        assert main(argv) == 0
+        for csv in sorted((tmp_path / name).glob("coefficients_*.csv")):
+            head, *body = csv.read_text().splitlines()
+            files, rows = files + 1, rows + len(body)
+            fields = [line.split(",") for line in body]
+            if head != header or any(row[6] != row[3] for row in fields):
+                bad.append(f"{name}/{csv.name}")
+    report("06", "h2_equals_k1", files == 8 and not bad,
+           f"k1 field == h2 field in {rows} rows of {files} solve CSVs, header {header}; "
+           f"violations={bad}", t0)
 
 
 def test_acceptance_07_lognormal_oracle(base_table, base_market):
@@ -318,7 +336,7 @@ def test_acceptance_10_figure_monotonicity(base_grid):
     def u_star(entry, w=w0):
         mk, i = entry
         res, ln = results[i].check(), plan.lanes[i]
-        coefficients = (res.ratio0, *res.state0, res.state0[1])  # k1 = h2
+        coefficients = (res.ratio0, *res.state0)
         return policy_point(markets[mk], 0.0, w, ln.gamma0, ln.phi0, ln.xi, coefficients).allocation[0]
 
     def value0(entry):

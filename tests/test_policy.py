@@ -3,10 +3,12 @@ import pytest
 
 from mvs_robust import (
     CoefficientTable,
+    ConfigError,
     ModelVariant,
     NonPositiveWealth,
     OutOfHorizon,
     Preferences,
+    SimConfig,
     ZeroDenominatorValue,
     build_market,
     delta3_scan,
@@ -162,7 +164,7 @@ class TestValueReport:
             variant=ModelVariant.FULL, grid=base_grid,
             gamma0=2.0, phi0=0.0, xi=0.0,
             f=0.5 * ones, h1=1.0 * ones, h2=2.0 * ones, h3=ones,
-            g1=1.0 * ones, k1=2.0 * ones, delta3=2.0 * ones,
+            g1=1.0 * ones, delta3=2.0 * ones,
         )
         model = SolvedModel(
             prefs=Preferences(2.0, 0.0, 0.0), grid=base_grid,
@@ -173,6 +175,16 @@ class TestValueReport:
         assert value_bracket(crafted, 1.0) == 0.0
         with pytest.raises(ZeroDenominatorValue):
             value_at(model, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("w", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+def test_every_wealth_entry_rejects_non_finite_or_nonpositive_wealth(base_model, base_market, w):
+    with pytest.raises(NonPositiveWealth, match="wealth must be positive"):
+        equilibrium_policy(base_model.full, base_market, 0.0, w)
+    with pytest.raises(NonPositiveWealth, match="wealth must be positive"):
+        value_at(base_model, 0.0, w)
+    with pytest.raises(ConfigError, match="start_wealth must be positive"):
+        SimConfig(start_wealth=w)
 
 
 class TestDelta3Scan:

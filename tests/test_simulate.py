@@ -314,8 +314,7 @@ class TestVerifyValue:
             variant=ModelVariant.FULL, grid=base_grid,
             gamma0=base_table.gamma0, phi0=base_table.phi0, xi=base_table.xi,
             f=base_table.f, h1=base_table.h1, h2=base_table.h2,
-            h3=base_table.h3, g1=base_table.g1, k1=base_table.k1,
-            delta3=bad_delta3,
+            h3=base_table.h3, g1=base_table.g1, delta3=bad_delta3,
         )
         with pytest.raises(PenaltyUndefined):
             verify_value(crafted, base_market, 0.0, 4.0, SimConfig(num_paths=100, num_steps=10))

@@ -30,7 +30,7 @@ class TestTerminalConditions:
     def test_base(self, base_table):
         t = base_table
         assert t.f[-1] == 1.0 / BASE["gamma0"]
-        for arr in (t.h1, t.h2, t.h3, t.g1, t.k1):
+        for arr in (t.h1, t.h2, t.h3, t.g1):
             assert arr[-1] == 1.0
 
     @pytest.mark.parametrize("gamma0,phi0,xi", [(3.7, 0.2, 0.8), (0.9, 0.0, 2.5), (5.0, 1.0, 0.0)])
@@ -38,13 +38,10 @@ class TestTerminalConditions:
         prefs = Preferences(gamma0, phi0, xi)
         t = solve_system(base_market, prefs, base_grid)
         assert t.f[-1] == 1.0 / gamma0
-        assert all(arr[-1] == 1.0 for arr in (t.h1, t.h2, t.h3, t.g1, t.k1))
+        assert all(arr[-1] == 1.0 for arr in (t.h1, t.h2, t.h3, t.g1))
 
 
 class TestSystemStructure:
-    def test_h2_equals_k1_bitwise(self, base_table):
-        assert np.array_equal(base_table.h2, base_table.k1)
-
     def test_positive_exponential_coefficients(self, base_table):
         for arr in (base_table.h2, base_table.h3, base_table.g1):
             assert np.all(arr > 0.0)
@@ -239,12 +236,8 @@ class TestClosedFormConsistency:
 class TestMispecSystems:
     def test_terminal_conditions(self, base_model):
         for tab in (base_model.mispec_u, base_model.mispec_both):
-            for arr in (tab.a1, tab.a2, tab.a3, tab.b1, tab.c1):
+            for arr in (tab.a1, tab.a2, tab.a3, tab.b1):
                 assert arr[-1] == 1.0
-
-    def test_a2_equals_c1_bitwise(self, base_model):
-        assert np.array_equal(base_model.mispec_u.a2, base_model.mispec_u.c1)
-        assert np.array_equal(base_model.mispec_both.a2, base_model.mispec_both.c1)
 
     def test_zero_ambiguity_recovers_neutral_value(self, base_market, base_grid):
         prefs = Preferences(2.0, 0.5, 0.0)
@@ -274,6 +267,25 @@ class TestMispecSystems:
 def test_solve_all_reuses_consistent_drivers(base_model):
     assert np.array_equal(base_model.mispec_u.driver_f, base_model.neutral.f)
     assert np.array_equal(base_model.mispec_both.driver_f, base_model.basic.f)
+
+
+@pytest.mark.parametrize("mu", [BASE["mu"], 0.10], ids=["base", "mu0.10"])
+def test_table_columns_are_lane_path_rows(base_prefs, base_grid, mu):
+    market = make_market(mu=mu)
+    plan = LanePlan()
+    idx = plan.add_model(0, base_prefs)
+    res = integrate_lanes(plan.lanes, [market], base_grid, keep_paths=True)
+    model = solve_all(market, base_prefs, base_grid)
+    tables = (model.full, model.neutral, model.noskew, model.basic,
+              model.mispec_u, model.mispec_both)
+    for i, table in zip(idx, tables):
+        rows, driver = list(res[i].path), plan.lanes[i].driver
+        if driver is not None:
+            rows.append(res[driver].path[0])
+        assert res[i].path.shape == (6, base_grid.num_steps + 1)
+        assert len(rows) == len(table.COLUMNS)
+        for column, row in zip(table.COLUMNS, rows):
+            assert np.array_equal(getattr(table, column), row), column
 
 
 def march_each_alone(lanes, markets, grid, **kw):
@@ -311,8 +323,7 @@ def assert_same_results(xs, ys):
     for a, b in zip(xs, ys):
         assert (a.error, a.message, a.node) == (b.error, b.message, b.node)
         if a.error is None:
-            for path in ("ratio", "state", "den"):
-                assert np.array_equal(getattr(a, path), getattr(b, path))
+            assert np.array_equal(a.path, b.path)
             assert (a.ratio0, a.state0, a.den_min) == (b.ratio0, b.state0, b.den_min)
 
 

@@ -44,6 +44,13 @@ CONFIGS = {
     "padded-multichunk": "[simulation]\nnum_steps = 199\nnum_paths = 40000\n",
     # one chunk, so no chunk merge
     "single-chunk": "[simulation]\nnum_paths = 1000\n",
+    # four nodes, so every interpolation stencil spans the whole grid; check fails
+    "coarse": (
+        "[solver]\nnum_steps = 3\n"
+        "[simulation]\nnum_paths = 2000\nnum_steps = 7\nstart_time = 2.0\n"
+    ),
+    # r = mu, so theta = 0: every strategy is 0 and every standard error exactly 0
+    "zero-premium": "[market]\nr = 0.15\n[simulation]\nnum_paths = 2000\n",
 }
 
 
