@@ -10,8 +10,8 @@ default (the base experiment: five-year horizon, one risky asset); a
 field without one is required, and a field whose value is ``None`` is
 absent and not written.  A sweep's second axis (``param2``, ``min2``,
 ``max2``, ``count2``) is given whole or not at all.  Every number must
-be finite, and every numeric field is validated against the module
-preconditions at load.
+be finite, and every numeric field, in every sweep cell too, is
+validated against the module preconditions at load.
 
 Example::
 
@@ -42,7 +42,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, MvsRobustError
 from .market import DEFAULT_NUM_STEPS, MarketCurves, Preferences, TimeGrid, build_market
 from .simulate import Measure, Scheme, SimConfig
 from .solver import DEFAULT_EPS_DEN, DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL
@@ -182,6 +182,14 @@ class RunConfig:
                 raise ConfigError(f"sweep count for {name!r} must be >= 1")
             if name in ("mu", "sigma") and len(self.market.mu) != 1:
                 raise ConfigError(f"sweeping {name!r} requires a single risky asset")
+        markets = {self.market}  # each cell as overridden; each other market built once
+        for values in sweep_grid(self):
+            cfg = self.with_overrides(values)
+            cfg.build_preferences()
+            cfg.build_sim_config()
+            if cfg.market not in markets:
+                cfg.build_market()
+                markets.add(cfg.market)
 
     def with_overrides(self, values: dict[str, float]) -> "RunConfig":
         """New config with sweepable parameters replaced by ``values``."""
@@ -220,6 +228,18 @@ _OVERRIDES = {
     "r": ("market", "r", float),
 }
 SWEEPABLE = tuple(_OVERRIDES)
+
+
+def sweep_grid(config: RunConfig) -> list[dict[str, float]]:
+    """Cell parameter dictionaries in output order (outer x inner)."""
+    sw = config.sweep
+    if sw is None:
+        raise MvsRobustError("config has no [sweep] section")
+    first = np.linspace(sw.min, sw.max, sw.count)
+    if sw.param2 is None:
+        return [{sw.param: float(v)} for v in first]
+    second = np.linspace(sw.min2, sw.max2, sw.count2)
+    return [{sw.param: float(a), sw.param2: float(b)} for a in first for b in second]
 
 
 def _format(value) -> str:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -257,128 +257,133 @@ class LanePlan:
         )
 
 
+_BLOCK = 64  # steps whose half-grid rates an array march gathers at once
+
+
 class _Group:
     """Per-lane constants of one group of lanes: floats for one lane, arrays for many.
 
-    One formula serves both kinds of lane.  A coefficient lane's strategy
-    is its own ratio, weighted by ``c = 1/(xi+1)^2``.  A misspecified-value
-    lane's strategy is its driver's ratio, unweighted, and its drift
-    carries the correction ``xi * v2 / ratio``; its ratio is guarded
-    (``ratio_guard``) as well as its denominator.
-    ``drv`` holds each lane's driver position in the group (its own for a
-    coefficient lane), ``own`` maps the group's ratios to its strategies,
-    and ``rates[j]`` gives ``(r, theta)`` at half-grid index ``j``.
+    One formula serves both kinds of lane: coefficient lanes, then
+    misspecified-value lanes from position ``mis``.  A coefficient lane's
+    strategy is its own ratio, weighted by ``c = 1/(xi+1)^2``.  A
+    misspecified-value lane's strategy is its driver's ratio, unweighted;
+    in a ``mixed`` group ``ops.correct`` subtracts ``xi * v2 / ratio`` from
+    its drift, and its ratio is guarded as well as its denominator.  ``drv``
+    holds each lane's driver position (its own for a coefficient lane),
+    ``own`` maps the group's ratios to its strategies, ``rates(i, j)`` gives
+    ``(r, theta)`` at half-grid indices ``i .. j-1``, and RK4 stage ``s``
+    leaves its denominators and ratios in row ``s`` of ``dens`` and ``ratios``.
     """
 
-    def __init__(self, lanes: list[Lane], vec, rates, drv, own, eps_den: float) -> None:
-        mis = [lane.driver is not None for lane in lanes]
-        xi = vec([lane.xi for lane in lanes])
-        self.g0 = vec([lane.gamma0 for lane in lanes])
-        self.p0 = vec([lane.phi0 for lane in lanes])
+    def __init__(self, lanes: list[Lane], ops, rates, drv, own, eps_den: float) -> None:
+        n = len(lanes)
+        self.mis = sum(lane.driver is None for lane in lanes)
+        self.mixed = self.mis < n
+        self.xi = ops.vec([lane.xi for lane in lanes])
+        self.g0 = ops.vec([lane.gamma0 for lane in lanes])
+        self.p0 = ops.vec([lane.phi0 for lane in lanes])
         self.p2 = 2.0 * self.p0
-        self.hxi = 0.5 * xi
-        self.c = vec([1.0 if m else 1.0 / ((lane.xi + 1.0) * (lane.xi + 1.0))
-                      for m, lane in zip(mis, lanes)])
-        self.xi_mis = vec([lane.xi if m else 0.0 for m, lane in zip(mis, lanes)])
-        self.is_mis = vec([1.0 if m else 0.0 for m in mis])
-        self.is_coef = vec([0.0 if m else 1.0 for m in mis])
-        self.ratio_guard = vec([eps_den if m else 0.0 for m in mis])
-        self.rates = rates
-        self.drv = drv
-        self.own = own
-
-
-class _Columns:
-    """Half-grid rates of a lane group, gathered per index, never stored whole."""
-
-    def __init__(self, rates: np.ndarray, cols: list[int]) -> None:
-        self.rates = rates
-        self.cols = np.asarray(cols, dtype=np.intp)
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.rates[j][:, self.cols]
+        self.hxi = 0.5 * self.xi
+        self.c = ops.vec([1.0 if lane.driver is not None else
+                          1.0 / ((lane.xi + 1.0) * (lane.xi + 1.0)) for lane in lanes])
+        # numpy multiplies two arrays faster than an array and a Python float
+        self.two, self.three = ops.vec([2.0] * n), ops.vec([3.0] * n)
+        self.eps = ops.scalar(eps_den, n)
+        self.ratio_eps = ops.scalar(ops.vec([0.0 if lane.driver is None else eps_den
+                                             for lane in lanes]), n)
+        self.dens, self.ratios = ops.rows(math.nan, n), ops.rows(math.nan, n)
+        self.finite = 4 * n  # finite state entries at an array march's last test
+        self.rates, self.drv, self.own = rates, drv, own
 
 
 class _Floats:
-    """One lane per group as Python floats; a state is a 4-tuple."""
+    """One coefficient lane, whose ratio is not guarded, as Python floats; a state is a 4-tuple."""
 
-    any = bool
     minimum = min
+    flags = staticmethod(lambda n: True)
+    vec = staticmethod(lambda xs: xs[0])
+    scalar = staticmethod(lambda x, n: x)
+    rows = staticmethod(lambda x, n: [x] * 4)
 
     @staticmethod
-    def flags(n):
-        return True
-
-    @staticmethod
-    def vec(xs):
-        return xs[0]
-
-    @staticmethod
-    def pack(*g):
-        return g
+    def scale(y, pen, a, b, c):
+        return (a * y[0] + pen, b * y[1], c * y[2], a * y[3])
 
     @staticmethod
     def axpy(y, s, g):
         return (y[0] + s * g[0], y[1] + s * g[1], y[2] + s * g[2], y[3] + s * g[3])
 
     @staticmethod
-    def rk4(y, s, g1, g2, g3, g4):
+    def rk4(y, s, two, g1, g2, g3, g4):
         return (
-            y[0] + s * (g1[0] + 2.0 * (g2[0] + g3[0]) + g4[0]),
-            y[1] + s * (g1[1] + 2.0 * (g2[1] + g3[1]) + g4[1]),
-            y[2] + s * (g1[2] + 2.0 * (g2[2] + g3[2]) + g4[2]),
-            y[3] + s * (g1[3] + 2.0 * (g2[3] + g3[3]) + g4[3]),
+            y[0] + s * (g1[0] + two * (g2[0] + g3[0]) + g4[0]),
+            y[1] + s * (g1[1] + two * (g2[1] + g3[1]) + g4[1]),
+            y[2] + s * (g1[2] + two * (g2[2] + g3[2]) + g4[2]),
+            y[3] + s * (g1[3] + two * (g2[3] + g3[3]) + g4[3]),
         )
 
     @staticmethod
-    def nonfinite(y):
-        return not all(map(math.isfinite, y))
+    def failed(par, alive, y):
+        """``(True, degenerate)`` if the lane failed in this step, else None."""
+        d, eps = par.dens, par.eps
+        bad = d[0] < eps or d[1] < eps or d[2] < eps or d[3] < eps
+        return (True, bad) if bad or not all(map(math.isfinite, y)) else None
 
     @staticmethod
     def group(batch, rates, eps_den):
         col = rates[:, :, batch[0].market].tolist()
-        return _Group(batch, _Floats.vec, col, [0], lambda ratio: ratio, eps_den)
+        return _Group(batch, _Floats, lambda i, j: col[i:j], [0], lambda ratio: ratio, eps_den)
 
 
 class _Arrays:
-    """Lanes as arrays over the lane axis; a state is ``(4, L)``."""
+    """Lanes as arrays over the lane axis; a state and each step size are ``(4, L)``."""
 
     minimum = np.minimum
+    flags = staticmethod(lambda n: np.ones(n, bool))
+    vec = staticmethod(lambda xs: np.array(xs, dtype=float))
+    scalar = rows = staticmethod(lambda x, n: np.full((4, n), x))
+    axpy = staticmethod(lambda y, s, g: y + s * g)
 
     @staticmethod
-    def any(a):
-        return a.any()
+    def correct(par, a, v2, ratio):
+        a[par.mis:] -= par.xi[par.mis:] * v2[par.mis:] / ratio[par.mis:]
 
     @staticmethod
-    def flags(n):
-        return np.ones(n, bool)
+    def scale(y, pen, a, b, c):
+        k = np.empty_like(y)
+        k[::3], k[1], k[2] = a, b, c
+        g = k * y
+        g[0] += pen
+        return g
 
     @staticmethod
-    def vec(xs):
-        return np.array(xs, dtype=float)
+    def rk4(y, s, two, g1, g2, g3, g4):
+        return y + s * (g1 + two * (g2 + g3) + g4)
 
     @staticmethod
-    def pack(*g):
-        return np.array(g)
-
-    @staticmethod
-    def axpy(y, s, g):
-        return y + s * g
-
-    @staticmethod
-    def rk4(y, s, g1, g2, g3, g4):
-        return y + s * (g1 + 2.0 * (g2 + g3) + g4)
-
-    @staticmethod
-    def nonfinite(y):
-        return ~np.isfinite(y).all(axis=0)
+    def failed(par, alive, y):
+        """``(newly, degenerate)`` if a living lane failed in this step, else None.
+        Counts test every lane at once; a failed lane's guards become ``-inf``
+        and its non-finite entries stay so, so it sets off no later test."""
+        low, small = par.dens < par.eps, np.abs(par.ratios) < par.ratio_eps
+        finite = np.isfinite(y)
+        if not (np.count_nonzero(low) or np.count_nonzero(small)) and (
+                np.count_nonzero(finite) == par.finite):
+            return None
+        par.finite = np.count_nonzero(finite)
+        dead = np.logical_not(alive)
+        par.eps[:, dead] = par.ratio_eps[:, dead] = -np.inf
+        bad = (low | small).any(axis=0)
+        newly = alive & (bad | np.logical_not(finite.all(axis=0)))
+        return (newly, bad) if newly.any() else None
 
     @staticmethod
     def group(batch, rates, eps_den):
         drv = np.array([p if lane.driver is None else lane.driver for p, lane in enumerate(batch)],
                        dtype=np.intp)
-        cols = _Columns(rates, [lane.market for lane in batch])
-        return _Group(batch, _Arrays.vec, cols, drv, lambda ratio: ratio[drv], eps_den)
+        cols = np.array([lane.market for lane in batch], dtype=np.intp)
+        return _Group(batch, _Arrays, lambda i, j: rates[i:j, :, cols], drv,
+                      lambda ratio: ratio[drv], eps_den)
 
 
 def _rhs(ops, y, par: _Group, rates):
@@ -389,19 +394,32 @@ def _rhs(ops, y, par: _Group, rates):
     strategy from the group's ratios at the same stage: a coefficient
     lane's own, a misspecified lane's driver's.
     """
-    r, th = rates
-    y1, y2, y3, y4 = y
+    # rows by index: numpy iterates over rows more slowly
+    r, th = rates[0], rates[1]
+    y1, y2, y3, y4 = y[0], y[1], y[2], y[3]
     q, w = y4 * y4, y4 * y2
     den = par.g0 * y2 + par.p2 * (w - y3)
-    ratio = (y1 + par.g0 * (q - y2) + par.p0 * (y3 + 2.0 * q * y4 - 3.0 * w)) / den
+    ratio = (y1 + par.g0 * (q - y2) + par.p0 * (y3 + par.two * q * y4 - par.three * w)) / den
     s = par.own(ratio)
     tf = th * s
     v2 = tf * s * par.c
-    # the correction divides by the ratio of misspecified lanes only
-    a = r + tf * par.c - par.xi_mis * v2 / (ratio * par.is_mis + par.is_coef)
-    b = 2.0 * a + v2
+    a = r + tf * par.c
+    if par.mixed:
+        ops.correct(par, a, v2, ratio)
     pen = par.hxi * v2 * den
-    return ops.pack(a * y1 + pen, b * y2, 3.0 * (a + v2) * y3, a * y4), ratio, den
+    return ops.scale(y, pen, a, par.two * a + v2, par.three * (a + v2)), ratio, den
+
+
+def _steps(rates, n: int):
+    """``(k, rates at node k, the midpoint below and node k - 1)`` for ``k = n .. 0``
+    (none below node 0), gathering the half-grid rates ``_BLOCK`` steps at a time."""
+    for top in range(n, 0, -_BLOCK):
+        bottom = max(top - _BLOCK, 0)
+        rows = rates(2 * bottom, 2 * top + 1)
+        for k in range(top, bottom, -1):
+            j = 2 * (k - bottom)
+            yield k, rows[j], rows[j - 1], rows[j - 2]
+    yield 0, rows[0], None, None
 
 
 def _march(batch, rates, grid, eps_den, keep, ops):
@@ -414,14 +432,15 @@ def _march(batch, rates, grid, eps_den, keep, ops):
     divisor raises ``ZeroDivisionError``, and the caller reruns the lane
     as arrays.
     """
-    n, dt = grid.num_steps, grid.dt
-    hh, h6 = 0.5 * dt, dt / 6.0
+    n, h = grid.num_steps, grid.dt
     par = ops.group(batch, rates, eps_den)
+    hh, dt, h6, two = (ops.scalar(x, len(batch)) for x in (0.5 * h, h, h / 6.0, 2.0))
     errors: dict[int, LaneResult] = {}
 
-    def stage(y, rt):
-        g, ratio, den = _rhs(ops, y, par, rt)
-        return g, ratio, den, (den < eps_den) | (abs(ratio) < par.ratio_guard)
+    def stage(s, y, rt):
+        """Stage ``s``'s ``G``; its ratio and denominator go to row ``s``."""
+        g, par.ratios[s], par.dens[s] = _rhs(ops, y, par, rt)
+        return g
 
     def fail(alive, newly, degenerate, k):
         """Record the lanes ``newly`` failed in the step from node ``k``,
@@ -446,39 +465,26 @@ def _march(batch, rates, grid, eps_den, keep, ops):
                                    driver.node)
         return alive & np.logical_not(orphans)
 
-    ones = ops.vec([1.0] * len(batch))
-    y = ops.pack(ones, ones, ones, ones)
+    y = ops.rows(1.0, len(batch))
     alive = ops.flags(len(batch))
     lo = math.inf
     # rows (ratio, y1, ..., y4, den) over the nodes; lanes on a trailing axis as arrays
-    path = np.empty((6, n + 1) + np.shape(ones)) if keep else None
-    rt = par.rates[2 * n]
-    for k in range(n, 0, -1):
-        rt_mid, rt_next = par.rates[2 * k - 1], par.rates[2 * k - 2]
-        g1, ratio, den, b1 = stage(y, rt)
-        lo = ops.minimum(lo, den)
+    path = np.empty((6, n + 1) + np.shape(y)[1:]) if keep else None
+    for k, rt, rt_mid, rt_next in _steps(par.rates, n):
+        g1 = stage(0, y, rt)
+        lo = ops.minimum(lo, par.dens[0])
         if keep:
-            path[:, k] = ratio, *y, den
-        g2, _, _, b2 = stage(ops.axpy(y, hh, g1), rt_mid)
-        g3, _, _, b3 = stage(ops.axpy(y, hh, g2), rt_mid)
-        g4, _, _, b4 = stage(ops.axpy(y, dt, g3), rt_next)
-        y = ops.rk4(y, h6, g1, g2, g3, g4)
-        bad = b1 | b2 | b3 | b4
-        newly = alive & (bad | ops.nonfinite(y))
-        if ops.any(newly):
-            alive = fail(alive, newly, bad, k)
-            if not ops.any(alive):
+            path[:, k] = par.ratios[0], *y, par.dens[0]
+        if k:  # node 0 closes the paths; rows 1-3 keep stages every living lane passed
+            g2 = stage(1, ops.axpy(y, hh, g1), rt_mid)
+            g3 = stage(2, ops.axpy(y, hh, g2), rt_mid)
+            g4 = stage(3, ops.axpy(y, dt, g3), rt_next)
+            y = ops.rk4(y, h6, two, g1, g2, g3, g4)
+        failed = ops.failed(par, alive, y)
+        if failed is not None:
+            alive = fail(alive, *failed, k)
+            if not np.any(alive):
                 break
-        rt = rt_next
-    else:
-        # node 0 closes the paths: its ratio and denominator
-        _, ratio, den, bad = stage(y, rt)
-        lo = ops.minimum(lo, den)
-        newly = alive & bad
-        if ops.any(newly):
-            alive = fail(alive, newly, bad, 0)
-        if keep:
-            path[:, 0] = ratio, *y, den
 
     out = []
     rows = path.reshape(6, n + 1, -1) if keep else None
@@ -487,7 +493,7 @@ def _march(batch, rates, grid, eps_den, keep, ops):
             out.append(errors[p])
             continue
         out.append(LaneResult(
-            ratio0=float(np.reshape(ratio, -1)[p]),
+            ratio0=float(np.reshape(par.ratios[0], -1)[p]),
             state0=tuple(float(v) for v in np.reshape(np.asarray(y), (4, -1))[:, p]),
             den_min=float(np.reshape(lo, -1)[p]),
             path=rows[..., p].copy() if keep else None,
@@ -534,16 +540,21 @@ def integrate_lanes(
         ):
             raise ValueError(f"lane {lane} is not driven by a coefficient lane")
     rates = _half_grid_rates(markets, grid)
+    # coefficient lanes first, each kind in the caller's order
+    order = sorted(range(len(lanes)), key=lambda p: lanes[p].driver is not None)
+    at = {p: i for i, p in enumerate(order)}
+    batch = [replace(lanes[p], driver=at.get(lanes[p].driver)) for p in order]
     with np.errstate(all="ignore"):
         # numpy's fixed cost per array operation makes a lone lane far
-        # slower as arrays: at 2,000 steps it takes about 30 ms on floats
-        # and 0.5 s as arrays (2-core x86, Python 3.11, numpy 2.4).
-        if len(lanes) == 1:
+        # slower as arrays: at 2,000 steps it takes about 14 ms on floats
+        # and 0.28 s as arrays (2-core Xeon, Python 3.11, numpy 2.4).
+        if len(batch) == 1:
             try:
-                return _march(lanes, rates, grid, eps_den, keep_paths, _Floats)
+                return _march(batch, rates, grid, eps_den, keep_paths, _Floats)
             except ZeroDivisionError:
                 pass
-        return _march(lanes, rates, grid, eps_den, keep_paths, _Arrays)
+        res = _march(batch, rates, grid, eps_den, keep_paths, _Arrays)
+    return [res[at[p]] for p in range(len(lanes))]
 
 
 def _table(cls, kind, grid, lane: Lane, res: LaneResult, *driver: LaneResult):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, sweep_grid
 from .errors import MvsRobustError
 from .market import MarketCurves
 from .policy import bracket, policy_point, value_report
@@ -41,22 +41,6 @@ RESULT_FIELDS = (
     "u_star", "q_star", "V", "V_hat", "V_tilde", "V_bar",
     "V1", "V2", "L1", "L2", "L3", "min_delta3",
 )
-
-
-def sweep_grid(config: RunConfig) -> list[dict[str, float]]:
-    """Cell parameter dictionaries in output order (outer x inner)."""
-    sw = config.sweep
-    if sw is None:
-        raise MvsRobustError("config has no [sweep] section")
-    first = np.linspace(sw.min, sw.max, sw.count)
-    if sw.param2 is None:
-        return [{sw.param: float(v)} for v in first]
-    second = np.linspace(sw.min2, sw.max2, sw.count2)
-    return [
-        {sw.param: float(a), sw.param2: float(b)}
-        for a in first
-        for b in second
-    ]
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,19 @@ class TestExitCodes:
         assert "second axis" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("param,low,message", [
+        ("gamma0", -1.0, "gamma0 must be positive"),
+        ("w0", -1.0, "start_wealth must be positive"),
+        ("sigma", 0.0, "SingularGram"),
+    ])
+    def test_sweep_cell_outside_domain_is_2(self, tmp_path, capsys, param, low, message):
+        # the same value outside a sweep exits 2, so a cell that takes it does too
+        text = QUICK + f"\n[sweep]\nparam = {param}\nmin = {low}\nmax = 0.3\ncount = 3\n"
+        cfg = write(tmp_path, "cell.cfg", text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCheckCommand:
     def test_passes_on_quick_config(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from mvs_robust import (
     MispecKind,
     ModelVariant,
     NoConvergence,
+    NonFiniteState,
     Preferences,
     TimeGrid,
     build_market,
@@ -346,14 +347,29 @@ class TestLaneBatch:
         assert mispec_u.node == neutral.node
         assert all(res[i].error is None for i in good)
 
-    def test_floats_and_arrays_agree_bitwise(self, base_market, base_grid):
-        # the batch marches as arrays, each lane alone on floats
+    # a grid shorter than one block of rates, block edges, and the closing node 0
+    @pytest.mark.parametrize("num_steps", [3, solver._BLOCK, solver._BLOCK + 1,
+                                           2 * solver._BLOCK + 3, 2000])
+    def test_floats_and_arrays_agree_bitwise(self, num_steps):
+        # the batch marches as arrays, each lane alone on floats; the base
+        # market's drift varies in time, so every node has its own rates, and
+        # on the steep market (mu = 10, sigma = 0.2) lane states overflow
+        grid = TimeGrid(BASE["T"], num_steps)
+        drift = BASE["mu"] + 0.02 * np.cos(grid.nodes)[:, None]
+        markets = [build_market(BASE["T"], BASE["r"], mu, sigma, grid=grid)
+                   for mu, sigma in ((drift, BASE["sigma"]), (10.0, 0.2))]
         plan = coefficient_plan(Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0),
                                 Preferences(3.0, 0.0, 0.4), Preferences(2.0, 0.5, 2.0))
-        arrays = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
-        floats = march_each_alone(plan.lanes, [base_market], base_grid, keep_paths=True)
-        assert any(res.error is not None for res in arrays)
+        lanes = plan.lanes + [dataclasses.replace(lane, market=1) for lane in plan.lanes]
+        arrays = integrate_lanes(lanes, markets, grid, keep_paths=True)
+        floats = march_each_alone(lanes, markets, grid, keep_paths=True)
+        errors = {res.error for res in arrays}
+        assert {None, DegenerateDenominator, NonFiniteState} <= errors
         assert_same_results(floats, arrays)
+        # both march the same half-grid indices, one block of rates at a time
+        steps = list(solver._steps(lambda i, j: range(i, j), num_steps))
+        assert steps == [(k, 2 * k, 2 * k - 1, 2 * k - 2)
+                         for k in range(num_steps, 0, -1)] + [(0, 0, None, None)]
 
     def test_mispec_lane_is_independent_of_its_batch(self, base_market, base_grid):
         plan = LanePlan()
@@ -366,6 +382,24 @@ class TestLaneBatch:
         batch = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
         alone = march_each_alone(plan.lanes, [base_market], base_grid, keep_paths=True)
         assert_same_results(alone, batch)
+
+    @pytest.mark.parametrize("shuffle", ["reversed", "shuffled"])
+    def test_results_do_not_depend_on_lane_order(self, base_market, base_grid, shuffle):
+        plan = LanePlan()
+        for prefs in (Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0),
+                      Preferences(3.0, 0.0, 0.4), Preferences(2.0, 0.5, 2.0)):
+            plan.add_model(0, prefs)
+        order = list(range(len(plan.lanes)))[::-1]
+        if shuffle == "shuffled":
+            np.random.default_rng(11).shuffle(order)
+        at = {p: i for i, p in enumerate(order)}
+        lanes = [dataclasses.replace(plan.lanes[p], driver=at.get(plan.lanes[p].driver))
+                 for p in order]
+        assert any(lane.driver is not None and lane.driver > i for i, lane in enumerate(lanes))
+        batch = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
+        moved = integrate_lanes(lanes, [base_market], base_grid, keep_paths=True)
+        assert any(res.error is not None for res in batch)
+        assert_same_results([batch[p] for p in order], moved)
 
     def test_zero_division_reruns_as_arrays(self, base_market, base_grid, monkeypatch):
         # a lone lane that divides by exactly zero on floats is marched again as arrays
