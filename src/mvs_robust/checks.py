@@ -132,11 +132,8 @@ def check_lognormal_moments(ctx: CheckContext) -> CheckResult:
     t = ctx.config.simulation.start_time
     _, _, h2, h3, g1 = coefficients_at(ctx.table, t)
     targets = (g1 * w, h2 * w ** 2, h3 * w ** 3)
-    rels = [
-        abs(lognormal_moments(ctx.table, ctx.market, t, w, n) / targets[n - 1] - 1.0)
-        for n in (1, 2, 3)
-    ]
-    worst = max(rels)
+    moments = lognormal_moments(ctx.table, ctx.market, t, w, (1, 2, 3))
+    worst = max(abs(m / target - 1.0) for m, target in zip(moments, targets))
     return CheckResult(
         "lognormal_moments", worst < MOMENT_REL_TOL,
         {"max_rel_err": worst, "tol": MOMENT_REL_TOL},

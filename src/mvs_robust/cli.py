@@ -107,9 +107,9 @@ def cmd_simulate(config: RunConfig, out_dir: Path, argv) -> int:
     w0 = cfg.start_wealth
     t0 = cfg.start_time
     lines = ["quantity,estimate,std_error,analytic,z_score,flag"]
-    for order in (1, 2, 3, 4):
-        analytic = lognormal_moments(table, market, t0, w0, order, cfg.measure)
-        lines.append(_z_line(f"moment_{order}", res.moments[order - 1], analytic))
+    analytic = lognormal_moments(table, market, t0, w0, (1, 2, 3, 4), cfg.measure)
+    for order, est, moment in zip((1, 2, 3, 4), res.moments, analytic):
+        lines.append(_z_line(f"moment_{order}", est, moment))
     m1, m2 = res.moments[0].value, res.moments[1].value
     variance = max(0.0, m2 - m1 * m1)
     lines.append(f"variance,{_fmt(variance)},,,,")

@@ -182,14 +182,7 @@ class RunConfig:
                 raise ConfigError(f"sweep count for {name!r} must be >= 1")
             if name in ("mu", "sigma") and len(self.market.mu) != 1:
                 raise ConfigError(f"sweeping {name!r} requires a single risky asset")
-        markets = {self.market}  # each cell as overridden; each other market built once
-        for values in sweep_grid(self):
-            cfg = self.with_overrides(values)
-            cfg.build_preferences()
-            cfg.build_sim_config()
-            if cfg.market not in markets:
-                cfg.build_market()
-                markets.add(cfg.market)
+        sweep_cells(self)
 
     def with_overrides(self, values: dict[str, float]) -> "RunConfig":
         """New config with sweepable parameters replaced by ``values``."""
@@ -240,6 +233,35 @@ def sweep_grid(config: RunConfig) -> list[dict[str, float]]:
         return [{sw.param: float(v)} for v in first]
     second = np.linspace(sw.min2, sw.max2, sw.count2)
     return [{sw.param: float(a), sw.param2: float(b)} for a in first for b in second]
+
+
+@dataclass(frozen=True)
+class SweepCell:
+    """One sweep cell: its parameter values, its market's index in the list
+    ``sweep_cells`` returns, its preferences and its start wealth."""
+
+    values: dict[str, float]
+    market: int
+    prefs: Preferences
+    w0: float
+
+
+def sweep_cells(config: RunConfig) -> tuple[list[MarketCurves], list[SweepCell]]:
+    """Each distinct market, built once on ``config.build_grid()``, and each cell
+    in ``sweep_grid`` order.  A cell outside a parameter's domain raises
+    ``ConfigError``, so what passes load is what runs."""
+    grid = config.build_grid()  # neither T nor num_steps is sweepable
+    index: dict[MarketSection, int] = {}
+    markets, cells = [], []
+    for values in sweep_grid(config):
+        cfg = config.with_overrides(values)
+        prefs = cfg.build_preferences()
+        cfg.build_sim_config()
+        if cfg.market not in index:
+            index[cfg.market] = len(markets)
+            markets.append(cfg.build_market(grid))
+        cells.append(SweepCell(values, index[cfg.market], prefs, cfg.simulation.start_wealth))
+    return markets, cells
 
 
 def _format(value) -> str:

@@ -129,7 +129,6 @@ class MarketCurves:
     num_assets: int
     grid: TimeGrid
     risk_free_nodes: np.ndarray    # (N+1,)
-    drift_nodes: np.ndarray        # (N+1, M)
     volatility_nodes: np.ndarray   # (N+1, M, M)
     excess_nodes: np.ndarray       # (N+1, M)
     gram_nodes: np.ndarray         # (N+1, M, M)
@@ -137,7 +136,7 @@ class MarketCurves:
 
     def __post_init__(self):
         for name in (
-            "risk_free_nodes", "drift_nodes", "volatility_nodes",
+            "risk_free_nodes", "volatility_nodes",
             "excess_nodes", "gram_nodes", "theta_nodes",
         ):
             getattr(self, name).flags.writeable = False
@@ -266,7 +265,6 @@ def build_market(
         num_assets=num_assets,
         grid=grid,
         risk_free_nodes=r_nodes,
-        drift_nodes=mu_nodes,
         volatility_nodes=vol_nodes,
         excess_nodes=excess,
         gram_nodes=gram,

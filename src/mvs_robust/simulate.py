@@ -347,16 +347,18 @@ def lognormal_moments(
     market: MarketCurves,
     t: float,
     w: float,
-    order: int,
+    orders: tuple[int, ...],
     measure: Measure = Measure.DISTORTED,
-) -> float:
-    """Exact GBM moment ``E[W_T ** order]`` started from (t, w), as
-    ``w**order * exp(log_moment_growth)``; orders 1..3 must reproduce
-    the solved ``g1 w``, ``h2 w**2``, ``h3 w**3``.
+) -> tuple[float, ...]:
+    """Exact GBM moments ``E[W_T ** n]`` started from (t, w), one per order
+    ``n`` in ``orders``, as ``w**n * exp(log_moment_growth)`` from one build of
+    the tail curves; orders 1..3 must reproduce the solved ``g1 w``,
+    ``h2 w**2``, ``h3 w**3``.
     """
-    if order not in (1, 2, 3, 4):
-        raise ConfigError(f"order must be 1..4, got {order}")
-    return w ** order * float(np.exp(log_moment_growth(table, market, t, (order,), measure)[0, 0]))
+    if not orders or any(n not in (1, 2, 3, 4) for n in orders):
+        raise ConfigError(f"orders must be in 1..4, got {orders}")
+    growth = log_moment_growth(table, market, t, orders, measure)[:, 0]
+    return tuple(w ** n * float(np.exp(g)) for n, g in zip(orders, growth))
 
 
 @dataclass(frozen=True)
@@ -414,7 +416,7 @@ def verify_value(
             f"(min delta3 = {d3_floor:g})"
         )
 
-    m1, m2, m3 = w ** np.arange(1, 4) * np.exp(log_moment_growth(table, market, t, (1, 2, 3))[:, 0])
+    m1, m2, m3 = lognormal_moments(table, market, t, w, (1, 2, 3))
     penalty = _tail_integrals(table, market, _tail_times(table, t), Measure.DISTORTED,
                               lambda c: c.pen_rate * np.exp(_cumtrapz(c.drift, c.times)))[0]
     analytic = _objective(m1, m2, m3, w * penalty, w, table.gamma0, table.phi0)

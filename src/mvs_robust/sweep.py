@@ -5,12 +5,13 @@ two-parameter grid and reports, per cell: the equilibrium allocation
 and distortion at (t = 0, w = w0), all six values, the three loss
 ratios, and the grid minimum of the positivity quantity delta3.  Cells
 where the solver degenerates are recorded with the error name in the
-status column instead of aborting the sweep.
+status column instead of aborting the sweep; a cell outside a
+parameter's domain is a ``ConfigError``, at load as at run.
 
-Every distinct market is built once, every distinct backward system
-(market, effective weights, misspecified kind) becomes one lane, and
-all lanes are integrated in a single ``integrate_lanes`` call that
-keeps node-0 values only.  Output bytes do not depend on which other
+``config.sweep_cells`` expands the cells and builds every distinct
+market once, every distinct backward system (market, effective weights,
+misspecified kind) becomes one lane, and all lanes are integrated in a
+single ``integrate_lanes`` call that keeps node-0 values only.  Output bytes do not depend on which other
 cells share the batch.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, sweep_grid
+from .config import RunConfig, SweepCell, sweep_cells
 from .errors import MvsRobustError
 from .market import MarketCurves
 from .policy import bracket, policy_point, value_report
@@ -43,28 +44,19 @@ RESULT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """A cell ready to assemble: its market, start wealth and six lanes."""
-
-    market: MarketCurves
-    w0: float
-    lanes: tuple[int, ...]
-
-
-def _cell_row(values, cell: _Cell, plan: LanePlan, results: list[LaneResult]) -> SweepRow:
-    """A cell's row from node-0 values, or its first failed lane's error class."""
-    res = [results[i] for i in cell.lanes]
+def _cell_row(cell: SweepCell, market: MarketCurves, ids: tuple[int, ...], plan: LanePlan,
+              results: list[LaneResult]) -> SweepRow:
+    """A cell's row from its lanes' node-0 values, or its first failed lane's error class."""
+    res = [results[i] for i in ids]
     failed = next((r.error for r in res if r.error is not None), None)
     if failed is not None:
-        return SweepRow(values=values, status=failed.__name__, fields=None)
-    lanes = [plan.lanes[i] for i in cell.lanes]
+        return SweepRow(values=cell.values, status=failed.__name__, fields=None)
+    lanes = [plan.lanes[i] for i in ids]
     # (h1, h2, h3, g1) of a coefficient lane, (a1, a2, a3, b1) of a misspecified one
     brackets = tuple(
         bracket(lane.gamma0, lane.phi0, *r.state0) for lane, r in zip(lanes, res)
     )
     full, lane = res[0], lanes[0]
-    market = cell.market
     try:
         pol = policy_point(
             market, 0.0, cell.w0, lane.gamma0, lane.phi0, lane.xi,
@@ -72,7 +64,7 @@ def _cell_row(values, cell: _Cell, plan: LanePlan, results: list[LaneResult]) ->
         )
         rep = value_report(0.0, cell.w0, brackets)
     except MvsRobustError as exc:
-        return SweepRow(values=values, status=type(exc).__name__, fields=None)
+        return SweepRow(values=cell.values, status=type(exc).__name__, fields=None)
     fields = {
         "u_star": float(pol.allocation[0]) if market.num_assets == 1
         else float(np.linalg.norm(pol.allocation)),
@@ -89,39 +81,22 @@ def _cell_row(values, cell: _Cell, plan: LanePlan, results: list[LaneResult]) ->
         "L3": rep.loss_both,
         "min_delta3": full.den_min,
     }
-    return SweepRow(values=values, status="ok", fields=fields)
+    return SweepRow(values=cell.values, status="ok", fields=fields)
 
 
 def run_sweep(config: RunConfig) -> tuple[list[str], list[SweepRow]]:
-    """Evaluate every cell; returns (header, rows) in deterministic order."""
-    cells = sweep_grid(config)
+    """Evaluate every cell; returns (header, rows) in deterministic order.
+    Raises ``ConfigError`` for a cell outside a parameter's domain."""
+    markets, cells = sweep_cells(config)
     sw = config.sweep
     params = [sw.param] + ([sw.param2] if sw.param2 else [])
     header = params + list(RESULT_FIELDS) + ["status"]
 
-    grid = config.build_grid()  # neither T nor num_steps is sweepable
     plan = LanePlan()
-    markets: list[MarketCurves] = []
-    columns: dict = {}  # market section -> index into markets
-    prepared: list[_Cell | str] = []
-    for values in cells:
-        try:
-            cfg = config.with_overrides(values)
-            if cfg.market not in columns:
-                markets.append(cfg.build_market(grid))
-                columns[cfg.market] = len(markets) - 1
-            col = columns[cfg.market]
-            lanes = plan.add_model(col, cfg.build_preferences())
-            prepared.append(_Cell(markets[col], cfg.simulation.start_wealth, lanes))
-        except MvsRobustError as exc:
-            prepared.append(type(exc).__name__)
-
-    results = integrate_lanes(plan.lanes, markets, grid, config.solver.eps_den)
-    rows = [
-        SweepRow(values=values, status=cell, fields=None) if isinstance(cell, str)
-        else _cell_row(values, cell, plan, results)
-        for values, cell in zip(cells, prepared)
-    ]
+    lanes = [plan.add_model(cell.market, cell.prefs) for cell in cells]
+    results = integrate_lanes(plan.lanes, markets, config.build_grid(), config.solver.eps_den)
+    rows = [_cell_row(cell, markets[cell.market], ids, plan, results)
+            for cell, ids in zip(cells, lanes)]
     return header, rows
 
 

@@ -4,14 +4,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mvs_robust import checks, simulate
+from mvs_robust import ConfigError, checks, simulate
 from mvs_robust.checks import check_lognormal_moments, solve_context
 from mvs_robust.cli import main
-from mvs_robust.config import parse_config
+from mvs_robust.config import SweepSection, parse_config, sweep_grid
+from mvs_robust.policy import equilibrium_policy, value_at
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
-from mvs_robust.sweep import rows_to_csv, run_sweep, sweep_grid
+from mvs_robust.solver import solve_all
+from mvs_robust.sweep import rows_to_csv, run_sweep
 
 QUICK = """
 [solver]
@@ -27,6 +30,15 @@ seed = 42
 STEEP = (
     "[market]\nmu = 0.27903\nsigma = 0.32978\n"
     "[preferences]\ngamma0 = 2.27791\nphi0 = 2.62057\nxi = 1.41690\n"
+)
+
+THREE_ASSET = (
+    "[market]\nmu = 0.12, 0.15, 0.18\n"
+    "sigma = 0.20, 0, 0; 0.06, 0.22, 0; 0.04, 0.05, 0.25\n"
+)
+XI_R_SWEEP = (
+    "[sweep]\nparam = xi\nmin = 0.5\nmax = 3.0\ncount = 3\n"
+    "param2 = r\nmin2 = 0.03\nmax2 = 0.06\ncount2 = 2\n"
 )
 
 
@@ -223,6 +235,26 @@ class TestSimulateCommand:
         )
 
 
+class TestTailBuilds:
+    """A moment read builds its tail curves once, for all its orders."""
+
+    @staticmethod
+    def count_builds(monkeypatch, run) -> int:
+        real, calls = simulate._curves, []
+        monkeypatch.setattr(simulate, "_curves", lambda *a: calls.append(1) or real(*a))
+        run()
+        return len(calls)
+
+    def test_check_lognormal_moments_builds_once(self, monkeypatch):
+        ctx = solve_context(parse_config(QUICK))
+        assert self.count_builds(monkeypatch, lambda: check_lognormal_moments(ctx)) == 1
+
+    def test_simulate_builds_sim_grid_and_one_tail(self, monkeypatch, tmp_path):
+        cfg = write(tmp_path, "c.cfg", QUICK)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert self.count_builds(monkeypatch, lambda: main(argv)) == 2
+
+
 class TestSweepCommand:
     def test_monotone_allocation_in_xi(self, tmp_path):
         cfg = write(
@@ -267,6 +299,40 @@ class TestSweepCommand:
             assert rows_to_csv(*run_sweep(alone)).splitlines()[1] == lines[1 + i]
         row = replace(full, sweep=replace(full.sweep, min=0.20, max=0.20, count=1))
         assert rows_to_csv(*run_sweep(row)).splitlines()[1:] == lines[9:]
+
+    @pytest.mark.parametrize("market", ["", THREE_ASSET], ids=["base", "three_asset"])
+    def test_row_equals_table_route_bitwise(self, market):
+        # every field of an ok row is what solve_all and the policy readers give
+        config = parse_config(QUICK + market + XI_R_SWEEP)
+        _, rows = run_sweep(config)
+        assert [row.status for row in rows] == ["ok"] * 6
+        for row in rows:
+            cfg = config.with_overrides(row.values)
+            grid = cfg.build_grid()
+            mkt = cfg.build_market(grid)
+            model = solve_all(mkt, cfg.build_preferences(), grid, cfg.solver.eps_den)
+            w0 = cfg.simulation.start_wealth
+            pol = equilibrium_policy(model.full, mkt, 0.0, w0)
+            rep = value_at(model, 0.0, w0)
+            one = mkt.num_assets == 1
+            want = {
+                "u_star": float(pol.allocation[0] if one else np.linalg.norm(pol.allocation)),
+                "q_star": float(pol.distortion[0] if one else np.linalg.norm(pol.distortion)),
+                "V": rep.value_full, "V_hat": rep.value_noskew,
+                "V_tilde": rep.value_neutral, "V_bar": rep.value_basic,
+                "V1": rep.value_mispec_u, "V2": rep.value_mispec_both,
+                "L1": rep.loss_skew, "L2": rep.loss_uncertainty, "L3": rep.loss_both,
+                "min_delta3": float(model.full.delta3.min()),
+            }
+            assert row.fields.keys() == want.keys()
+            assert {k: v.hex() for k, v in row.fields.items()} == \
+                {k: float(v).hex() for k, v in want.items()}, row.values
+
+    def test_cell_outside_domain_raises_in_code(self):
+        # a config built in code meets the same domain checks as a loaded one
+        config = replace(parse_config(QUICK), sweep=SweepSection("gamma0", -1.0, 2.0, 4))
+        with pytest.raises(ConfigError, match="gamma0 must be positive"):
+            run_sweep(config)
 
     def test_sweep_without_section_is_config_error(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", QUICK)

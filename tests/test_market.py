@@ -13,7 +13,7 @@ from mvs_robust import (
     build_market,
 )
 
-from conftest import make_market
+from conftest import BASE, make_market
 
 
 class TestTimeGrid:
@@ -110,8 +110,9 @@ class TestBuildMarket:
 
     def test_caches_match_recomputation(self, base_market):
         m = base_market
+        drift = np.array([BASE["mu"]])  # the input drift, constant over the nodes
         for k in (0, 700, 2000):
-            beta = m.drift_nodes[k] - m.risk_free_nodes[k]
+            beta = drift - m.risk_free_nodes[k]
             sig = m.volatility_nodes[k]
             gram = sig.T @ sig
             np.testing.assert_array_equal(m.excess_nodes[k], beta)

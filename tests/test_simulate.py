@@ -230,13 +230,14 @@ class TestLognormalMoments:
     def test_orders_match_solved_coefficients(self, base_table, base_market):
         w = 4.0
         targets = (base_table.g1[0] * w, base_table.h2[0] * w**2, base_table.h3[0] * w**3)
-        for order, target in zip((1, 2, 3), targets):
-            got = lognormal_moments(base_table, base_market, 0.0, w, order)
-            assert abs(got / target - 1.0) < 1e-7
+        got = lognormal_moments(base_table, base_market, 0.0, w, (1, 2, 3))
+        assert len(got) == 3
+        for moment, target in zip(got, targets):
+            assert abs(moment / target - 1.0) < 1e-7
 
     def test_terminal_time_returns_powers(self, base_table, base_market):
-        for order in (1, 2, 3, 4):
-            assert lognormal_moments(base_table, base_market, 5.0, 3.0, order) == 3.0**order
+        got = lognormal_moments(base_table, base_market, 5.0, 3.0, (1, 2, 3, 4))
+        assert got == tuple(3.0**order for order in (1, 2, 3, 4))
 
     def test_measure_gap_is_girsanov_correction(self, base_table, base_market, base_grid):
         # reference-vs-distorted drift differs by xi * theta * f / (xi+1)^2,
@@ -246,8 +247,8 @@ class TestLognormalMoments:
         gap = xi * base_market.theta_at(half) * f / (xi + 1.0) ** 2
         fine, coarse = np.trapezoid(gap, half), np.trapezoid(gap[::2], base_grid.nodes)
         expected = np.exp((4.0 * fine - coarse) / 3.0)
-        mp = lognormal_moments(base_table, base_market, 0.0, 1.0, 1, Measure.REFERENCE)
-        mq = lognormal_moments(base_table, base_market, 0.0, 1.0, 1, Measure.DISTORTED)
+        (mp,) = lognormal_moments(base_table, base_market, 0.0, 1.0, (1,), Measure.REFERENCE)
+        (mq,) = lognormal_moments(base_table, base_market, 0.0, 1.0, (1,), Measure.DISTORTED)
         assert mp / mq == pytest.approx(expected, rel=1e-12)
         assert mp > mq  # reference drift dominates under ambiguity aversion
 
@@ -259,12 +260,19 @@ class TestLognormalMoments:
         for row, n in zip(rows, (1, 2, 3, 4)):
             single = simulate.log_moment_growth(base_table, base_market, t, (n,), measure)
             assert single.shape == (1, row.size) and np.array_equal(row, single[0])
+        # and the moments of one build are the single-order moments, bit for bit
+        w = 2.718
+        moments = lognormal_moments(base_table, base_market, t, w, (1, 2, 3, 4), measure)
+        singles = [lognormal_moments(base_table, base_market, t, w, (n,), measure)[0]
+                   for n in (1, 2, 3, 4)]
+        assert [m.hex() for m in moments] == [m.hex() for m in singles]
 
     def test_bad_inputs(self, base_table, base_market):
-        with pytest.raises(ConfigError):
-            lognormal_moments(base_table, base_market, 0.0, 4.0, 5)
+        for orders in ((5,), (1, 5), ()):
+            with pytest.raises(ConfigError):
+                lognormal_moments(base_table, base_market, 0.0, 4.0, orders)
         with pytest.raises(OutOfHorizon):
-            lognormal_moments(base_table, base_market, 6.0, 4.0, 1)
+            lognormal_moments(base_table, base_market, 6.0, 4.0, (1,))
 
 
 class TestVerifyValue:
@@ -351,7 +359,7 @@ class TestMomentBound:
         for (table, market), rel in (((base_table, base_market), 1e-10), (steep, 1e-5)):
             res = moment_bound_check(table, market, cfg)
             assert res.analytic_argmax_time == BASE["T"]
-            fourth = lognormal_moments(table, market, 0.0, cfg.start_wealth, 4)
+            (fourth,) = lognormal_moments(table, market, 0.0, cfg.start_wealth, (4,))
             assert res.analytic_sup == pytest.approx(fourth, rel=rel)
 
     def test_zero_theta_exact(self, base_grid):

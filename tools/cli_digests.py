@@ -4,12 +4,13 @@
 
 Run it from the root of each checkout and ``diff`` the two listings.  It
 runs ``mvs_robust.cli.main`` in this process on the configs below (``solve``
-of four variants, ``simulate`` and ``check``) and on ``sweep`` of every
-figure preset, in a temporary directory it removes afterwards.  It prints
-one ``exit <code>  <command>`` line per command and one ``<sha256>  <path>``
-line per output file; ``check``'s standard output is hashed as
-``<config>/check.out``, and ``run.meta`` without its ``command =`` line,
-which names the temporary directory.
+of four variants, ``simulate`` and ``check``), on ``sweep`` of every figure
+preset and on ``sweep`` of the configs in ``SWEEPS``, in a temporary
+directory it removes afterwards.  It prints one ``exit <code>  <command>``
+line per command and one ``<sha256>  <path>`` line per output file;
+``check``'s standard output is hashed as ``<config>/check.out``, and
+``run.meta`` without its ``command =`` line, which names the temporary
+directory.
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ CONFIGS = {
     ),
     # r = mu, so theta = 0: every strategy is 0 and every standard error exactly 0
     "zero-premium": "[market]\nr = 0.15\n[simulation]\nnum_paths = 2000\n",
+    # start wealths where numpy's power and Python's ** can differ in the last bit
+    "wealth-2.718": "[simulation]\nstart_wealth = 2.718\nnum_paths = 20000\n",
+    "wealth-5.431-3asset": THREE_ASSET + "[simulation]\nstart_wealth = 5.431\n",
+}
+# sweeps beyond the figure presets, which all have one asset
+SWEEPS = {
+    # several assets, so u_star and q_star are the norms of allocation and distortion
+    "three-asset-xi-r": THREE_ASSET + (
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3.0\ncount = 3\n"
+        "param2 = r\nmin2 = 0.03\nmax2 = 0.06\ncount2 = 2\n"
+    ),
 }
 
 
@@ -81,7 +93,10 @@ def run_all(root: Path) -> None:
         _run(["simulate", "--config", str(cfg), "--out", str(root / name / "simulate")])
         (root / name / "check.out").write_text(_run(["check", "--config", str(cfg)]))
     _run(["figures", "--out", str(root / "presets")])
-    for cfg in sorted((root / "presets").glob("*.cfg")):
+    for name, text in SWEEPS.items():
+        (root / f"{name}.cfg").write_text(text)
+    sweeps = sorted((root / "presets").glob("*.cfg")) + [root / f"{name}.cfg" for name in SWEEPS]
+    for cfg in sweeps:
         _run(["sweep", "--config", str(cfg), "--out", str(root / "sweep" / cfg.stem)])
     for path in sorted(p for p in root.rglob("*") if p.is_file() and p.parent != root):
         print(f"{_digest(path)}  {path.relative_to(root)}")
