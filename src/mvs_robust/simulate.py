@@ -15,13 +15,15 @@ moment must stay within ``FOURTH_MOMENT_BAND`` of its closed form.  Each
 oracle integral, the penalty's too, is Simpson's rule (``_tail_integrals``).
 
 Randomness is counter-based: path ``i`` consumes a fixed block range of
-a Philox stream keyed by the seed.  A simulation's normals come from one
-stream (``_normal_stream``) with two chunk buffers: while the calling
-thread marches one chunk, a pool of up to four threads fills the next
-into the other buffer, in row slices.  Paths are accumulated on the
-calling thread in chunk order: estimates as plain sums, standard errors
-from one centred comoment matrix (``_merge``).  So results are bitwise
-independent of the worker count.
+a Philox stream keyed by the seed.  Paths are accumulated on the calling
+thread in chunks, in order: estimates as plain sums, standard errors
+from one centred comoment matrix (``_merge``).  A chunk marches in
+leaves split where numpy's pairwise sum splits it (``_leaves``), so its
+per-step sums rebuilt from the leaves are bitwise whole-chunk sums.  The
+normals come from one stream (``_normal_stream``) with two leaf buffers:
+while the calling thread marches one leaf, a pool of up to four threads
+fills the next into the other buffer, in row slices.  So results are
+bitwise independent of the worker count.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .policy import value_bracket
 from .solver import MispecTable, SolvedTable
 
 _CHUNK = 16384          # paths per accumulation block, fixed for determinism
+_LEAF = 4096            # most paths marched and filled at once; only memory depends on it
 _MIN_UNIFORM = 5e-324   # keeps ndtri finite if a raw uniform is exactly 0
 FOURTH_MOMENT_BAND = (0.8, 1.25)  # sampled / analytic running fourth moment
 
@@ -221,21 +224,37 @@ def _fill_normals(pool, workers: int, seed: int, first_path: int, z: np.ndarray)
     return pool.map(fill, bounds[:-1], bounds[1:])
 
 
+def _leaves(first: int, n: int) -> list[tuple[int, int]]:
+    """First path and size of each leaf of paths ``first .. first + n``, in order: numpy's
+    pairwise sum of ``n`` contiguous float64s halves them at ``_half(n)`` until at most
+    ``_LEAF`` are left (``pairwise_sum`` in numpy's ``loops_utils.h.src``)."""
+    if n <= _LEAF:
+        return [(first, n)]
+    h = _half(n)
+    return _leaves(first, h) + _leaves(first + h, n - h)
+
+
+def _half(n: int) -> int:
+    """Where numpy's pairwise sum splits ``n`` values: half, rounded down to a multiple of 8."""
+    return n // 2 - (n // 2) % 8
+
+
 def _normal_stream(seed: int, num_paths: int, n_steps: int):
-    """Each chunk's first path and normals, in chunk order.  While the caller reads a
-    chunk from one of two buffers, the pool fills the next into the other.  Closing
-    the stream shuts the pool down."""
+    """Each leaf's first path and normals, chunk by chunk in ``_leaves`` order.  While the
+    caller reads a leaf from one of two buffers, the pool fills the next into the other.
+    Closing the stream shuts the pool down."""
     from concurrent.futures import ThreadPoolExecutor  # no thread until a simulation
-    bufs = [np.empty((min(_CHUNK, num_paths), (n_steps + 3) // 4 * 4)) for _ in range(2)]
-    chunks = [(first, bufs[i % 2][:min(_CHUNK, num_paths - first)])
-              for i, first in enumerate(range(0, num_paths, _CHUNK))]
+    leaves = [leaf for first in range(0, num_paths, _CHUNK)
+              for leaf in _leaves(first, min(_CHUNK, num_paths - first))]
+    bufs = [np.empty((min(_LEAF, num_paths), (n_steps + 3) // 4 * 4)) for _ in range(2)]
+    blocks = [(first, bufs[i % 2][:n]) for i, (first, n) in enumerate(leaves)]
     workers = _normal_workers()
     with ThreadPoolExecutor(workers) as pool:
-        filled = _fill_normals(pool, workers, seed, *chunks[0])
-        for i, (first, z) in enumerate(chunks):
-            list(filled)  # waits for this chunk, and raises what its fill raised
-            if i + 1 < len(chunks):
-                filled = _fill_normals(pool, workers, seed, *chunks[i + 1])
+        filled = _fill_normals(pool, workers, seed, *blocks[0])
+        for i, (first, z) in enumerate(blocks):
+            list(filled)  # waits for this leaf, and raises what its fill raised
+            if i + 1 < len(blocks):
+                filled = _fill_normals(pool, workers, seed, *blocks[i + 1])
             yield first, z[:, :n_steps]
 
 
@@ -272,23 +291,42 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
     comoments = np.zeros((5, 5))            # sums of (x - centre)(x - centre)'
     min_w = w0
 
+    def march(w_out: np.ndarray, pen_out: np.ndarray):
+        """March the stream's next ``len(w_out)`` paths, leaf by leaf, to their final wealth
+        ``w_out`` and penalty ``pen_out``; their per-step ``np.sum(W ** 4)`` and ``np.min(W)``."""
+        n = len(w_out)
+        if n > _LEAF:
+            h = _half(n)
+            (s4, low), (s4_right, low_right) = (march(w_out[:h], pen_out[:h]),
+                                                march(w_out[h:], pen_out[h:]))
+            return s4 + s4_right, np.minimum(low, low_right)
+        z = next(stream)[1]
+        s4, low, w4 = np.empty(n_steps), np.empty(n_steps), np.empty(n)
+        pen = np.zeros(n)
+        logw = np.full(n, np.log(w0))
+        w = np.full(n, w0)
+        pen_w = pen_rate[0] * w
+        for k in range(n_steps):
+            if exact:
+                logw = logw + m_step[k] + s_step[k] * z[:, k]
+                w = np.exp(logw)
+            else:
+                w = w * (1.0 + d_step[k] + e_step[k] * z[:, k])
+            pen_w_prev, pen_w = pen_w, pen_rate[k + 1] * w  # this step's pen_w is the next's prev
+            pen += 0.5 * ds[k] * (pen_w_prev + pen_w)
+            s4[k] = np.sum(np.power(w, 4, out=w4))
+            low[k] = np.min(w)
+        w_out[:], pen_out[:] = w, pen
+        return s4, low
+
     with closing(_normal_stream(cfg.seed, cfg.num_paths, n_steps)) as stream:
-        for first, z in stream:
-            n = len(z)
-            pen = np.zeros(n)
-            logw = np.full(n, np.log(w0))
-            w = np.full(n, w0)
+        for first in range(0, cfg.num_paths, _CHUNK):
+            n = min(_CHUNK, cfg.num_paths - first)
+            w, pen = np.empty(n), np.empty(n)
+            s4, low = march(w, pen)
             node4[0] += n * w0 ** 4
-            for k in range(n_steps):
-                w_prev = w
-                if exact:
-                    logw = logw + m_step[k] + s_step[k] * z[:, k]
-                    w = np.exp(logw)
-                else:
-                    w = w * (1.0 + d_step[k] + e_step[k] * z[:, k])
-                pen += 0.5 * ds[k] * (pen_rate[k] * w_prev + pen_rate[k + 1] * w)
-                node4[k + 1] += float(np.sum(w ** 4))
-                min_w = min(min_w, float(np.min(w)))
+            node4[1:] += s4
+            min_w = min(min_w, *low.tolist())
             _merge(sums, centre, comoments, first, np.stack([w, w * w, w ** 3, w ** 4, pen]))
 
     npaths = cfg.num_paths

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +27,7 @@ from mvs_robust import (
 )
 from mvs_robust import simulate
 from mvs_robust.policy import value_bracket
-from mvs_robust.simulate import _CHUNK, _MIN_UNIFORM
+from mvs_robust.simulate import _CHUNK, _LEAF, _MIN_UNIFORM
 
 from conftest import BASE, make_market
 
@@ -37,6 +38,78 @@ def path_normals(seed, first_path, n_paths, n_steps):
     with ThreadPoolExecutor(workers) as pool:
         list(simulate._fill_normals(pool, workers, seed, first_path, z))
     return z[:, :n_steps]
+
+
+def pairwise_leaves(first, n, leaf=_LEAF):
+    """(first, size) of each leaf of numpy's pairwise sum over n contiguous float64s,
+    which halves at ``n // 2 - (n // 2) % 8`` while more than ``leaf`` are left."""
+    if n <= leaf:
+        return [(first, n)]
+    h = n // 2 - (n // 2) % 8
+    return pairwise_leaves(first, h, leaf) + pairwise_leaves(first + h, n - h, leaf)
+
+
+def reference_simulate(table, curves, cfg):
+    """``_simulate`` marching each chunk whole, on ``path_normals`` fills of whole chunks:
+    the reference the leaf march must equal bitwise."""
+    times, drift, vol2, pen_rate = curves
+    n_steps = cfg.num_steps
+    ds = np.diff(times)
+    exact = cfg.scheme is Scheme.EXACT_LOGNORMAL
+    if exact:
+        m_step = 0.5 * ds * ((drift[:-1] - 0.5 * vol2[:-1]) + (drift[1:] - 0.5 * vol2[1:]))
+        s_step = np.sqrt(0.5 * ds * (vol2[:-1] + vol2[1:]))
+    else:
+        d_step = drift[:-1] * ds
+        e_step = np.sqrt(vol2[:-1]) * np.sqrt(ds)
+    w0 = cfg.start_wealth
+    node4, sums, centre = np.zeros(n_steps + 1), np.zeros(5), np.zeros(5)
+    comoments = np.zeros((5, 5))
+    min_w = w0
+    for first in range(0, cfg.num_paths, _CHUNK):
+        n = min(_CHUNK, cfg.num_paths - first)
+        z = path_normals(cfg.seed, first, n, n_steps)
+        pen = np.zeros(n)
+        logw = np.full(n, np.log(w0))
+        w = np.full(n, w0)
+        node4[0] += n * w0 ** 4
+        for k in range(n_steps):
+            w_prev = w
+            if exact:
+                logw = logw + m_step[k] + s_step[k] * z[:, k]
+                w = np.exp(logw)
+            else:
+                w = w * (1.0 + d_step[k] + e_step[k] * z[:, k])
+            pen += 0.5 * ds[k] * (pen_rate[k] * w_prev + pen_rate[k + 1] * w)
+            node4[k + 1] += float(np.sum(w ** 4))
+            min_w = min(min_w, float(np.min(w)))
+        simulate._merge(sums, centre, comoments, first, np.stack([w, w * w, w ** 3, w ** 4, pen]))
+
+    npaths = cfg.num_paths
+    mean = sums / npaths
+    cov = comoments / (npaths - 1.0)
+    se = np.sqrt(np.diag(cov) / npaths)
+    moments = tuple(simulate.MomentEstimate(value=mean[k], std_error=float(se[k]))
+                    for k in range(4))
+    penalty = objective = None
+    if cfg.measure is Measure.DISTORTED:
+        penalty = simulate.MomentEstimate(value=float(mean[4]), std_error=float(se[4]))
+        m1, m2, m3, _, mp = mean
+        g0, p0 = table.gamma0, table.phi0
+        obj = simulate._objective(m1, m2, m3, mp, w0, g0, p0)
+        grad = np.array([
+            1.0 + g0 * m1 / w0 + p0 / (w0 * w0) * (2.0 * m1 * m1 - m2),
+            -0.5 * g0 / w0 - p0 * m1 / (w0 * w0),
+            p0 / (3.0 * w0 * w0),
+            1.0,
+        ])
+        block = cov[np.ix_((0, 1, 2, 4), (0, 1, 2, 4))]
+        obj_var = max(0.0, float(grad @ block @ grad))
+        objective = simulate.MomentEstimate(value=float(obj),
+                                            std_error=float(np.sqrt(obj_var / npaths)))
+    return simulate.SimResult(config=cfg, moments=moments,
+                              sup_fourth_moment=float(node4.max() / npaths),
+                              min_wealth=float(min_w), penalty=penalty, objective=objective)
 
 
 @pytest.fixture(scope="module")
@@ -85,18 +158,68 @@ class TestRandomSource:
     @pytest.mark.parametrize("n_steps", [13, 200])
     @pytest.mark.parametrize("num_paths", [2 * _CHUNK + 1, 40_000])
     def test_stream_matches_single_chunk_fills(self, monkeypatch, workers, n_steps, num_paths):
-        # at least three chunks and a short last one; 2 * _CHUNK + 1 leaves a worker idle
+        # at least three chunks and a short last one; 2 * _CHUNK + 1 leaves a worker idle.
+        # The stream yields leaves, each filled as if it were a chunk of its own.
         monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
         stream = simulate._normal_stream(9, num_paths, n_steps)
-        firsts, bases = [], []
+        leaves, bases = [], []
         for first, z in stream:
-            n = min(_CHUNK, num_paths - first)
+            n = len(z)
             assert z.shape == (n, n_steps)
             assert np.array_equal(z, path_normals(9, first, n, n_steps))
-            firsts.append(first)
+            leaves.append((first, n))
             bases.append(z.base)
-        assert firsts == list(range(0, num_paths, _CHUNK)) and len(firsts) >= 3
+        assert leaves == [leaf for first in range(0, num_paths, _CHUNK)
+                          for leaf in pairwise_leaves(first, min(_CHUNK, num_paths - first))]
+        assert len({first // _CHUNK for first, _ in leaves}) >= 3
         assert all(b is not None for b in bases) and len({id(b) for b in bases}) <= 2
+        assert all(len(b) <= _LEAF for b in bases)
+
+
+class TestLeafMarch:
+    @pytest.mark.parametrize("leaf", [_LEAF, 2048])
+    @pytest.mark.parametrize("n", [2, 9, 1_696, 4_100, 7_232, 8_200, 16_383, _CHUNK])
+    def test_leaf_sums_rebuild_numpy_sum(self, n, leaf):
+        # pins numpy's pairwise split: if an upgrade changes np.sum, this fails first
+        x = np.random.default_rng(n).random(n) ** 4 + 0.5
+
+        def tree_sum(lo, n):
+            if n <= leaf:
+                return np.sum(x[lo:lo + n])
+            h = n // 2 - (n // 2) % 8
+            return tree_sum(lo, h) + tree_sum(lo + h, n - h)
+
+        assert np.sum(x) == tree_sum(0, n)
+        assert sum(size for _, size in pairwise_leaves(0, n, leaf)) == n
+
+    @pytest.mark.parametrize("leaf", [_LEAF, 2048])
+    @pytest.mark.parametrize("n", [2, 4_100, 8_200, _CHUNK])
+    def test_leaves_follow_numpy_split(self, monkeypatch, n, leaf):
+        monkeypatch.setattr(simulate, "_LEAF", leaf)
+        assert simulate._leaves(5, n) == pairwise_leaves(5, n, leaf)
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("num_paths", [7, _CHUNK + 9, _CHUNK + 8_200])
+    def test_matches_chunk_at_a_time_march(self, base_table, base_market, num_paths, scheme,
+                                           measure):
+        # a short last chunk of one leaf, and one of a leaf plus a two-leaf subtree
+        cfg = SimConfig(num_paths=num_paths, seed=4, num_steps=13, scheme=scheme, measure=measure)
+        curves = simulate._sim_curves(base_table, base_market, cfg)
+        got = simulate._simulate(base_table, curves, cfg)
+        assert repr(got) == repr(reference_simulate(base_table, curves, cfg))
+
+    def test_march_memory_peak(self, base_table, base_market):
+        # two leaf buffers of 4,096 paths x 200 steps are 13 MB; two of a chunk would be 52 MB
+        from scipy.special import ndtri  # noqa: F401  imported before tracing starts
+        cfg = SimConfig(num_paths=100_000, seed=1, num_steps=200)
+        tracemalloc.start()
+        try:
+            simulate_equilibrium_wealth(base_table, base_market, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak / 1e6
 
 
 class TestSimulation:

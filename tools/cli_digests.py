@@ -43,6 +43,8 @@ CONFIGS = {
     ),
     # padded Philox blocks (199 steps) and several chunks, the last one partial
     "padded-multichunk": "[simulation]\nnum_steps = 199\nnum_paths = 40000\n",
+    # a last chunk of 8,200 paths: a 4,096-path leaf and a subtree of two leaves
+    "uneven-leaves": "[simulation]\nnum_paths = 24584\nnum_steps = 13\n",
     # one chunk, so no chunk merge
     "single-chunk": "[simulation]\nnum_paths = 1000\n",
     # four nodes, so every interpolation stencil spans the whole grid; check fails
