@@ -19,11 +19,14 @@ a Philox stream keyed by the seed.  Paths are accumulated on the calling
 thread in chunks, in order: estimates as plain sums, standard errors
 from one centred comoment matrix (``_merge``).  A chunk marches in
 leaves split where numpy's pairwise sum splits it (``_leaves``), so its
-per-step sums rebuilt from the leaves are bitwise whole-chunk sums.  The
-normals come from one stream (``_normal_stream``) with two leaf buffers:
-while the calling thread marches one leaf, a pool of up to four threads
-fills the next into the other buffer, in row slices.  So results are
-bitwise independent of the worker count.
+per-step sums rebuilt from the leaves are bitwise whole-chunk sums.  A
+leaf marches ``_STEP_BLOCK`` steps per numpy call, a row per step; only
+the wealth recursion and the penalty sum take a call per step, and each
+value gets the same operands in the same order as a step-by-step march.
+The normals come from one stream (``_normal_stream``): while the calling
+thread marches one leaf, a pool of up to four threads fills the next
+leaves, each whole on one thread, into one buffer more than it has
+threads.  So results are bitwise independent of the worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .policy import value_bracket
 from .solver import MispecTable, SolvedTable
 
 _CHUNK = 16384          # paths per accumulation block, fixed for determinism
-_LEAF = 4096            # most paths marched and filled at once; only memory depends on it
+_LEAF = 1024            # most paths marched and filled at once; only memory depends on it
+_STEP_BLOCK = 25        # steps marched per numpy call on a leaf; only speed depends on it
 _MIN_UNIFORM = 5e-324   # keeps ndtri finite if a raw uniform is exactly 0
 FOURTH_MOMENT_BAND = (0.8, 1.25)  # sampled / analytic running fourth moment
 
@@ -206,22 +210,15 @@ def _normal_workers() -> int:
     return min(4, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def _fill_normals(pool, workers: int, seed: int, first_path: int, z: np.ndarray):
-    """Start filling ``z`` with standard normals, row i belonging to global path
-    ``first_path + i``, in ``workers`` row slices on ``pool``; consuming the result
-    waits for them.  Each path owns ``z.shape[1] / 4`` whole Philox blocks, so its
+def _fill_normals(seed: int, first_path: int, z: np.ndarray) -> None:
+    """Fill ``z`` with standard normals on the calling thread, row i belonging to global
+    path ``first_path + i``.  Each path owns ``z.shape[1] / 4`` whole Philox blocks, so its
     draws depend neither on how paths are chunked nor on which thread fills them."""
     from scipy.special import ndtri  # imported here: only simulating pays scipy's start-up
-
-    def fill(lo: int, hi: int) -> None:
-        rows = z[lo:hi]
-        bitgen = np.random.Philox(key=seed, counter=(first_path + lo) * (z.shape[1] // 4))
-        np.random.Generator(bitgen).random(out=rows)
-        np.maximum(rows, _MIN_UNIFORM, out=rows)
-        ndtri(rows, out=rows)
-
-    bounds = [len(z) * i // workers for i in range(workers + 1)]
-    return pool.map(fill, bounds[:-1], bounds[1:])
+    bitgen = np.random.Philox(key=seed, counter=first_path * (z.shape[1] // 4))
+    np.random.Generator(bitgen).random(out=z)
+    np.maximum(z, _MIN_UNIFORM, out=z)
+    ndtri(z, out=z)
 
 
 def _leaves(first: int, n: int) -> list[tuple[int, int]]:
@@ -240,21 +237,22 @@ def _half(n: int) -> int:
 
 
 def _normal_stream(seed: int, num_paths: int, n_steps: int):
-    """Each leaf's first path and normals, chunk by chunk in ``_leaves`` order.  While the
-    caller reads a leaf from one of two buffers, the pool fills the next into the other.
-    Closing the stream shuts the pool down."""
+    """Each leaf's first path and normals, chunk by chunk in ``_leaves`` order.  A pool of
+    ``workers`` threads fills up to ``workers`` whole leaves ahead, one per thread, into
+    ``workers + 1`` buffers; a leaf's buffer is refilled only once the caller has asked for
+    the leaf after it.  Closing the stream shuts the pool down."""
     from concurrent.futures import ThreadPoolExecutor  # no thread until a simulation
     leaves = [leaf for first in range(0, num_paths, _CHUNK)
               for leaf in _leaves(first, min(_CHUNK, num_paths - first))]
-    bufs = [np.empty((min(_LEAF, num_paths), (n_steps + 3) // 4 * 4)) for _ in range(2)]
-    blocks = [(first, bufs[i % 2][:n]) for i, (first, n) in enumerate(leaves)]
     workers = _normal_workers()
+    bufs = [np.empty((min(_LEAF, num_paths), (n_steps + 3) // 4 * 4)) for _ in range(workers + 1)]
+    blocks = [(first, bufs[i % len(bufs)][:n]) for i, (first, n) in enumerate(leaves)]
     with ThreadPoolExecutor(workers) as pool:
-        filled = _fill_normals(pool, workers, seed, *blocks[0])
+        filled = [pool.submit(_fill_normals, seed, *block) for block in blocks[:workers]]
         for i, (first, z) in enumerate(blocks):
-            list(filled)  # waits for this leaf, and raises what its fill raised
-            if i + 1 < len(blocks):
-                filled = _fill_normals(pool, workers, seed, *blocks[i + 1])
+            if i + workers < len(blocks):  # into the buffer of the leaf before this one
+                filled.append(pool.submit(_fill_normals, seed, *blocks[i + workers]))
+            filled[i].result()  # waits for this leaf, and raises what its fill raised
             yield first, z[:, :n_steps]
 
 
@@ -301,21 +299,38 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
                                                 march(w_out[h:], pen_out[h:]))
             return s4 + s4_right, np.minimum(low, low_right)
         z = next(stream)[1]
-        s4, low, w4 = np.empty(n_steps), np.empty(n_steps), np.empty(n)
+        s4, low = np.empty(n_steps), np.empty(n_steps)
         pen = np.zeros(n)
         logw = np.full(n, np.log(w0))
         w = np.full(n, w0)
         pen_w = pen_rate[0] * w
-        for k in range(n_steps):
+        blocks = np.empty((2, min(_STEP_BLOCK, n_steps), n))
+        for k0 in range(0, n_steps, _STEP_BLOCK):
+            steps = slice(k0, min(k0 + _STEP_BLOCK, n_steps))
+            # a row per step; logw, w and pen_w carry over as copies, for W and P are reused
+            W, P = blocks[:, :steps.stop - k0]
             if exact:
-                logw = logw + m_step[k] + s_step[k] * z[:, k]
-                w = np.exp(logw)
+                np.multiply(s_step[steps, None], z[:, steps].T, out=W)
+                for j, m in enumerate(m_step[steps]):
+                    np.add(W[j - 1] if j else logw, m, out=P[j])
+                    W[j] += P[j]
+                logw[:] = W[-1]
+                np.exp(W, out=W)
             else:
-                w = w * (1.0 + d_step[k] + e_step[k] * z[:, k])
-            pen_w_prev, pen_w = pen_w, pen_rate[k + 1] * w  # this step's pen_w is the next's prev
-            pen += 0.5 * ds[k] * (pen_w_prev + pen_w)
-            s4[k] = np.sum(np.power(w, 4, out=w4))
-            low[k] = np.min(w)
+                np.multiply(e_step[steps, None], z[:, steps].T, out=W)
+                W += 1.0 + d_step[steps, None]
+                for j in range(len(W)):
+                    W[j] *= W[j - 1] if j else w
+            w[:] = W[-1]
+            s4[steps] = np.power(W, 4, out=P).sum(axis=1)
+            low[steps] = W.min(axis=1)
+            np.multiply(pen_rate[k0 + 1:steps.stop + 1, None], W, out=P)
+            np.add(P[:-1], P[1:], out=W[1:])
+            np.add(pen_w, P[0], out=W[0])
+            pen_w[:] = P[-1]
+            W *= 0.5 * ds[steps, None]
+            for inc in W:  # in step order
+                pen += inc
         w_out[:], pen_out[:] = w, pen
         return s4, low
 

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,10 +32,9 @@ from conftest import BASE, make_market
 
 
 def path_normals(seed, first_path, n_paths, n_steps):
-    """One independent single-chunk fill, on its own pool of ``_normal_workers()``."""
-    z, workers = np.empty((n_paths, (n_steps + 3) // 4 * 4)), simulate._normal_workers()
-    with ThreadPoolExecutor(workers) as pool:
-        list(simulate._fill_normals(pool, workers, seed, first_path, z))
+    """One independent single-chunk fill, on the calling thread."""
+    z = np.empty((n_paths, (n_steps + 3) // 4 * 4))
+    simulate._fill_normals(seed, first_path, z)
     return z[:, :n_steps]
 
 
@@ -138,14 +136,18 @@ class TestRandomSource:
     @pytest.mark.parametrize("n_steps", [199, 200])
     @pytest.mark.parametrize("n_paths", [2, 50])
     def test_worker_count_invariance(self, monkeypatch, workers, n_steps, n_paths):
-        # 199 steps leave the last Philox block padded; 2 paths leave a worker idle
+        # 199 steps leave the last Philox block padded; 2 paths leave a worker idle, and
+        # 50 paths in five leaves of at most 16 refill buffers while other leaves are in flight
         from scipy.special import ndtri
         monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
-        blocks, first = (n_steps + 3) // 4, 5
-        u = np.random.Generator(np.random.Philox(key=42, counter=first * blocks))
+        monkeypatch.setattr(simulate, "_LEAF", 16)
+        blocks = (n_steps + 3) // 4
+        u = np.random.Generator(np.random.Philox(key=42, counter=0))
         u = u.random(n_paths * blocks * 4).reshape(n_paths, 4 * blocks)[:, :n_steps]
         serial = ndtri(np.maximum(u, _MIN_UNIFORM))
-        assert np.array_equal(path_normals(42, first, n_paths, n_steps), serial)
+        leaves = [(first, z.copy()) for first, z in simulate._normal_stream(42, n_paths, n_steps)]
+        assert [(first, len(z)) for first, z in leaves] == pairwise_leaves(0, n_paths, 16)
+        assert np.array_equal(np.vstack([z for _, z in leaves]), serial)
 
     def test_workers_without_affinity(self, monkeypatch):
         # os.sched_getaffinity does not exist on macOS and Windows
@@ -172,12 +174,12 @@ class TestRandomSource:
         assert leaves == [leaf for first in range(0, num_paths, _CHUNK)
                           for leaf in pairwise_leaves(first, min(_CHUNK, num_paths - first))]
         assert len({first // _CHUNK for first, _ in leaves}) >= 3
-        assert all(b is not None for b in bases) and len({id(b) for b in bases}) <= 2
+        assert all(b is not None for b in bases) and len({id(b) for b in bases}) <= workers + 1
         assert all(len(b) <= _LEAF for b in bases)
 
 
 class TestLeafMarch:
-    @pytest.mark.parametrize("leaf", [_LEAF, 2048])
+    @pytest.mark.parametrize("leaf", [4096, 2048, _LEAF])
     @pytest.mark.parametrize("n", [2, 9, 1_696, 4_100, 7_232, 8_200, 16_383, _CHUNK])
     def test_leaf_sums_rebuild_numpy_sum(self, n, leaf):
         # pins numpy's pairwise split: if an upgrade changes np.sum, this fails first
@@ -192,7 +194,7 @@ class TestLeafMarch:
         assert np.sum(x) == tree_sum(0, n)
         assert sum(size for _, size in pairwise_leaves(0, n, leaf)) == n
 
-    @pytest.mark.parametrize("leaf", [_LEAF, 2048])
+    @pytest.mark.parametrize("leaf", [4096, 2048, _LEAF])
     @pytest.mark.parametrize("n", [2, 4_100, 8_200, _CHUNK])
     def test_leaves_follow_numpy_split(self, monkeypatch, n, leaf):
         monkeypatch.setattr(simulate, "_LEAF", leaf)
@@ -203,15 +205,35 @@ class TestLeafMarch:
     @pytest.mark.parametrize("num_paths", [7, _CHUNK + 9, _CHUNK + 8_200])
     def test_matches_chunk_at_a_time_march(self, base_table, base_market, num_paths, scheme,
                                            measure):
-        # a short last chunk of one leaf, and one of a leaf plus a two-leaf subtree
-        cfg = SimConfig(num_paths=num_paths, seed=4, num_steps=13, scheme=scheme, measure=measure)
-        curves = simulate._sim_curves(base_table, base_market, cfg)
-        got = simulate._simulate(base_table, curves, cfg)
-        assert repr(got) == repr(reference_simulate(base_table, curves, cfg))
+        # a short last chunk of one leaf, and one of 8,200 paths ending in leaves of 512 and
+        # 520; 13 steps march in one block, 57 in two whole blocks and a short one
+        for num_steps in (13, 57):
+            cfg = SimConfig(num_paths=num_paths, seed=4, num_steps=num_steps, scheme=scheme,
+                            measure=measure)
+            curves = simulate._sim_curves(base_table, base_market, cfg)
+            got = simulate._simulate(base_table, curves, cfg)
+            assert repr(got) == repr(reference_simulate(base_table, curves, cfg))
 
-    def test_march_memory_peak(self, base_table, base_market):
-        # two leaf buffers of 4,096 paths x 200 steps are 13 MB; two of a chunk would be 52 MB
+    @pytest.mark.parametrize("b", [1, 7, 25])
+    @pytest.mark.parametrize("n", [2, 9, 1_000, 1_024])
+    def test_block_reductions_match_rows(self, n, b):
+        # pins numpy's row reductions and SIMD kernels on C-contiguous (steps, paths) blocks:
+        # the march's per-block calls must give bitwise what per-step 1-D calls give
+        rng = np.random.default_rng(100 * n + b)
+        L = 1.4 + 0.3 * rng.standard_normal((b, n))
+        W = np.exp(1.4 + 0.3 * rng.standard_normal((b, n)))
+        s4, low, e = np.power(W, 4).sum(axis=1), W.min(axis=1), np.exp(L)
+        in_place = L.copy()
+        np.exp(in_place, out=in_place)
+        for k in range(b):
+            assert s4[k] == np.sum(np.power(W[k], 4))
+            assert low[k] == np.min(W[k])
+            assert np.array_equal(e[k], np.exp(L[k])) and np.array_equal(in_place[k], e[k])
+
+    def test_march_memory_peak(self, monkeypatch, base_table, base_market):
+        # two workers fill into three leaf buffers of 1,024 paths x 200 steps: 4.9 MB
         from scipy.special import ndtri  # noqa: F401  imported before tracing starts
+        monkeypatch.setattr(simulate, "_normal_workers", lambda: 2)
         cfg = SimConfig(num_paths=100_000, seed=1, num_steps=200)
         tracemalloc.start()
         try:
@@ -219,7 +241,7 @@ class TestLeafMarch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, peak / 1e6
+        assert peak < 8e6, peak / 1e6
 
 
 class TestSimulation:
@@ -232,8 +254,11 @@ class TestSimulation:
             results.append(simulate_equilibrium_wealth(base_table, base_market, cfg))
         assert results[0] == results[1]
 
-    def test_failed_march_stops_the_fill_pool(self, monkeypatch, base_table, base_market):
-        # the pool must not outlive a raise, even while the traceback holds its frames
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_march_stops_the_fill_pool(self, monkeypatch, base_table, base_market,
+                                              workers):
+        # the pool must not outlive a raise, even while the traceback holds its frames and
+        # whole-leaf fills are in flight
         merged, merge = [], simulate._merge
 
         def fail_second(*a):
@@ -243,7 +268,7 @@ class TestSimulation:
             merge(*a)
 
         monkeypatch.setattr(simulate, "_merge", fail_second)
-        monkeypatch.setattr(simulate, "_normal_workers", lambda: 2)
+        monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
         before = threading.active_count()
         cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
         with pytest.raises(RuntimeError, match="second chunk") as raised:

@@ -43,8 +43,10 @@ CONFIGS = {
     ),
     # padded Philox blocks (199 steps) and several chunks, the last one partial
     "padded-multichunk": "[simulation]\nnum_steps = 199\nnum_paths = 40000\n",
-    # a last chunk of 8,200 paths: a 4,096-path leaf and a subtree of two leaves
+    # a last chunk of 8,200 paths: seven 1,024-path leaves, then leaves of 512 and 520
     "uneven-leaves": "[simulation]\nnum_paths = 24584\nnum_steps = 13\n",
+    # leaves of fewer than 1,024 paths, and a last block of 7 of the march's 25-step blocks
+    "ragged-blocks": "[simulation]\nnum_paths = 5000\nnum_steps = 57\nscheme = euler\n",
     # one chunk, so no chunk merge
     "single-chunk": "[simulation]\nnum_paths = 1000\n",
     # four nodes, so every interpolation stencil spans the whole grid; check fails
