@@ -56,8 +56,8 @@ def _write_meta(out_dir: Path, config: RunConfig, argv: list[str]) -> None:
 
 
 def cmd_solve(config: RunConfig, out_dir: Path, variants: list[ModelVariant], argv) -> int:
-    grid = config.build_grid()
-    market = config.build_market(grid)
+    market = config.build_market()
+    grid = market.grid
     prefs = config.build_preferences()
     # every table is solved before any file is written
     tables = [
@@ -183,9 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_solve(config, out_dir, variants, argv)
         if args.command == "sweep":
             return cmd_sweep(config, out_dir, argv)
-        if args.command == "simulate":
-            return cmd_simulate(config, out_dir, argv)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_simulate(config, out_dir, argv)
     except ConfigError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -118,7 +118,7 @@ class RunConfig:
     def build_grid(self) -> TimeGrid:
         return TimeGrid(self.market.T, self.solver.num_steps)
 
-    def build_market(self, grid: TimeGrid | None = None) -> MarketCurves:
+    def build_market(self) -> MarketCurves:
         m = self.market
         sigma = np.asarray(m.sigma, dtype=float)
         if sigma.shape[0] == 1 and sigma.shape[1] == len(m.mu):
@@ -129,7 +129,6 @@ class RunConfig:
             drift=np.asarray(m.mu, dtype=float),
             volatility=sigma,
             num_steps=self.solver.num_steps,
-            grid=grid,
         )
 
     def build_preferences(self) -> Preferences:
@@ -247,10 +246,10 @@ class SweepCell:
 
 
 def sweep_cells(config: RunConfig) -> tuple[list[MarketCurves], list[SweepCell]]:
-    """Each distinct market, built once on ``config.build_grid()``, and each cell
-    in ``sweep_grid`` order.  A cell outside a parameter's domain raises
+    """Each distinct market, built once, and each cell in ``sweep_grid``
+    order.  Neither ``T`` nor ``num_steps`` is sweepable, so every market is
+    on ``config.build_grid()``.  A cell outside a parameter's domain raises
     ``ConfigError``, so what passes load is what runs."""
-    grid = config.build_grid()  # neither T nor num_steps is sweepable
     index: dict[MarketSection, int] = {}
     markets, cells = [], []
     for values in sweep_grid(config):
@@ -259,7 +258,7 @@ def sweep_cells(config: RunConfig) -> tuple[list[MarketCurves], list[SweepCell]]
         cfg.build_sim_config()
         if cfg.market not in index:
             index[cfg.market] = len(markets)
-            markets.append(cfg.build_market(grid))
+            markets.append(cfg.build_market())
         cells.append(SweepCell(values, index[cfg.market], prefs, cfg.simulation.start_wealth))
     return markets, cells
 

@@ -68,9 +68,6 @@ class TimeGrid:
         """Nodes plus midpoints: ``2 * num_steps + 1`` points."""
         return np.linspace(0.0, self.horizon, 2 * self.num_steps + 1)
 
-    def same_nodes(self, other: "TimeGrid") -> bool:
-        return self.num_steps == other.num_steps and self.horizon == other.horizon
-
 
 @dataclass(frozen=True)
 class Preferences:

@@ -132,7 +132,7 @@ def _curves(
     ``a`` (``xi_a = xi``).  Every unused weight is exact, so each kind
     gets bitwise its own formula.
     """
-    if not table.grid.same_nodes(market.grid):
+    if table.grid != market.grid:
         raise UnsolvedTable(
             f"table grid ({table.grid.num_steps} steps over {table.grid.horizon}) "
             f"does not match market grid ({market.grid.num_steps} steps over "

@@ -241,7 +241,7 @@ def test_acceptance_09_delta3_positivity(base_model):
     for key, cell in combos.items():
         if cell.market not in market_index:
             market_index[cell.market] = len(markets)
-            markets.append(cell.build_market(grid))
+            markets.append(cell.build_market())
         lanes[key] = plan.add_variant(
             market_index[cell.market], cell.build_preferences(), ModelVariant.FULL
         )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvs_robust import ConfigError, checks, simulate
+from mvs_robust import ConfigError, MvsRobustError, checks, simulate
 from mvs_robust.checks import check_lognormal_moments, solve_context
 from mvs_robust.cli import main
 from mvs_robust.config import SweepSection, parse_config, sweep_grid
@@ -150,6 +150,32 @@ class TestCheckCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 9
         assert all("status=pass" in line for line in lines)
+
+    def test_unsolvable_table_fails_every_check(self, tmp_path, capsys):
+        # gamma0 = 1 drives the FULL denominator under its guard: no check runs,
+        # and each line names the solve's error
+        cfg = write(tmp_path, "c.cfg", "[preferences]\ngamma0 = 1.0\n")
+        assert main(["check", "--config", cfg]) == 1
+        note = ("note=DegenerateDenominator: coefficient denominator below guard 1e-12 "
+                "at node 72 (t = 0.18)")
+        assert capsys.readouterr().out.splitlines() == [
+            f"check={fn.__name__.removeprefix('check_')} status=fail {note}"
+            for fn in checks.ALL_CHECKS
+        ]
+
+    def test_raising_check_fails_alone(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise MvsRobustError("moment bound unavailable")
+
+        monkeypatch.setattr(checks, "moment_bound_check", broken)
+        results = checks.run_checks(parse_config(QUICK))
+        assert [r.name for r in results] == [
+            fn.__name__.removeprefix("check_") for fn in checks.ALL_CHECKS
+        ]
+        failed = [r.summary_line() for r in results if not r.passed]
+        assert failed == [
+            "check=moment_bound status=fail note=MvsRobustError: moment bound unavailable"
+        ]
 
     def test_off_node_start_time_lognormal_moments(self):
         # start_time between nodes (dt = 0.005): the targets are the
@@ -308,8 +334,8 @@ class TestSweepCommand:
         assert [row.status for row in rows] == ["ok"] * 6
         for row in rows:
             cfg = config.with_overrides(row.values)
-            grid = cfg.build_grid()
-            mkt = cfg.build_market(grid)
+            mkt = cfg.build_market()
+            grid = mkt.grid
             model = solve_all(mkt, cfg.build_preferences(), grid, cfg.solver.eps_den)
             w0 = cfg.simulation.start_wealth
             pol = equilibrium_policy(model.full, mkt, 0.0, w0)

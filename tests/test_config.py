@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvs_robust import ConfigError, NonPositiveHorizon, SingularGram
+from mvs_robust import ConfigError, MvsRobustError, NonPositiveHorizon, SingularGram
 from mvs_robust.config import RunConfig, SweepSection, parse_config
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
+from mvs_robust.sweep import run_sweep
 
 
 BASE_TEXT = """
@@ -157,15 +158,27 @@ class TestValidation:
         "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\nparam2 = w0\n",
         "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\n"
         "param2 = w0\nmin2 = 2\nmax2 = 6\n",
+        "[solver]\npicard_tol = 0\n",
+        "[solver]\npicard_max_iter = 0\n",
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 0\n",
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\n"
+        "param2 = w0\nmin2 = 2\nmax2 = 6\ncount2 = 0\n",
+        "[simulation]\nseed = -1\n",
     ])
     def test_rejected_at_load(self, text):
         # non-finite numbers, start times outside [0, T), ragged matrices,
         # a [DEFAULT] section (configparser would merge it into every
         # section), a sweep axis given twice (the cell would keep only
-        # the second value) and a second axis given in part (the sweep
-        # would run on one axis) never reach a solver
+        # the second value), a second axis given in part (the sweep
+        # would run on one axis), Picard settings that allow no
+        # iteration, empty sweep axes and a negative seed never reach a
+        # solver
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_run_sweep_without_sweep_section(self):
+        with pytest.raises(MvsRobustError, match=r"config has no \[sweep\] section"):
+            run_sweep(RunConfig())
 
     def test_empty_drift_rejected(self):
         with pytest.raises(ConfigError, match="drift has no asset"):

@@ -85,6 +85,27 @@ class TestBuildMarket:
         with pytest.raises(NonPositiveHorizon):
             build_market(0.0, 0.05, 0.15, 0.25, num_steps=10)
 
+    @pytest.mark.parametrize("drift, volatility, match", [
+        (np.full((10, 1), 0.15), 0.25, r"drift must have shape \(1,\) .* got \(10, 1\)"),
+        (np.nan, 0.25, "drift contains non-finite values"),
+        ([0.15, 0.10], 0.25, "scalar volatility requires a single asset"),
+        ([0.15, 0.10], [0.25, 0.20, 0.30], "volatility vector length 3 != num_assets 2"),
+    ], ids=["drift-table-length", "nan-drift", "scalar-vol-two-assets", "vol-vector-length"])
+    def test_bad_inputs_rejected(self, drift, volatility, match):
+        with pytest.raises(ConfigError, match=match):
+            build_market(1.0, 0.05, drift, volatility, num_steps=10)
+
+    def test_grid_horizon_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match="grid horizon does not match market horizon"):
+            build_market(5.0, 0.05, 0.15, 0.25, grid=TimeGrid(4.0, 10))
+
+    def test_singular_gram_names_first_bad_node(self):
+        # nodes 0 to 4 pass the scan before node 5 fails
+        sig = np.full((11, 1, 1), 0.25)
+        sig[5] = 0.0
+        with pytest.raises(SingularGram, match=r"at node 5 \(t = 0\.5\)"):
+            build_market(1.0, 0.05, 0.15, sig, num_steps=10)
+
     def test_zero_excess_means_zero_theta(self):
         m = make_market(mu=0.05, num_steps=50)
         assert m.theta_at(0.0) == 0.0

@@ -373,6 +373,11 @@ class TestSimulation:
         with pytest.raises(UnsolvedTable):
             simulate_equilibrium_wealth(base_table, other, SimConfig(num_paths=100, num_steps=10))
 
+    def test_start_at_horizon_rejected(self, base_table, base_market):
+        cfg = SimConfig(num_paths=100, num_steps=10, start_time=base_table.grid.horizon)
+        with pytest.raises(OutOfHorizon, match="outside"):
+            simulate_equilibrium_wealth(base_table, base_market, cfg)
+
 
 class TestLognormalMoments:
     def test_orders_match_solved_coefficients(self, base_table, base_market):

@@ -118,12 +118,14 @@ class TestPicard:
         assert f[-1] == 1.0 / base_prefs.gamma0
 
     def test_zero_theta_fixed_point_in_one_iteration(self, base_grid):
+        # theta = 0 makes the map constant: the first evaluation lands on the
+        # fixed point and the second confirms it
         m = make_market(mu=BASE["r"])
         prefs = Preferences(2.0, 0.5, 1.0)
-        f0 = np.exp(-BASE["r"] * (BASE["T"] - base_grid.nodes)) / 2.0
-        f, info = solve_f_picard(m, prefs, base_grid, f0=f0, full_output=True)
-        assert info.iterations == 1
-        assert np.max(np.abs(f - f0)) < 1e-10
+        exact = np.exp(-BASE["r"] * (BASE["T"] - base_grid.nodes)) / 2.0
+        f, info = solve_f_picard(m, prefs, base_grid, full_output=True)
+        assert info == PicardInfo(iterations=2, mode="global")
+        assert np.max(np.abs(f - exact)) < 1e-10
 
     def test_budget_exhaustion_raises(self, base_market, base_prefs, base_grid):
         with pytest.raises(NoConvergence):
@@ -433,6 +435,9 @@ class TestLaneBatch:
         with pytest.raises(ValueError):
             integrate_lanes([dataclasses.replace(mispec, **{field: value}), coef],
                             [base_market], base_grid)
+
+    def test_empty_batch(self, base_market, base_grid):
+        assert integrate_lanes([], [base_market], base_grid) == []
 
     def test_running_min_is_min_delta3(self, base_market, base_prefs, base_grid, lane_mode):
         plan = LanePlan()

@@ -59,6 +59,8 @@ CONFIGS = {
     # start wealths where numpy's power and Python's ** can differ in the last bit
     "wealth-2.718": "[simulation]\nstart_wealth = 2.718\nnum_paths = 20000\n",
     "wealth-5.431-3asset": THREE_ASSET + "[simulation]\nstart_wealth = 5.431\n",
+    # the FULL solve degenerates at node 72: solve and simulate exit 3, check fails every line
+    "degenerate": "[preferences]\ngamma0 = 1.0\n",
 }
 # sweeps beyond the figure presets, which all have one asset
 SWEEPS = {
