@@ -7,7 +7,7 @@ Public surface:
 * backward systems: :func:`solve_system`, :func:`solve_f_picard`,
   :func:`solve_mispec_system`, :func:`solve_all`, all on one
   lane-batched RK4 (:func:`integrate_lanes`): a lone lane marches on
-  Python floats, a batch of lanes as numpy arrays
+  Python floats, a batch of lanes as numpy arrays in buffers allocated once
 * policy and values: :func:`equilibrium_policy`, :func:`value_at`,
   :func:`delta3_scan`
 * simulation oracles: :func:`simulate_equilibrium_wealth`,

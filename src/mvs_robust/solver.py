@@ -27,7 +27,8 @@ Every backward system is one *lane* of ``integrate_lanes``, a single
 RK4 over a lane axis: a sweep integrates all of its distinct systems in
 one call, and a misspecified-value lane reads, at every RK4 stage, the
 ratio of the coefficient lane that drives it.  A lone lane marches on
-Python floats; a batch of two or more lanes marches once as lane arrays.
+Python floats; a batch of two or more lanes marches once as lane arrays,
+through buffers allocated once per batch (``_Arrays.kernel``).
 
 The denominator of the algebraic ratio equals ``gamma0`` at the
 terminal time and must stay positive for the backward solution to
@@ -267,10 +268,10 @@ class _Group:
     misspecified-value lanes from position ``mis``.  A coefficient lane's
     strategy is its own ratio, weighted by ``c = 1/(xi+1)^2``.  A
     misspecified-value lane's strategy is its driver's ratio, unweighted;
-    in a ``mixed`` group ``ops.correct`` subtracts ``xi * v2 / ratio`` from
-    its drift, and its ratio is guarded as well as its denominator.  ``drv``
-    holds each lane's driver position (its own for a coefficient lane),
-    ``own`` maps the group's ratios to its strategies, ``rates(i, j)`` gives
+    in a ``mixed`` group ``xi * v2 / ratio`` is subtracted from its drift,
+    and its ratio is guarded as well as its denominator.  ``drv`` holds
+    each lane's driver position (its own for a coefficient lane), ``own``
+    maps the group's ratios to its strategies, ``rates(i, j)`` gives
     ``(r, theta)`` at half-grid indices ``i .. j-1``, and RK4 stage ``s``
     leaves its denominators and ratios in row ``s`` of ``dens`` and ``ratios``.
     """
@@ -306,21 +307,8 @@ class _Floats:
     rows = staticmethod(lambda x, n: [x] * 4)
 
     @staticmethod
-    def scale(y, pen, a, b, c):
-        return (a * y[0] + pen, b * y[1], c * y[2], a * y[3])
-
-    @staticmethod
     def axpy(y, s, g):
         return (y[0] + s * g[0], y[1] + s * g[1], y[2] + s * g[2], y[3] + s * g[3])
-
-    @staticmethod
-    def rk4(y, s, two, g1, g2, g3, g4):
-        return (
-            y[0] + s * (g1[0] + two * (g2[0] + g3[0]) + g4[0]),
-            y[1] + s * (g1[1] + two * (g2[1] + g3[1]) + g4[1]),
-            y[2] + s * (g1[2] + two * (g2[2] + g3[2]) + g4[2]),
-            y[3] + s * (g1[3] + two * (g2[3] + g3[3]) + g4[3]),
-        )
 
     @staticmethod
     def failed(par, alive, y):
@@ -334,31 +322,38 @@ class _Floats:
         col = rates[:, :, batch[0].market].tolist()
         return _Group(batch, _Floats, lambda i, j: col[i:j], [0], lambda ratio: ratio, eps_den)
 
+    @staticmethod
+    def kernel(par, h):
+        """``(first, advance)`` of a step from a node: ``first(y, rates)`` is the
+        first stage's ``G``, and ``advance(y, g1, rates at the midpoint, rates
+        at the next node)`` runs the other three and returns the next state."""
+        hh, h6 = 0.5 * h, h / 6.0
+
+        def stage(s, y, rt):
+            g, par.ratios[s], par.dens[s] = _rhs(y, par, rt)
+            return g
+
+        def advance(y, g1, rt_mid, rt_next):
+            g2 = stage(1, _Floats.axpy(y, hh, g1), rt_mid)
+            g3 = stage(2, _Floats.axpy(y, hh, g2), rt_mid)
+            g4 = stage(3, _Floats.axpy(y, h, g3), rt_next)
+            return (
+                y[0] + h6 * (g1[0] + 2.0 * (g2[0] + g3[0]) + g4[0]),
+                y[1] + h6 * (g1[1] + 2.0 * (g2[1] + g3[1]) + g4[1]),
+                y[2] + h6 * (g1[2] + 2.0 * (g2[2] + g3[2]) + g4[2]),
+                y[3] + h6 * (g1[3] + 2.0 * (g2[3] + g3[3]) + g4[3]),
+            )
+
+        return lambda y, rt: stage(0, y, rt), advance
+
 
 class _Arrays:
-    """Lanes as arrays over the lane axis; a state and each step size are ``(4, L)``."""
+    """Lanes as arrays over the lane axis; a state is ``(4, L)``."""
 
     minimum = np.minimum
     flags = staticmethod(lambda n: np.ones(n, bool))
     vec = staticmethod(lambda xs: np.array(xs, dtype=float))
     scalar = rows = staticmethod(lambda x, n: np.full((4, n), x))
-    axpy = staticmethod(lambda y, s, g: y + s * g)
-
-    @staticmethod
-    def correct(par, a, v2, ratio):
-        a[par.mis:] -= par.xi[par.mis:] * v2[par.mis:] / ratio[par.mis:]
-
-    @staticmethod
-    def scale(y, pen, a, b, c):
-        k = np.empty_like(y)
-        k[::3], k[1], k[2] = a, b, c
-        g = k * y
-        g[0] += pen
-        return g
-
-    @staticmethod
-    def rk4(y, s, two, g1, g2, g3, g4):
-        return y + s * (g1 + two * (g2 + g3) + g4)
 
     @staticmethod
     def failed(par, alive, y):
@@ -385,29 +380,74 @@ class _Arrays:
         return _Group(batch, _Arrays, lambda i, j: rates[i:j, :, cols], drv,
                       lambda ratio: ratio[drv], eps_den)
 
+    @staticmethod
+    def kernel(par, h):
+        """``_Floats.kernel`` on lane arrays; ``advance`` updates ``y`` in place.
 
-def _rhs(ops, y, par: _Group, rates):
-    """Right-hand side ``G`` (``dy/dt = -G``), ratio and denominator.
+        Every buffer is allocated here, once per batch, and every ufunc
+        writes into one through its positional ``out``: in a batch of a few
+        hundred lanes numpy's fixed cost per call, not arithmetic, sets the
+        speed.  A coefficient lane gets ``_rhs``'s operations on the same
+        operands in the same order, so its numbers are bitwise those of the
+        lane marched alone on floats.  A misspecified lane's drift ``a``
+        then loses ``(xi * v2) / ratio``, worked on views taken here.
+        """
+        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+        n, mis, mixed, drv = par.g0.size, par.mis, par.mixed, par.drv
+        g0, p0, p2, two, three, c, hxi = par.g0, par.p0, par.p2, par.two, par.three, par.c, par.hxi
+        hh, dt, h6, two4 = (np.full((4, n), x) for x in (0.5 * h, h, h / 6.0, 2.0))
+        q, w, t, num, b, tf, v2, pen = np.empty((8, n))
+        ys, u, k = np.empty((3, 4, n))  # a stage's state; h * G, then the RK4 sum; G's factors
+        gs, ys_rows = list(np.empty((4, 4, n))), tuple(ys)  # the stages' G; rows of ys
+        a, k1, k2, k3 = k  # G = k * y + (pen, 0, 0, 0) and k = (a, 2a + v2, 3(a + v2), a)
+        ratios, dens = list(par.ratios), list(par.dens)
+        ratios_m, xi_m, v2_m, a_m, t_m = ([r[mis:] for r in ratios], par.xi[mis:], v2[mis:],
+                                          a[mis:], t[mis:])
 
-    Written with ``+ - * /`` only, so it gives bitwise the same numbers
-    on Python floats and on lane arrays.  ``par.own`` picks each lane's
-    strategy from the group's ratios at the same stage: a coefficient
-    lane's own, a misspecified lane's driver's.
-    """
-    # rows by index: numpy iterates over rows more slowly
+        def stage(s, y, y1, y2, y3, y4, rt):
+            ratio, den, g = ratios[s], dens[s], gs[s]
+            r, th = rt[0], rt[1]
+            # ``_rhs`` in its order of operations: q and w, den, the ratio, v2 and a, pen, G
+            mul(y4, y4, q), mul(y4, y2, w)
+            mul(g0, y2, den), sub(w, y3, t), mul(p2, t, t), add(den, t, den)
+            sub(q, y2, num), mul(g0, num, num), add(y1, num, num)
+            mul(two, q, b), mul(b, y4, b), add(y3, b, b), mul(three, w, t), sub(b, t, b)
+            mul(p0, b, b), add(num, b, num), div(num, den, ratio)
+            own = ratio[drv] if mixed else ratio
+            mul(th, own, tf), mul(tf, own, v2), mul(v2, c, v2), mul(tf, c, a), add(r, a, a)
+            if mixed:
+                mul(xi_m, v2_m, t_m), div(t_m, ratios_m[s], t_m), sub(a_m, t_m, a_m)
+            mul(hxi, v2, pen), mul(pen, den, pen)
+            mul(two, a, k1), add(k1, v2, k1), add(a, v2, k2), mul(three, k2, k2)
+            k3[...] = a
+            mul(k, y, g), add(g[0], pen, g[0])
+            return g
+
+        def advance(y, g1, rt_mid, rt_next):
+            for s, step, rt in ((1, hh, rt_mid), (2, hh, rt_mid), (3, dt, rt_next)):
+                mul(step, gs[s - 1], u), add(y, u, ys)
+                stage(s, ys, *ys_rows, rt)
+            add(gs[1], gs[2], u), mul(two4, u, u), add(g1, u, u), add(u, gs[3], u)
+            mul(h6, u, u), add(y, u, y)
+            return y
+
+        return lambda y, rt: stage(0, y, y[0], y[1], y[2], y[3], rt), advance
+
+
+def _rhs(y, par: _Group, rates):
+    """Right-hand side ``G`` (``dy/dt = -G``), ratio and denominator of one
+    coefficient lane on Python floats; ``_Arrays.kernel`` gives every
+    coefficient lane of a batch the same operations in the same order."""
     r, th = rates[0], rates[1]
-    y1, y2, y3, y4 = y[0], y[1], y[2], y[3]
+    y1, y2, y3, y4 = y
     q, w = y4 * y4, y4 * y2
     den = par.g0 * y2 + par.p2 * (w - y3)
     ratio = (y1 + par.g0 * (q - y2) + par.p0 * (y3 + par.two * q * y4 - par.three * w)) / den
-    s = par.own(ratio)
-    tf = th * s
-    v2 = tf * s * par.c
+    tf = th * ratio
+    v2 = tf * ratio * par.c
     a = r + tf * par.c
-    if par.mixed:
-        ops.correct(par, a, v2, ratio)
     pen = par.hxi * v2 * den
-    return ops.scale(y, pen, a, par.two * a + v2, par.three * (a + v2)), ratio, den
+    return (a * y1 + pen, (par.two * a + v2) * y2, par.three * (a + v2) * y3, a * y4), ratio, den
 
 
 def _steps(rates, n: int):
@@ -432,15 +472,10 @@ def _march(batch, rates, grid, eps_den, keep, ops):
     divisor raises ``ZeroDivisionError``, and the caller reruns the lane
     as arrays.
     """
-    n, h = grid.num_steps, grid.dt
+    n = grid.num_steps
     par = ops.group(batch, rates, eps_den)
-    hh, dt, h6, two = (ops.scalar(x, len(batch)) for x in (0.5 * h, h, h / 6.0, 2.0))
+    first, advance = ops.kernel(par, grid.dt)
     errors: dict[int, LaneResult] = {}
-
-    def stage(s, y, rt):
-        """Stage ``s``'s ``G``; its ratio and denominator go to row ``s``."""
-        g, par.ratios[s], par.dens[s] = _rhs(ops, y, par, rt)
-        return g
 
     def fail(alive, newly, degenerate, k):
         """Record the lanes ``newly`` failed in the step from node ``k``,
@@ -471,15 +506,12 @@ def _march(batch, rates, grid, eps_den, keep, ops):
     # rows (ratio, y1, ..., y4, den) over the nodes; lanes on a trailing axis as arrays
     path = np.empty((6, n + 1) + np.shape(y)[1:]) if keep else None
     for k, rt, rt_mid, rt_next in _steps(par.rates, n):
-        g1 = stage(0, y, rt)
+        g1 = first(y, rt)
         lo = ops.minimum(lo, par.dens[0])
         if keep:
             path[:, k] = par.ratios[0], *y, par.dens[0]
         if k:  # node 0 closes the paths; rows 1-3 keep stages every living lane passed
-            g2 = stage(1, ops.axpy(y, hh, g1), rt_mid)
-            g3 = stage(2, ops.axpy(y, hh, g2), rt_mid)
-            g4 = stage(3, ops.axpy(y, dt, g3), rt_next)
-            y = ops.rk4(y, h6, two, g1, g2, g3, g4)
+            y = advance(y, g1, rt_mid, rt_next)
         failed = ops.failed(par, alive, y)
         if failed is not None:
             alive = fail(alive, *failed, k)
@@ -546,8 +578,9 @@ def integrate_lanes(
     batch = [replace(lanes[p], driver=at.get(lanes[p].driver)) for p in order]
     with np.errstate(all="ignore"):
         # numpy's fixed cost per array operation makes a lone lane far
-        # slower as arrays: at 2,000 steps it takes 12 ms on floats and
-        # 0.17 s as arrays (best of 5; 2-core Xeon, Python 3.11, numpy 2.4).
+        # slower as arrays: at 2,000 steps it takes 10-16 ms on floats and
+        # 0.21 s as arrays (best of 5, three runs; shared 2-core Xeon,
+        # Python 3.11, numpy 2.4).
         if len(batch) == 1:
             try:
                 return _march(batch, rates, grid, eps_den, keep_paths, _Floats)

@@ -415,11 +415,12 @@ class TestLaneBatch:
         rhs = solver._rhs
         raised = []
 
-        def dividing_by_zero(ops, y, par, rates):
-            if ops is solver._Floats and par.p0 == 0.0:
+        def dividing_by_zero(y, par, rates):
+            # only a lone lane on floats calls _rhs; an array batch has its own kernel
+            if par.p0 == 0.0:
                 raised.append(par.g0)
                 raise ZeroDivisionError
-            return rhs(ops, y, par, rates)
+            return rhs(y, par, rates)
 
         monkeypatch.setattr(solver, "_rhs", dividing_by_zero)
         got = each_alone()
@@ -450,6 +451,54 @@ class TestLaneBatch:
         for i, table in zip(idx[4:], (model.mispec_u, model.mispec_both)):
             assert res[i].den_min == np.min(table.delta3)
             assert res[i].ratio0 == table.a[0]
+
+    # node-0 values (ratio0, state0, den_min as float.hex) of both misspecified
+    # lanes and their drivers on the base market at 2,000 steps, as the
+    # expression-form array march of commit 6cf281d gave them; xi is not 1, so
+    # the drift correction's (xi * v2) / ratio differs from xi * (v2 / ratio)
+    PINNED = {
+        (2.0, 0.5, 1.4169): (
+            ("0x1.dbaee7ae9e594p-3", ("0x1.ae6dc91cf1b4fp+0", "0x1.8e0e101415c21p+1",
+                                      "0x1.94f1a42db290dp+2", "0x1.ae6dc91cf1b4fp+0"),
+             "0x1.0000000000000p+1"),
+            ("0x1.89867e192e94dp-2", ("0x1.6da4c68ace82ap+0", "0x1.b777ba7f657c3p+0",
+                                      "0x1.4c2a9d837b262p+1", "0x1.3fccc7472cc2bp+0"),
+             "0x1.0000000000000p+1"),
+            ("0x1.94a270c2defafp-3", ("0x1.a674ec6f59faep+0", "0x1.7b418fdca150dp+1",
+                                      "0x1.72715184e9cf3p+2", "0x1.a674ec6f59faep+0"),
+             "0x1.0000000000000p+1"),
+            ("0x1.576d211b9b8b0p-2", ("0x1.6b1d3fb20f054p+0", "0x1.b42494fee707bp+0",
+                                      "0x1.43091a41eb3ccp+1", "0x1.4057d45e0231dp+0"),
+             "0x1.0000000000000p+1"),
+        ),
+        # the ambiguity-neutral driver degenerates, so its misspecified lane fails with it
+        (1.0, 0.5, 1.4169): (
+            None,
+            None,
+            ("0x1.e8f9927a17f2ep-3", ("0x1.e1088ca6d8685p+0", "0x1.177f143bb24e8p+2",
+                                      "0x1.91ba908bdcc40p+3", "0x1.e1088ca6d8685p+0"),
+             "0x1.0000000000000p+0"),
+            ("0x1.164799b19467dp-1", ("0x1.864e1bb5a337ap+0", "0x1.09811fd304597p+1",
+                                      "0x1.0700d7002c32cp+2", "0x1.4b84c6b50e4e0p+0"),
+             "0x1.0000000000000p+0"),
+        ),
+    }
+    DEGENERATE = "coefficient denominator below guard 1e-12 at node 1483 (t = 3.7075)"
+
+    @pytest.mark.parametrize("prefs", list(PINNED), ids=["base", "degenerate-driver"])
+    def test_mispec_lanes_are_pinned(self, base_market, base_grid, prefs):
+        plan = LanePlan()
+        ids = [plan.add_mispec(0, Preferences(*prefs), kind) for kind in MispecKind]
+        assert [lane.driver for lane in plan.lanes] == [None, 0, None, 2] and ids == [1, 3]
+        res = integrate_lanes(plan.lanes, [base_market], base_grid)
+        got = [None if r.error else (r.ratio0.hex(), tuple(v.hex() for v in r.state0),
+                                     r.den_min.hex()) for r in res]
+        assert got == list(self.PINNED[prefs])
+        failed = [(r.error, r.message, r.node) for r in res if r.error]
+        assert failed == ([] if None not in got else [
+            (DegenerateDenominator, self.DEGENERATE, 1483),
+            (DegenerateDenominator, f"driver lane failed: {self.DEGENERATE}", 1483),
+        ])
 
     def test_mispec_driver_f_is_driver_table_f(self, base_market, base_prefs, base_grid):
         for kind in MispecKind:

@@ -7,10 +7,11 @@ runs ``mvs_robust.cli.main`` in this process on the configs below (``solve``
 of four variants, ``simulate`` and ``check``), on ``sweep`` of every figure
 preset and on ``sweep`` of the configs in ``SWEEPS``, in a temporary
 directory it removes afterwards.  It prints one ``exit <code>  <command>``
-line per command and one ``<sha256>  <path>`` line per output file;
-``check``'s standard output is hashed as ``<config>/check.out``, and
-``run.meta`` without its ``command =`` line, which names the temporary
-directory.
+line per command and one ``<sha256>  <path>`` line per output file.  What
+a command prints, standard output and standard error together, is hashed
+as ``<config>/<command>.out`` (``presets/figures.out`` for ``figures``),
+so an error text is compared as well as an exit code; ``run.meta`` is
+hashed without its ``command =`` line, which names the temporary directory.
 """
 
 from __future__ import annotations
@@ -72,12 +73,14 @@ SWEEPS = {
 }
 
 
-def _run(argv: list[str]) -> str:
+def _run(argv: list[str], where: Path) -> None:
+    """Run one command and keep what it prints as ``where/<command>.out``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(argv)
     print(f"exit {code}  {' '.join(argv[:1] + [Path(a).name for a in argv[1:]])}")
-    return out.getvalue()
+    where.mkdir(parents=True, exist_ok=True)
+    (where / f"{argv[0]}.out").write_text(out.getvalue())
 
 
 def _digest(path: Path) -> str:
@@ -93,17 +96,18 @@ def run_all(root: Path) -> None:
     for name, text in CONFIGS.items():
         cfg = root / f"{name}.cfg"
         cfg.write_text(text)
-        (root / name).mkdir()
         _run(["solve", "--config", str(cfg), "--out", str(root / name / "solve"),
-              "--variants", "full,neutral,noskew,basic"])
-        _run(["simulate", "--config", str(cfg), "--out", str(root / name / "simulate")])
-        (root / name / "check.out").write_text(_run(["check", "--config", str(cfg)]))
-    _run(["figures", "--out", str(root / "presets")])
+              "--variants", "full,neutral,noskew,basic"], root / name)
+        _run(["simulate", "--config", str(cfg), "--out", str(root / name / "simulate")],
+             root / name)
+        _run(["check", "--config", str(cfg)], root / name)
+    _run(["figures", "--out", str(root / "presets")], root / "presets")
     for name, text in SWEEPS.items():
         (root / f"{name}.cfg").write_text(text)
     sweeps = sorted((root / "presets").glob("*.cfg")) + [root / f"{name}.cfg" for name in SWEEPS]
     for cfg in sweeps:
-        _run(["sweep", "--config", str(cfg), "--out", str(root / "sweep" / cfg.stem)])
+        _run(["sweep", "--config", str(cfg), "--out", str(root / "sweep" / cfg.stem)],
+             root / "sweep" / cfg.stem)
     for path in sorted(p for p in root.rglob("*") if p.is_file() and p.parent != root):
         print(f"{_digest(path)}  {path.relative_to(root)}")
 
