@@ -23,17 +23,18 @@ per-step sums rebuilt from the leaves are bitwise whole-chunk sums.  A
 leaf marches ``_STEP_BLOCK`` steps per numpy call, a row per step; only
 the wealth recursion and the penalty sum take a call per step, and each
 value gets the same operands in the same order as a step-by-step march.
-The normals come from one stream (``_normal_stream``): while the calling
-thread marches one leaf, a pool of up to four threads fills the next
-leaves, each whole on one thread, into one buffer more than it has
-threads.  So results are bitwise independent of the worker count.
+Each leaf is one task on a pool of up to four threads: it fills its own
+normals into a buffer of its own and marches them.  The calling thread
+folds the leaves' results in ``_leaves`` order with at most one leaf per
+thread in flight past the one it folds, so at most one buffer per thread
+is alive, and results are bitwise independent of the worker count.
 """
 
 from __future__ import annotations
 
 import enum
 import os
-from contextlib import closing
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -205,7 +206,7 @@ def _objective(m1, m2, m3, penalty, w: float, gamma0: float, phi0: float):
 
 
 def _normal_workers() -> int:
-    """Threads that fill the normals: the CPUs this process may use, at most 4."""
+    """Threads that fill and march the leaves: the CPUs this process may use, at most 4."""
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     return min(4, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
@@ -236,26 +237,6 @@ def _half(n: int) -> int:
     return n // 2 - (n // 2) % 8
 
 
-def _normal_stream(seed: int, num_paths: int, n_steps: int):
-    """Each leaf's first path and normals, chunk by chunk in ``_leaves`` order.  A pool of
-    ``workers`` threads fills up to ``workers`` whole leaves ahead, one per thread, into
-    ``workers + 1`` buffers; a leaf's buffer is refilled only once the caller has asked for
-    the leaf after it.  Closing the stream shuts the pool down."""
-    from concurrent.futures import ThreadPoolExecutor  # no thread until a simulation
-    leaves = [leaf for first in range(0, num_paths, _CHUNK)
-              for leaf in _leaves(first, min(_CHUNK, num_paths - first))]
-    workers = _normal_workers()
-    bufs = [np.empty((min(_LEAF, num_paths), (n_steps + 3) // 4 * 4)) for _ in range(workers + 1)]
-    blocks = [(first, bufs[i % len(bufs)][:n]) for i, (first, n) in enumerate(leaves)]
-    with ThreadPoolExecutor(workers) as pool:
-        filled = [pool.submit(_fill_normals, seed, *block) for block in blocks[:workers]]
-        for i, (first, z) in enumerate(blocks):
-            if i + workers < len(blocks):  # into the buffer of the leaf before this one
-                filled.append(pool.submit(_fill_normals, seed, *blocks[i + workers]))
-            filled[i].result()  # waits for this leaf, and raises what its fill raised
-            yield first, z[:, :n_steps]
-
-
 def _merge(sums, centre, comoments, count: int, x: np.ndarray) -> None:
     """Add paths ``x``, a row per quantity, to the plain ``sums``, the mean ``centre``
     and the centred ``comoments`` of ``count`` earlier paths, in place (Chan, Golub &
@@ -270,6 +251,7 @@ def _merge(sums, centre, comoments, count: int, x: np.ndarray) -> None:
 
 
 def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
+    from concurrent.futures import ThreadPoolExecutor  # no thread until a simulation
     times, drift, vol2, pen_rate = curves
     n_steps = cfg.num_steps
     ds = np.diff(times)
@@ -289,16 +271,11 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
     comoments = np.zeros((5, 5))            # sums of (x - centre)(x - centre)'
     min_w = w0
 
-    def march(w_out: np.ndarray, pen_out: np.ndarray):
-        """March the stream's next ``len(w_out)`` paths, leaf by leaf, to their final wealth
-        ``w_out`` and penalty ``pen_out``; their per-step ``np.sum(W ** 4)`` and ``np.min(W)``."""
-        n = len(w_out)
-        if n > _LEAF:
-            h = _half(n)
-            (s4, low), (s4_right, low_right) = (march(w_out[:h], pen_out[:h]),
-                                                march(w_out[h:], pen_out[h:]))
-            return s4 + s4_right, np.minimum(low, low_right)
-        z = next(stream)[1]
+    def march(first: int, n: int):
+        """Fill and march the leaf of paths ``first .. first + n``: their final wealth and
+        penalty, and their per-step ``np.sum(W ** 4)`` and ``np.min(W)``."""
+        z = np.empty((n, (n_steps + 3) // 4 * 4))
+        _fill_normals(cfg.seed, first, z)
         s4, low = np.empty(n_steps), np.empty(n_steps)
         pen = np.zeros(n)
         logw = np.full(n, np.log(w0))
@@ -331,14 +308,31 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
             W *= 0.5 * ds[steps, None]
             for inc in W:  # in step order
                 pen += inc
-        w_out[:], pen_out[:] = w, pen
+        return w, pen, s4, low
+
+    def fold(w_out: np.ndarray, pen_out: np.ndarray):
+        """Take the next ``len(w_out)`` paths' results, leaf by leaf, into ``w_out`` and
+        ``pen_out``; their per-step sums and minima, added in numpy's pairwise order."""
+        n = len(w_out)
+        if n > _LEAF:
+            h = _half(n)
+            (s4, low), (s4_right, low_right) = (fold(w_out[:h], pen_out[:h]),
+                                                fold(w_out[h:], pen_out[h:]))
+            return s4 + s4_right, np.minimum(low, low_right)
+        while leaves and len(marched) <= workers:  # keeps ``workers`` in flight past this one
+            marched.append(pool.submit(march, *leaves.popleft()))
+        w_out[:], pen_out[:], s4, low = marched.popleft().result()  # raises what march raised
         return s4, low
 
-    with closing(_normal_stream(cfg.seed, cfg.num_paths, n_steps)) as stream:
+    workers = _normal_workers()
+    leaves = deque(leaf for first in range(0, cfg.num_paths, _CHUNK)
+                   for leaf in _leaves(first, min(_CHUNK, cfg.num_paths - first)))
+    marched = deque()
+    with ThreadPoolExecutor(workers) as pool:
         for first in range(0, cfg.num_paths, _CHUNK):
             n = min(_CHUNK, cfg.num_paths - first)
             w, pen = np.empty(n), np.empty(n)
-            s4, low = march(w, pen)
+            s4, low = fold(w, pen)
             node4[0] += n * w0 ** 4
             node4[1:] += s4
             min_w = min(min_w, *low.tolist())

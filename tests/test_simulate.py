@@ -2,6 +2,7 @@ import dataclasses
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +111,64 @@ def reference_simulate(table, curves, cfg):
                               min_wealth=float(min_w), penalty=penalty, objective=objective)
 
 
+def leaf_tasks(monkeypatch, table, market, cfg, workers):
+    """Simulate ``cfg`` on ``workers`` threads.  Each leaf task's first path and size,
+    sorted; whether its normals equal a single-chunk ``path_normals`` fill; the normals
+    buffers alive as it filled; and the paths merged chunk by chunk, then the paths
+    ``reference_simulate`` merges."""
+    fill, merge = simulate._fill_normals, simulate._merge
+    leaves, buffers, merged = [], [], []
+
+    def recording_fill(seed, first, z):
+        buffers.append(weakref.ref(z if z.base is None else z.base))
+        live = sum(b() is not None for b in buffers)
+        fill(seed, first, z)
+        single = np.empty((len(z), (cfg.num_steps + 3) // 4 * 4))  # path_normals' own fill
+        fill(seed, first, single)
+        leaves.append((first, len(z), np.array_equal(z, single), live))
+
+    monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
+    monkeypatch.setattr(simulate, "_fill_normals", recording_fill)
+    monkeypatch.setattr(simulate, "_merge", lambda *a: merged.append(a[-1].copy()) or merge(*a))
+    curves = simulate._sim_curves(table, market, cfg)
+    simulate._simulate(table, curves, cfg)
+    monkeypatch.setattr(simulate, "_fill_normals", fill)
+    got = merged[:]
+    merged.clear()
+    reference_simulate(table, curves, cfg)
+    return sorted(leaves), got, merged
+
+
+def assert_leaf_tasks(leaves, got, ref, expected_leaves, workers):
+    """Leaves as expected, each filled as a chunk of its own, at most one buffer a worker,
+    and the merged paths bitwise the reference's, so each leaf was folded in its place."""
+    assert [(first, n) for first, n, _, _ in leaves] == expected_leaves
+    assert all(same for _, _, same, _ in leaves)
+    assert max(live for *_, live in leaves) <= workers
+    assert len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def fail_second_merge(monkeypatch, table, market, workers):
+    """Simulate three chunks on ``workers`` threads with ``_merge`` raising on the second.
+    The raise, the threads left over, and the first path of each leaf task that started."""
+    started, merged, fill, merge = [], [], simulate._fill_normals, simulate._merge
+
+    def fail_second(*a):
+        merged.append(None)
+        if len(merged) == 2:
+            raise RuntimeError("second chunk")
+        merge(*a)
+
+    monkeypatch.setattr(simulate, "_fill_normals", lambda *a: started.append(a[1]) or fill(*a))
+    monkeypatch.setattr(simulate, "_merge", fail_second)
+    monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
+    before = threading.active_count()
+    cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
+    with pytest.raises(RuntimeError, match="second chunk") as raised:
+        simulate_equilibrium_wealth(table, market, cfg)
+    return raised, threading.active_count() - before, started
+
+
 @pytest.fixture(scope="module")
 def steep():
     """Table and market of a solvable config with a steep f, where plain
@@ -135,19 +194,22 @@ class TestRandomSource:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_steps", [199, 200])
     @pytest.mark.parametrize("n_paths", [2, 50])
-    def test_worker_count_invariance(self, monkeypatch, workers, n_steps, n_paths):
+    def test_worker_count_invariance(self, monkeypatch, base_table, base_market, workers,
+                                     n_steps, n_paths):
         # 199 steps leave the last Philox block padded; 2 paths leave a worker idle, and
-        # 50 paths in five leaves of at most 16 refill buffers while other leaves are in flight
+        # 50 paths in five leaves of at most 16 keep leaves in flight while others fold
         from scipy.special import ndtri
-        monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
         monkeypatch.setattr(simulate, "_LEAF", 16)
         blocks = (n_steps + 3) // 4
         u = np.random.Generator(np.random.Philox(key=42, counter=0))
         u = u.random(n_paths * blocks * 4).reshape(n_paths, 4 * blocks)[:, :n_steps]
         serial = ndtri(np.maximum(u, _MIN_UNIFORM))
-        leaves = [(first, z.copy()) for first, z in simulate._normal_stream(42, n_paths, n_steps)]
-        assert [(first, len(z)) for first, z in leaves] == pairwise_leaves(0, n_paths, 16)
-        assert np.array_equal(np.vstack([z for _, z in leaves]), serial)
+        expected = pairwise_leaves(0, n_paths, 16)
+        assert np.array_equal(
+            np.vstack([path_normals(42, first, n, n_steps) for first, n in expected]), serial)
+        cfg = SimConfig(num_paths=n_paths, seed=42, num_steps=n_steps)
+        assert_leaf_tasks(*leaf_tasks(monkeypatch, base_table, base_market, cfg, workers),
+                          expected, workers)
 
     def test_workers_without_affinity(self, monkeypatch):
         # os.sched_getaffinity does not exist on macOS and Windows
@@ -159,23 +221,16 @@ class TestRandomSource:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_steps", [13, 200])
     @pytest.mark.parametrize("num_paths", [2 * _CHUNK + 1, 40_000])
-    def test_stream_matches_single_chunk_fills(self, monkeypatch, workers, n_steps, num_paths):
+    def test_leaves_match_single_chunk_fills(self, monkeypatch, base_table, base_market, workers,
+                                             n_steps, num_paths):
         # at least three chunks and a short last one; 2 * _CHUNK + 1 leaves a worker idle.
-        # The stream yields leaves, each filled as if it were a chunk of its own.
-        monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
-        stream = simulate._normal_stream(9, num_paths, n_steps)
-        leaves, bases = [], []
-        for first, z in stream:
-            n = len(z)
-            assert z.shape == (n, n_steps)
-            assert np.array_equal(z, path_normals(9, first, n, n_steps))
-            leaves.append((first, n))
-            bases.append(z.base)
-        assert leaves == [leaf for first in range(0, num_paths, _CHUNK)
-                          for leaf in pairwise_leaves(first, min(_CHUNK, num_paths - first))]
-        assert len({first // _CHUNK for first, _ in leaves}) >= 3
-        assert all(b is not None for b in bases) and len({id(b) for b in bases}) <= workers + 1
-        assert all(len(b) <= _LEAF for b in bases)
+        # Each leaf task fills its paths as if they were a chunk of their own.
+        cfg = SimConfig(num_paths=num_paths, seed=9, num_steps=n_steps)
+        leaves, got, ref = leaf_tasks(monkeypatch, base_table, base_market, cfg, workers)
+        expected = [leaf for first in range(0, num_paths, _CHUNK)
+                    for leaf in pairwise_leaves(first, min(_CHUNK, num_paths - first))]
+        assert_leaf_tasks(leaves, got, ref, expected, workers)
+        assert len(got) >= 3 and all(n <= _LEAF for _, n, _, _ in leaves)
 
 
 class TestLeafMarch:
@@ -231,7 +286,8 @@ class TestLeafMarch:
             assert np.array_equal(e[k], np.exp(L[k])) and np.array_equal(in_place[k], e[k])
 
     def test_march_memory_peak(self, monkeypatch, base_table, base_market):
-        # two workers fill into three leaf buffers of 1,024 paths x 200 steps: 4.9 MB
+        # two workers each fill and march one leaf of 1,024 paths x 200 steps at a time, so
+        # two normals buffers of 1.6 MB are alive at most
         from scipy.special import ndtri  # noqa: F401  imported before tracing starts
         monkeypatch.setattr(simulate, "_normal_workers", lambda: 2)
         cfg = SimConfig(num_paths=100_000, seed=1, num_steps=200)
@@ -258,22 +314,16 @@ class TestSimulation:
     def test_failed_march_stops_the_fill_pool(self, monkeypatch, base_table, base_market,
                                               workers):
         # the pool must not outlive a raise, even while the traceback holds its frames and
-        # whole-leaf fills are in flight
-        merged, merge = [], simulate._merge
+        # leaf tasks are in flight
+        raised, threads_left, _ = fail_second_merge(monkeypatch, base_table, base_market, workers)
+        assert raised.traceback and threads_left == 0
 
-        def fail_second(*a):
-            merged.append(None)
-            if len(merged) == 2:
-                raise RuntimeError("second chunk")
-            merge(*a)
-
-        monkeypatch.setattr(simulate, "_merge", fail_second)
-        monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
-        before = threading.active_count()
-        cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
-        with pytest.raises(RuntimeError, match="second chunk") as raised:
-            simulate_equilibrium_wealth(base_table, base_market, cfg)
-        assert raised.traceback and threading.active_count() == before
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_leaves_in_flight_stay_bounded(self, monkeypatch, base_table, base_market, workers):
+        # the raise comes once the 32 leaves of two whole chunks are folded; by then at most
+        # ``workers`` of the other 8 leaves may have started
+        _, threads_left, started = fail_second_merge(monkeypatch, base_table, base_market, workers)
+        assert threads_left == 0 and len(started) <= 2 * _CHUNK // _LEAF + workers
 
     def test_centred_accumulator_matches_two_pass(self, monkeypatch, base_table, base_market):
         # three chunks, the last one partial: the merged standard errors against a
