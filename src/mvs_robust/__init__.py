@@ -5,9 +5,10 @@ Public surface:
 * market primitives: :class:`TimeGrid`, :class:`Preferences`,
   :func:`build_market`
 * backward systems: :func:`solve_system`, :func:`solve_f_picard`,
-  :func:`solve_mispec_system`, :func:`solve_all`, all on one
-  lane-batched RK4 (:func:`integrate_lanes`): a lone lane marches on
-  Python floats, a batch of lanes as numpy arrays in buffers allocated once
+  :func:`solve_mispec_system`, :func:`solve_all`, all through
+  :func:`integrate_lanes`: a lone lane marches its own RK4 on Python
+  floats, a batch of lanes one RK4 over numpy lane arrays in buffers
+  allocated once, and both give a lane the same bits
 * policy and values: :func:`equilibrium_policy`, :func:`value_at`,
   :func:`delta3_scan`
 * simulation oracles: :func:`simulate_equilibrium_wealth`,

@@ -27,8 +27,9 @@ Every backward system is one *lane* of ``integrate_lanes``, a single
 RK4 over a lane axis: a sweep integrates all of its distinct systems in
 one call, and a misspecified-value lane reads, at every RK4 stage, the
 ratio of the coefficient lane that drives it.  A lone lane marches on
-Python floats; a batch of two or more lanes marches once as lane arrays,
-through buffers allocated once per batch (``_Arrays.kernel``).
+Python floats (``_march_lone``); a batch of two or more lanes marches
+once as lane arrays (``_march``), through buffers allocated once per
+batch (``_Group.kernel``).
 
 The denominator of the algebraic ratio equals ``gamma0`` at the
 terminal time and must stay positive for the backward solution to
@@ -258,11 +259,11 @@ class LanePlan:
         )
 
 
-_BLOCK = 64  # steps whose half-grid rates an array march gathers at once
+_BLOCK = 64  # steps whose half-grid rates a march gathers at once
 
 
 class _Group:
-    """Per-lane constants of one group of lanes: floats for one lane, arrays for many.
+    """Per-lane constants and buffers of a batch of lanes, as arrays over the lane axis.
 
     One formula serves both kinds of lane: coefficient lanes, then
     misspecified-value lanes from position ``mis``.  A coefficient lane's
@@ -270,119 +271,55 @@ class _Group:
     misspecified-value lane's strategy is its driver's ratio, unweighted;
     in a ``mixed`` group ``xi * v2 / ratio`` is subtracted from its drift,
     and its ratio is guarded as well as its denominator.  ``drv`` holds
-    each lane's driver position (its own for a coefficient lane), ``own``
-    maps the group's ratios to its strategies, ``rates(i, j)`` gives
-    ``(r, theta)`` at half-grid indices ``i .. j-1``, and RK4 stage ``s``
-    leaves its denominators and ratios in row ``s`` of ``dens`` and ``ratios``.
+    each lane's driver position (its own for a coefficient lane),
+    ``rates(i, j)`` gives ``(r, theta)`` at half-grid indices ``i .. j-1``,
+    and RK4 stage ``s`` leaves its denominators and ratios in row ``s`` of
+    ``dens`` and ``ratios``.
     """
 
-    def __init__(self, lanes: list[Lane], ops, rates, drv, own, eps_den: float) -> None:
+    def __init__(self, lanes: list[Lane], rates, eps_den: float) -> None:
         n = len(lanes)
         self.mis = sum(lane.driver is None for lane in lanes)
         self.mixed = self.mis < n
-        self.xi = ops.vec([lane.xi for lane in lanes])
-        self.g0 = ops.vec([lane.gamma0 for lane in lanes])
-        self.p0 = ops.vec([lane.phi0 for lane in lanes])
+        self.xi = np.array([lane.xi for lane in lanes], dtype=float)
+        self.g0 = np.array([lane.gamma0 for lane in lanes], dtype=float)
+        self.p0 = np.array([lane.phi0 for lane in lanes], dtype=float)
         self.p2 = 2.0 * self.p0
         self.hxi = 0.5 * self.xi
-        self.c = ops.vec([1.0 if lane.driver is not None else
-                          1.0 / ((lane.xi + 1.0) * (lane.xi + 1.0)) for lane in lanes])
+        self.c = np.array([1.0 if lane.driver is not None else
+                           1.0 / ((lane.xi + 1.0) * (lane.xi + 1.0)) for lane in lanes])
         # numpy multiplies two arrays faster than an array and a Python float
-        self.two, self.three = ops.vec([2.0] * n), ops.vec([3.0] * n)
-        self.eps = ops.scalar(eps_den, n)
-        self.ratio_eps = ops.scalar(ops.vec([0.0 if lane.driver is None else eps_den
-                                             for lane in lanes]), n)
-        self.dens, self.ratios = ops.rows(math.nan, n), ops.rows(math.nan, n)
-        self.finite = 4 * n  # finite state entries at an array march's last test
-        self.rates, self.drv, self.own = rates, drv, own
+        self.two, self.three = np.full(n, 2.0), np.full(n, 3.0)
+        self.eps = np.full((4, n), eps_den)
+        self.ratio_eps = np.full((4, n), [0.0 if lane.driver is None else eps_den
+                                          for lane in lanes])
+        self.dens, self.ratios = np.full((4, n), math.nan), np.full((4, n), math.nan)
+        self.finite = 4 * n  # finite state entries at the last test
+        self.drv = np.array([p if lane.driver is None else lane.driver
+                             for p, lane in enumerate(lanes)], dtype=np.intp)
+        cols = np.array([lane.market for lane in lanes], dtype=np.intp)
+        self.rates = lambda i, j: rates[i:j, :, cols]
 
-
-class _Floats:
-    """One coefficient lane, whose ratio is not guarded, as Python floats; a state is a 4-tuple."""
-
-    minimum = min
-    flags = staticmethod(lambda n: True)
-    vec = staticmethod(lambda xs: xs[0])
-    scalar = staticmethod(lambda x, n: x)
-    rows = staticmethod(lambda x, n: [x] * 4)
-
-    @staticmethod
-    def axpy(y, s, g):
-        return (y[0] + s * g[0], y[1] + s * g[1], y[2] + s * g[2], y[3] + s * g[3])
-
-    @staticmethod
-    def failed(par, alive, y):
-        """``(True, degenerate)`` if the lane failed in this step, else None."""
-        d, eps = par.dens, par.eps
-        bad = d[0] < eps or d[1] < eps or d[2] < eps or d[3] < eps
-        return (True, bad) if bad or not all(map(math.isfinite, y)) else None
-
-    @staticmethod
-    def group(batch, rates, eps_den):
-        col = rates[:, :, batch[0].market].tolist()
-        return _Group(batch, _Floats, lambda i, j: col[i:j], [0], lambda ratio: ratio, eps_den)
-
-    @staticmethod
-    def kernel(par, h):
-        """``(first, advance)`` of a step from a node: ``first(y, rates)`` is the
-        first stage's ``G``, and ``advance(y, g1, rates at the midpoint, rates
-        at the next node)`` runs the other three and returns the next state."""
-        hh, h6 = 0.5 * h, h / 6.0
-
-        def stage(s, y, rt):
-            g, par.ratios[s], par.dens[s] = _rhs(y, par, rt)
-            return g
-
-        def advance(y, g1, rt_mid, rt_next):
-            g2 = stage(1, _Floats.axpy(y, hh, g1), rt_mid)
-            g3 = stage(2, _Floats.axpy(y, hh, g2), rt_mid)
-            g4 = stage(3, _Floats.axpy(y, h, g3), rt_next)
-            return (
-                y[0] + h6 * (g1[0] + 2.0 * (g2[0] + g3[0]) + g4[0]),
-                y[1] + h6 * (g1[1] + 2.0 * (g2[1] + g3[1]) + g4[1]),
-                y[2] + h6 * (g1[2] + 2.0 * (g2[2] + g3[2]) + g4[2]),
-                y[3] + h6 * (g1[3] + 2.0 * (g2[3] + g3[3]) + g4[3]),
-            )
-
-        return lambda y, rt: stage(0, y, rt), advance
-
-
-class _Arrays:
-    """Lanes as arrays over the lane axis; a state is ``(4, L)``."""
-
-    minimum = np.minimum
-    flags = staticmethod(lambda n: np.ones(n, bool))
-    vec = staticmethod(lambda xs: np.array(xs, dtype=float))
-    scalar = rows = staticmethod(lambda x, n: np.full((4, n), x))
-
-    @staticmethod
-    def failed(par, alive, y):
+    def failed(self, alive, y):
         """``(newly, degenerate)`` if a living lane failed in this step, else None.
         Counts test every lane at once; a failed lane's guards become ``-inf``
         and its non-finite entries stay so, so it sets off no later test."""
-        low, small = par.dens < par.eps, np.abs(par.ratios) < par.ratio_eps
+        low, small = self.dens < self.eps, np.abs(self.ratios) < self.ratio_eps
         finite = np.isfinite(y)
         if not (np.count_nonzero(low) or np.count_nonzero(small)) and (
-                np.count_nonzero(finite) == par.finite):
+                np.count_nonzero(finite) == self.finite):
             return None
-        par.finite = np.count_nonzero(finite)
+        self.finite = np.count_nonzero(finite)
         dead = np.logical_not(alive)
-        par.eps[:, dead] = par.ratio_eps[:, dead] = -np.inf
+        self.eps[:, dead] = self.ratio_eps[:, dead] = -np.inf
         bad = (low | small).any(axis=0)
         newly = alive & (bad | np.logical_not(finite.all(axis=0)))
         return (newly, bad) if newly.any() else None
 
-    @staticmethod
-    def group(batch, rates, eps_den):
-        drv = np.array([p if lane.driver is None else lane.driver for p, lane in enumerate(batch)],
-                       dtype=np.intp)
-        cols = np.array([lane.market for lane in batch], dtype=np.intp)
-        return _Group(batch, _Arrays, lambda i, j: rates[i:j, :, cols], drv,
-                      lambda ratio: ratio[drv], eps_den)
-
-    @staticmethod
-    def kernel(par, h):
-        """``_Floats.kernel`` on lane arrays; ``advance`` updates ``y`` in place.
+    def kernel(self, h):
+        """``(first, advance)`` of a step from a node: ``first(y, rates)`` is the
+        first stage's ``G``, and ``advance(y, g1, rates at the midpoint, rates
+        at the next node)`` runs the other three and updates ``y`` in place.
 
         Every buffer is allocated here, once per batch, and every ufunc
         writes into one through its positional ``out``: in a batch of a few
@@ -393,15 +330,16 @@ class _Arrays:
         then loses ``(xi * v2) / ratio``, worked on views taken here.
         """
         mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-        n, mis, mixed, drv = par.g0.size, par.mis, par.mixed, par.drv
-        g0, p0, p2, two, three, c, hxi = par.g0, par.p0, par.p2, par.two, par.three, par.c, par.hxi
+        n, mis, mixed, drv = self.g0.size, self.mis, self.mixed, self.drv
+        g0, p0, p2, c, hxi = self.g0, self.p0, self.p2, self.c, self.hxi
+        two, three = self.two, self.three
         hh, dt, h6, two4 = (np.full((4, n), x) for x in (0.5 * h, h, h / 6.0, 2.0))
         q, w, t, num, b, tf, v2, pen = np.empty((8, n))
         ys, u, k = np.empty((3, 4, n))  # a stage's state; h * G, then the RK4 sum; G's factors
         gs, ys_rows = list(np.empty((4, 4, n))), tuple(ys)  # the stages' G; rows of ys
         a, k1, k2, k3 = k  # G = k * y + (pen, 0, 0, 0) and k = (a, 2a + v2, 3(a + v2), a)
-        ratios, dens = list(par.ratios), list(par.dens)
-        ratios_m, xi_m, v2_m, a_m, t_m = ([r[mis:] for r in ratios], par.xi[mis:], v2[mis:],
+        ratios, dens = list(self.ratios), list(self.dens)
+        ratios_m, xi_m, v2_m, a_m, t_m = ([r[mis:] for r in ratios], self.xi[mis:], v2[mis:],
                                           a[mis:], t[mis:])
 
         def stage(s, y, y1, y2, y3, y4, rt):
@@ -429,25 +367,26 @@ class _Arrays:
                 stage(s, ys, *ys_rows, rt)
             add(gs[1], gs[2], u), mul(two4, u, u), add(g1, u, u), add(u, gs[3], u)
             mul(h6, u, u), add(y, u, y)
-            return y
 
         return lambda y, rt: stage(0, y, y[0], y[1], y[2], y[3], rt), advance
 
 
-def _rhs(y, par: _Group, rates):
+def _rhs(y, par, rates):
     """Right-hand side ``G`` (``dy/dt = -G``), ratio and denominator of one
-    coefficient lane on Python floats; ``_Arrays.kernel`` gives every
+    coefficient lane on Python floats, whose constants ``par`` are
+    ``(gamma0, phi0, 2 phi0, c, xi/2)``; ``_Group.kernel`` gives every
     coefficient lane of a batch the same operations in the same order."""
+    g0, p0, p2, c, hxi = par
     r, th = rates[0], rates[1]
     y1, y2, y3, y4 = y
     q, w = y4 * y4, y4 * y2
-    den = par.g0 * y2 + par.p2 * (w - y3)
-    ratio = (y1 + par.g0 * (q - y2) + par.p0 * (y3 + par.two * q * y4 - par.three * w)) / den
+    den = g0 * y2 + p2 * (w - y3)
+    ratio = (y1 + g0 * (q - y2) + p0 * (y3 + 2.0 * q * y4 - 3.0 * w)) / den
     tf = th * ratio
-    v2 = tf * ratio * par.c
-    a = r + tf * par.c
-    pen = par.hxi * v2 * den
-    return (a * y1 + pen, (par.two * a + v2) * y2, par.three * (a + v2) * y3, a * y4), ratio, den
+    v2 = tf * ratio * c
+    a = r + tf * c
+    pen = hxi * v2 * den
+    return (a * y1 + pen, (2.0 * a + v2) * y2, 3.0 * (a + v2) * y3, a * y4), ratio, den
 
 
 def _steps(rates, n: int):
@@ -462,75 +401,110 @@ def _steps(rates, n: int):
     yield 0, rows[0], None, None
 
 
-def _march(batch, rates, grid, eps_den, keep, ops):
-    """Backward RK4 of every lane of ``batch``; returns its ``LaneResult`` list.
+def _failure(lane: Lane, degenerate, k: int, grid: TimeGrid, eps_den: float) -> LaneResult:
+    """``lane``'s failure in the step from node ``k``: a denominator (or a
+    misspecified lane's ratio) below the guard, else a non-finite state."""
+    coef = lane.driver is None
+    if degenerate:
+        what = "coefficient denominator" if coef else "value-system denominator or ratio"
+        return LaneResult(DegenerateDenominator, f"{what} below guard "
+                          f"{eps_den:g} at node {k} (t = {grid.nodes[k]:g})", k)
+    what = "coefficient" if coef else "value-system"
+    return LaneResult(NonFiniteState, f"{what} state non-finite at node {k - 1}", k - 1)
+
+
+def _march_lone(lane: Lane, rates, grid: TimeGrid, eps_den: float, keep: bool) -> LaneResult:
+    """Backward RK4 of one coefficient lane on Python floats.
+
+    It fails at the first step with a denominator below ``eps_den`` in any
+    stage or a non-finite state.  An exactly zero denominator, on which a
+    float division raises, is below the positive guard, so it fails the
+    lane at that node as well.
+    """
+    n, h = grid.num_steps, grid.dt
+    hh, h6 = 0.5 * h, h / 6.0
+    col = rates[:, :, lane.market].tolist()
+    c = 1.0 / ((lane.xi + 1.0) * (lane.xi + 1.0))
+    par = (lane.gamma0, lane.phi0, 2.0 * lane.phi0, c, 0.5 * lane.xi)
+    y = (1.0, 1.0, 1.0, 1.0)
+    lo = math.inf
+    path = np.empty((6, n + 1)) if keep else None  # rows (ratio, y1, ..., y4, den) over the nodes
+    for k, rt, rt_mid, rt_next in _steps(lambda i, j: col[i:j], n):
+        try:
+            g1, ratio, den = _rhs(y, par, rt)
+            lo = min(lo, den)
+            if keep:
+                path[:, k] = ratio, *y, den
+            if k:  # node 0 closes the path; its test sees the last step's d2 .. d4 again
+                g2, _, d2 = _rhs((y[0] + hh * g1[0], y[1] + hh * g1[1], y[2] + hh * g1[2],
+                                  y[3] + hh * g1[3]), par, rt_mid)
+                g3, _, d3 = _rhs((y[0] + hh * g2[0], y[1] + hh * g2[1], y[2] + hh * g2[2],
+                                  y[3] + hh * g2[3]), par, rt_mid)
+                g4, _, d4 = _rhs((y[0] + h * g3[0], y[1] + h * g3[1], y[2] + h * g3[2],
+                                  y[3] + h * g3[3]), par, rt_next)
+                y = (
+                    y[0] + h6 * (g1[0] + 2.0 * (g2[0] + g3[0]) + g4[0]),
+                    y[1] + h6 * (g1[1] + 2.0 * (g2[1] + g3[1]) + g4[1]),
+                    y[2] + h6 * (g1[2] + 2.0 * (g2[2] + g3[2]) + g4[2]),
+                    y[3] + h6 * (g1[3] + 2.0 * (g2[3] + g3[3]) + g4[3]),
+                )
+        except ZeroDivisionError:
+            return _failure(lane, True, k, grid, eps_den)
+        bad = den < eps_den or d2 < eps_den or d3 < eps_den or d4 < eps_den
+        if bad or not all(map(math.isfinite, y)):
+            return _failure(lane, bad, k, grid, eps_den)
+    return LaneResult(ratio0=ratio, state0=y, den_min=lo, path=path)
+
+
+def _march(batch: list[Lane], rates, grid: TimeGrid, eps_den: float, keep: bool):
+    """Backward RK4 of every lane of ``batch`` as lane arrays; returns its
+    ``LaneResult`` list.
 
     Every guard is per lane and per stage.  A failing lane keeps its
     node and error class and is left out of every result; a lane whose
-    driver fails fails with it; every other lane goes on.  On floats
-    (``ops`` is ``_Floats``, one coefficient lane) an exactly zero
-    divisor raises ``ZeroDivisionError``, and the caller reruns the lane
-    as arrays.
+    driver fails fails with it; every other lane goes on.
     """
-    n = grid.num_steps
-    par = ops.group(batch, rates, eps_den)
-    first, advance = ops.kernel(par, grid.dt)
+    n, size = grid.num_steps, len(batch)
+    par = _Group(batch, rates, eps_den)
+    first, advance = par.kernel(grid.dt)
     errors: dict[int, LaneResult] = {}
 
     def fail(alive, newly, degenerate, k):
         """Record the lanes ``newly`` failed in the step from node ``k``,
         then fail the living lanes whose driver has failed."""
-        degenerate = np.broadcast_to(degenerate, np.shape(newly)).reshape(-1)
         for p in np.flatnonzero(newly):
-            coef = batch[p].driver is None
-            if degenerate[p]:
-                what = "coefficient denominator" if coef else "value-system denominator or ratio"
-                errors[p] = LaneResult(DegenerateDenominator, f"{what} below guard "
-                                       f"{eps_den:g} at node {k} (t = {grid.nodes[k]:g})", k)
-            else:
-                what = "coefficient" if coef else "value-system"
-                errors[p] = LaneResult(
-                    NonFiniteState, f"{what} state non-finite at node {k - 1}", k - 1
-                )
+            errors[p] = _failure(batch[p], degenerate[p], k, grid, eps_den)
         alive = alive & np.logical_not(newly)
-        orphans = alive & np.logical_not(par.own(alive))
+        orphans = alive & np.logical_not(alive[par.drv])
         for p in np.flatnonzero(orphans):
             driver = errors[par.drv[p]]
             errors[p] = LaneResult(driver.error, f"driver lane failed: {driver.message}",
                                    driver.node)
         return alive & np.logical_not(orphans)
 
-    y = ops.rows(1.0, len(batch))
-    alive = ops.flags(len(batch))
-    lo = math.inf
-    # rows (ratio, y1, ..., y4, den) over the nodes; lanes on a trailing axis as arrays
-    path = np.empty((6, n + 1) + np.shape(y)[1:]) if keep else None
+    y = np.ones((4, size))
+    alive = np.ones(size, bool)
+    lo = np.full(size, math.inf)
+    path = np.empty((6, n + 1, size)) if keep else None  # ``_march_lone``'s rows, lanes last
     for k, rt, rt_mid, rt_next in _steps(par.rates, n):
         g1 = first(y, rt)
-        lo = ops.minimum(lo, par.dens[0])
+        np.minimum(lo, par.dens[0], out=lo)
         if keep:
             path[:, k] = par.ratios[0], *y, par.dens[0]
         if k:  # node 0 closes the paths; rows 1-3 keep stages every living lane passed
-            y = advance(y, g1, rt_mid, rt_next)
-        failed = ops.failed(par, alive, y)
+            advance(y, g1, rt_mid, rt_next)
+        failed = par.failed(alive, y)
         if failed is not None:
             alive = fail(alive, *failed, k)
-            if not np.any(alive):
+            if not alive.any():
                 break
 
-    out = []
-    rows = path.reshape(6, n + 1, -1) if keep else None
-    for p in range(len(batch)):
-        if p in errors:
-            out.append(errors[p])
-            continue
-        out.append(LaneResult(
-            ratio0=float(np.reshape(par.ratios[0], -1)[p]),
-            state0=tuple(float(v) for v in np.reshape(np.asarray(y), (4, -1))[:, p]),
-            den_min=float(np.reshape(lo, -1)[p]),
-            path=rows[..., p].copy() if keep else None,
-        ))
-    return out
+    return [errors[p] if p in errors else LaneResult(
+        ratio0=float(par.ratios[0, p]),
+        state0=tuple(float(v) for v in y[:, p]),
+        den_min=float(lo[p]),
+        path=path[..., p].copy() if keep else None,
+    ) for p in range(size)]
 
 
 def _half_grid_rates(markets: Sequence[MarketCurves], grid: TimeGrid) -> np.ndarray:
@@ -557,11 +531,13 @@ def integrate_lanes(
     so a step costs four right-hand sides.  Failures are returned per
     lane (``LaneResult.error``), never raised.
 
-    A lone lane (necessarily a coefficient lane) marches on floats, and
-    if it divides by exactly zero there it is marched again as arrays.
-    A batch of two or more lanes marches once as arrays.
+    A lone lane (necessarily a coefficient lane) marches on floats
+    (``_march_lone``); a batch of two or more lanes marches once as lane
+    arrays (``_march``).  Both give a lane bitwise the same result.
     """
     lanes = list(lanes)
+    if not eps_den > 0.0:
+        raise ValueError(f"eps_den must be positive, got {eps_den}")
     if not lanes:
         return []
     for lane in lanes:
@@ -572,21 +548,18 @@ def integrate_lanes(
         ):
             raise ValueError(f"lane {lane} is not driven by a coefficient lane")
     rates = _half_grid_rates(markets, grid)
+    # numpy's fixed cost per array operation makes a lone lane far slower
+    # as arrays: at 2,000 steps it takes 7-14 ms on floats and 0.15-0.24 s
+    # as arrays (best of 5, six runs; shared 2-core Xeon, Python 3.11,
+    # numpy 2.4).
+    if len(lanes) == 1:
+        return [_march_lone(lanes[0], rates, grid, eps_den, keep_paths)]
     # coefficient lanes first, each kind in the caller's order
     order = sorted(range(len(lanes)), key=lambda p: lanes[p].driver is not None)
     at = {p: i for i, p in enumerate(order)}
     batch = [replace(lanes[p], driver=at.get(lanes[p].driver)) for p in order]
     with np.errstate(all="ignore"):
-        # numpy's fixed cost per array operation makes a lone lane far
-        # slower as arrays: at 2,000 steps it takes 10-16 ms on floats and
-        # 0.21 s as arrays (best of 5, three runs; shared 2-core Xeon,
-        # Python 3.11, numpy 2.4).
-        if len(batch) == 1:
-            try:
-                return _march(batch, rates, grid, eps_den, keep_paths, _Floats)
-            except ZeroDivisionError:
-                pass
-        res = _march(batch, rates, grid, eps_den, keep_paths, _Arrays)
+        res = _march(batch, rates, grid, eps_den, keep_paths)
     return [res[at[p]] for p in range(len(lanes))]
 
 

@@ -403,29 +403,37 @@ class TestLaneBatch:
         assert any(res.error is not None for res in batch)
         assert_same_results([batch[p] for p in order], moved)
 
-    def test_zero_division_reruns_as_arrays(self, base_market, base_grid, monkeypatch):
-        # a lone lane that divides by exactly zero on floats is marched again as arrays
-        plan = coefficient_plan(Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0))
-
-        def each_alone():
-            return [integrate_lanes([lane], [base_market], base_grid, keep_paths=True)[0]
-                    for lane in plan.lanes]
-
-        expected = each_alone()
-        rhs = solver._rhs
-        raised = []
+    # stage 0 of the first step, inner stages of inner steps, and the closing node 0
+    @pytest.mark.parametrize("node,stage", [(2000, 0), (1000, 2), (1, 3), (0, 0)])
+    def test_zero_division_fails_the_lone_lane(self, base_market, base_grid, monkeypatch,
+                                               node, stage):
+        # a lone lane that divides by exactly zero on floats fails at that node, as
+        # the positive guard fails a zero denominator; no array march runs for it
+        n = base_grid.num_steps
+        at = 4 * (n - node) + stage + 1  # the _rhs call of that stage
+        rhs, calls = solver._rhs, []
 
         def dividing_by_zero(y, par, rates):
-            # only a lone lane on floats calls _rhs; an array batch has its own kernel
-            if par.p0 == 0.0:
-                raised.append(par.g0)
+            calls.append(rates)
+            if len(calls) == at:
                 raise ZeroDivisionError
             return rhs(y, par, rates)
 
+        def no_array_march(*args):
+            raise AssertionError("a lone lane marched as arrays")
+
         monkeypatch.setattr(solver, "_rhs", dividing_by_zero)
-        got = each_alone()
-        assert len(raised) == 4
-        assert_same_results(got, expected)
+        monkeypatch.setattr(solver, "_march", no_array_march)
+        [res] = integrate_lanes([Lane(0, 2.0, 0.5, 1.0)], [base_market], base_grid,
+                                keep_paths=True)
+        assert (res.error, res.node, len(calls)) == (DegenerateDenominator, node, at)
+        assert res.message == ("coefficient denominator below guard 1e-12 at node "
+                               f"{node} (t = {base_grid.nodes[node]:g})")
+
+    @pytest.mark.parametrize("eps_den", [0.0, -1e-12, np.nan])
+    def test_nonpositive_eps_den_is_rejected(self, base_market, base_grid, eps_den):
+        with pytest.raises(ValueError, match="eps_den"):
+            integrate_lanes([Lane(0, 2.0, 0.5, 1.0)], [base_market], base_grid, eps_den)
 
     @pytest.mark.parametrize("field,value", [("driver", -1), ("driver", 2),
                                              ("market", -1), ("market", 1)])
