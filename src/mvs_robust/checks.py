@@ -69,12 +69,11 @@ class CheckContext:
     @cached_property
     def sim(self) -> SimResult:
         """The configured simulation of the table, run once on first use."""
-        return simulate_equilibrium_wealth(self.table, self.market, self.config.build_sim_config())
+        return simulate_equilibrium_wealth(self.table, self.market, self.config.simulation)
 
 
 def solve_context(config: RunConfig) -> CheckContext:
-    market = config.build_market()
-    prefs = config.build_preferences()
+    market, prefs = config.market_curves, config.preferences
     table = solve_system(market, prefs, market.grid, ModelVariant.FULL, config.solver.eps_den)
     return CheckContext(config, market, prefs, table)
 
@@ -143,8 +142,7 @@ def check_lognormal_moments(ctx: CheckContext) -> CheckResult:
 def check_value_verification(ctx: CheckContext) -> CheckResult:
     """Analytic and Monte Carlo objective reassembly hit the value function."""
     s = ctx.config.simulation
-    res = verify_value(ctx.table, ctx.market, s.start_time, s.start_wealth,
-                       ctx.config.build_sim_config(), sim=ctx.sim)
+    res = verify_value(ctx.table, ctx.market, s.start_time, s.start_wealth, s, sim=ctx.sim)
     ok = res.analytic_rel_err < VALUE_REL_TOL and abs(res.mc_z) <= MC_Z_BOUND
     return CheckResult(
         "value_verification", ok,
@@ -165,8 +163,7 @@ def check_delta3_positivity(ctx: CheckContext) -> CheckResult:
 
 
 def check_moment_bound(ctx: CheckContext) -> CheckResult:
-    cfg = ctx.config.build_sim_config()
-    res = moment_bound_check(ctx.table, ctx.market, cfg, sim=ctx.sim)
+    res = moment_bound_check(ctx.table, ctx.market, ctx.config.simulation, sim=ctx.sim)
     return CheckResult(
         "moment_bound", res.finite and res.consistent,
         {
@@ -179,8 +176,8 @@ def check_moment_bound(ctx: CheckContext) -> CheckResult:
 
 def check_determinism(ctx: CheckContext) -> CheckResult:
     """A second run of the shared simulation agrees bitwise, every field."""
-    cfg = ctx.config.build_sim_config()
-    return CheckResult("determinism", ctx.sim == simulate_equilibrium_wealth(ctx.table, ctx.market, cfg))
+    again = simulate_equilibrium_wealth(ctx.table, ctx.market, ctx.config.simulation)
+    return CheckResult("determinism", ctx.sim == again)
 
 
 ALL_CHECKS = (

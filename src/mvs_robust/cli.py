@@ -56,12 +56,12 @@ def _write_meta(out_dir: Path, config: RunConfig, argv: list[str]) -> None:
 
 
 def cmd_solve(config: RunConfig, out_dir: Path, variants: list[ModelVariant], argv) -> int:
-    market = config.build_market()
+    market = config.market_curves
     grid = market.grid
-    prefs = config.build_preferences()
     # every table is solved before any file is written
     tables = [
-        solve_system(market, prefs, grid, variant, config.solver.eps_den) for variant in variants
+        solve_system(market, config.preferences, grid, variant, config.solver.eps_den)
+        for variant in variants
     ]
     for variant, table in zip(variants, tables):
         # k1 has h2's equation and terminal value, so its column repeats h2
@@ -101,7 +101,7 @@ def cmd_check(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig, out_dir: Path, argv) -> int:
     ctx = solve_context(config)
     table, market = ctx.table, ctx.market
-    cfg = config.build_sim_config()
+    cfg = config.simulation
     res = simulate_equilibrium_wealth(table, market, cfg)
 
     w0 = cfg.start_wealth

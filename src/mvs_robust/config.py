@@ -4,14 +4,16 @@ Sections appear in square brackets, entries as ``key = value`` lines,
 lists comma-separated; a volatility matrix uses semicolons between
 rows; a comment takes a whole line.  A section is the ``RunConfig``
 field of that name, and its keys are the fields of the section's
-dataclass, which declares their order, types and defaults once for
-parsing, the key check and ``to_text``.  A missing key takes its
-default (the base experiment: five-year horizon, one risky asset); a
-field without one is required, and a field whose value is ``None`` is
-absent and not written.  A sweep's second axis (``param2``, ``min2``,
-``max2``, ``count2``) is given whole or not at all.  Every number must
-be finite, and every numeric field, in every sweep cell too, is
-validated against the module preconditions at load.
+dataclass, which declares their order and types once for parsing, the
+key check and ``to_text``.  ``[preferences]`` and ``[simulation]`` are
+the library's ``Preferences`` and ``SimConfig``, which check their own
+values.  A missing key takes its value in ``RunConfig()``, the base
+experiment (five-year horizon, one risky asset); only ``[sweep]`` has
+required keys.  A field whose value is ``None`` is absent and not
+written.  A sweep's second axis (``param2``, ``min2``, ``max2``,
+``count2``) is given whole or not at all.  Every number must be finite.
+Load builds the market and every sweep cell once (``market_curves``,
+``cells``), so every value, in every cell too, is checked at load.
 
 Example::
 
@@ -36,14 +38,16 @@ Example::
 from __future__ import annotations
 
 import configparser
+import enum
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, MvsRobustError
-from .market import DEFAULT_NUM_STEPS, MarketCurves, Preferences, TimeGrid, build_market
+from .market import DEFAULT_NUM_STEPS, MarketCurves, Preferences, build_market
 from .simulate import Measure, Scheme, SimConfig
 from .solver import DEFAULT_EPS_DEN, DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL
 
@@ -59,13 +63,6 @@ class MarketSection:
 
 
 @dataclass(frozen=True)
-class PreferencesSection:
-    gamma0: float = 2.0
-    phi0: float = 0.5
-    xi: float = 1.0
-
-
-@dataclass(frozen=True)
 class SolverSection:
     num_steps: int = DEFAULT_NUM_STEPS
     picard_tol: float = DEFAULT_PICARD_TOL
@@ -73,15 +70,9 @@ class SolverSection:
     eps_den: float = DEFAULT_EPS_DEN
 
 
-@dataclass(frozen=True)
-class SimulationSection:
-    num_paths: int = 100_000
-    seed: int = 42
-    scheme: str = "exact"
-    measure: str = "distorted"
-    start_time: float = 0.0
-    start_wealth: float = 4.0
-    num_steps: int = 200
+# another name for the ``[simulation]`` section, kept for the benchmark's
+# workloads (perfbench/workloads.py), which import it
+SimulationSection = SimConfig
 
 
 @dataclass(frozen=True)
@@ -108,17 +99,15 @@ def _member(kind, key: str, word: str):
 @dataclass(frozen=True)
 class RunConfig:
     market: MarketSection = field(default_factory=MarketSection)
-    preferences: PreferencesSection = field(default_factory=PreferencesSection)
+    preferences: Preferences = field(default_factory=lambda: Preferences(2.0, 0.5, 1.0))
     solver: SolverSection = field(default_factory=SolverSection)
-    simulation: SimulationSection = field(default_factory=SimulationSection)
+    simulation: SimConfig = field(default_factory=lambda: SimConfig(seed=42))
     sweep: SweepSection | None = None
 
-    # -- object factories ----------------------------------------------
+    # -- what load builds, once ------------------------------------------
 
-    def build_grid(self) -> TimeGrid:
-        return TimeGrid(self.market.T, self.solver.num_steps)
-
-    def build_market(self) -> MarketCurves:
+    @cached_property
+    def market_curves(self) -> MarketCurves:
         m = self.market
         sigma = np.asarray(m.sigma, dtype=float)
         if sigma.shape[0] == 1 and sigma.shape[1] == len(m.mu):
@@ -131,27 +120,19 @@ class RunConfig:
             num_steps=self.solver.num_steps,
         )
 
-    def build_preferences(self) -> Preferences:
-        p = self.preferences
-        return Preferences(gamma0=p.gamma0, phi0=p.phi0, xi=p.xi)
+    @cached_property
+    def cells(self) -> tuple[list[MarketCurves], list[SweepCell]]:
+        return sweep_cells(self)
 
-    def build_sim_config(self) -> SimConfig:
-        s = self.simulation
-        return SimConfig(
-            num_paths=s.num_paths,
-            seed=s.seed,
-            start_time=s.start_time,
-            start_wealth=s.start_wealth,
-            scheme=_member(Scheme, "scheme", s.scheme),
-            measure=_member(Measure, "measure", s.measure),
-            num_steps=s.num_steps,
-        )
+    # kept for the benchmark's output checks (perfbench/verify.py), which call it
+    def build_preferences(self) -> Preferences:
+        return self.preferences
 
     def validate(self) -> "RunConfig":
-        """Instantiate every domain object once so bad values fail at load."""
-        self.build_market()
-        self.build_preferences()
-        self.build_sim_config()
+        """Check what no section checks alone, and build the market and then
+        the sweep cells, so that bad values fail at load.  The preferences and
+        the simulation settings checked themselves when they were built."""
+        self.market_curves
         if self.solver.picard_tol <= 0.0:
             raise ConfigError(f"picard_tol must be positive, got {self.solver.picard_tol}")
         if self.solver.picard_max_iter < 1:
@@ -181,7 +162,7 @@ class RunConfig:
                 raise ConfigError(f"sweep count for {name!r} must be >= 1")
             if name in ("mu", "sigma") and len(self.market.mu) != 1:
                 raise ConfigError(f"sweeping {name!r} requires a single risky asset")
-        sweep_cells(self)
+        self.cells
 
     def with_overrides(self, values: dict[str, float]) -> "RunConfig":
         """New config with sweepable parameters replaced by ``values``."""
@@ -247,19 +228,19 @@ class SweepCell:
 
 def sweep_cells(config: RunConfig) -> tuple[list[MarketCurves], list[SweepCell]]:
     """Each distinct market, built once, and each cell in ``sweep_grid``
-    order.  Neither ``T`` nor ``num_steps`` is sweepable, so every market is
-    on ``config.build_grid()``.  A cell outside a parameter's domain raises
-    ``ConfigError``, so what passes load is what runs."""
+    order; a cell on the base market reuses ``config.market_curves``.
+    Neither ``T`` nor ``num_steps`` is sweepable, so every market is on
+    ``config.market_curves.grid``.  A cell outside a parameter's domain
+    raises ``ConfigError``, so what passes load is what runs."""
     index: dict[MarketSection, int] = {}
     markets, cells = [], []
     for values in sweep_grid(config):
         cfg = config.with_overrides(values)
-        prefs = cfg.build_preferences()
-        cfg.build_sim_config()
         if cfg.market not in index:
             index[cfg.market] = len(markets)
-            markets.append(cfg.build_market())
-        cells.append(SweepCell(values, index[cfg.market], prefs, cfg.simulation.start_wealth))
+            markets.append((config if cfg.market == config.market else cfg).market_curves)
+        cells.append(SweepCell(values, index[cfg.market], cfg.preferences,
+                               cfg.simulation.start_wealth))
     return markets, cells
 
 
@@ -271,6 +252,8 @@ def _format(value) -> str:
         return sep.join(_format(x) for x in value)
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, enum.Enum):
+        return value.value
     return str(value)
 
 
@@ -313,6 +296,8 @@ _PARSERS = {  # field type -> parser(section, key, raw text)
     Matrix: _parse_matrix,
     str: lambda section, key, raw: raw.strip(),
     str | None: lambda section, key, raw: raw.strip() or None,
+    Scheme: lambda section, key, raw: _member(Scheme, key, raw.strip()),
+    Measure: lambda section, key, raw: _member(Measure, key, raw.strip()),
 }
 
 # Section name -> its dataclass (``SweepSection | None`` -> ``SweepSection``).
@@ -327,14 +312,18 @@ _SCHEMA = {
 }
 
 
+_BASE = RunConfig()
+
+
 def _parse_section(name: str, raw) -> object:
-    """One section's dataclass from its ``key -> text`` entries."""
-    schema = _SCHEMA[name]
+    """One section's object from its ``key -> text`` entries; a missing key
+    takes ``RunConfig()``'s value, or is required where that section is ``None``."""
+    schema, base = _SCHEMA[name], getattr(_BASE, name)
     for f, _ in schema:
-        if f.default is MISSING and f.name not in raw:
+        if base is None and f.default is MISSING and f.name not in raw:
             raise ConfigError(f"[{name}] requires {f.name!r}")
     values = {f.name: parse(name, f.name, raw[f.name]) for f, parse in schema if f.name in raw}
-    return _SECTIONS[name](**values)
+    return _SECTIONS[name](**values) if base is None else replace(base, **values)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -90,12 +90,6 @@ class Preferences:
         if not np.isfinite(self.xi) or self.xi < 0.0:
             raise ConfigError(f"xi must be nonnegative, got {self.xi}")
 
-    def risk_aversion_at(self, w: float) -> float:
-        return self.gamma0 / w
-
-    def skew_preference_at(self, w: float) -> float:
-        return self.phi0 / (w * w)
-
 
 def _as_node_curve(value, grid: TimeGrid, shape: tuple, name: str) -> np.ndarray:
     """Broadcast a constant or per-node table to shape (N+1, *shape)."""

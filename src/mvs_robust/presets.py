@@ -26,73 +26,72 @@ class FigurePreset:
     description: str
     mu: float | None            # base drift override (None keeps 0.15)
     sweep: SweepSection
-    delta3_checked: bool        # included in the positivity verification sweep
 
 
 FIGURE_PRESETS: tuple[FigurePreset, ...] = (
     FigurePreset(
         "fig01", "allocation vs initial wealth and ambiguity aversion",
-        None, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11), True,
+        None, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11),
     ),
     FigurePreset(
         "fig02", "allocation vs drift and risk aversion",
-        None, SweepSection("mu", 0.10, 0.20, 6, "gamma0", 1.5, 4.0, 6), True,
+        None, SweepSection("mu", 0.10, 0.20, 6, "gamma0", 1.5, 4.0, 6),
     ),
     FigurePreset(
         "fig03", "allocation vs skewness preference and volatility",
-        None, SweepSection("phi0", 0.0, 1.0, 5, "sigma", 0.15, 0.35, 9), True,
+        None, SweepSection("phi0", 0.0, 1.0, 5, "sigma", 0.15, 0.35, 9),
     ),
     FigurePreset(
         "fig04a", "no-skew allocation vs initial wealth and ambiguity aversion",
-        None, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11), True,
+        None, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11),
     ),
     FigurePreset(
         "fig04b", "no-skew allocation vs drift and risk aversion",
-        None, SweepSection("mu", 0.10, 0.20, 6, "gamma0", 1.5, 4.0, 6), True,
+        None, SweepSection("mu", 0.10, 0.20, 6, "gamma0", 1.5, 4.0, 6),
     ),
     FigurePreset(
         "fig05a", "allocation gap to the no-skew strategy vs wealth and ambiguity",
-        None, SweepSection("w0", 2.0, 6.0, 5, "xi", 1.0, 3.0, 9), True,
+        None, SweepSection("w0", 2.0, 6.0, 5, "xi", 1.0, 3.0, 9),
     ),
     FigurePreset(
         "fig05b", "allocation gap to the no-skew strategy vs drift and risk aversion",
-        None, SweepSection("mu", 0.10, 0.20, 6, "gamma0", 1.5, 4.0, 6), True,
+        None, SweepSection("mu", 0.10, 0.20, 6, "gamma0", 1.5, 4.0, 6),
     ),
     FigurePreset(
         "fig06", "skewness utility loss vs initial wealth and ambiguity aversion",
-        None, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11), True,
+        None, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11),
     ),
     FigurePreset(
         "fig07", "skewness utility loss vs drift and risk aversion",
-        None, SweepSection("mu", 0.10, 0.20, 6, "gamma0", 1.5, 4.0, 6), True,
+        None, SweepSection("mu", 0.10, 0.20, 6, "gamma0", 1.5, 4.0, 6),
     ),
     FigurePreset(
         "fig08", "skewness utility loss vs skewness preference and volatility",
-        None, SweepSection("phi0", 0.1, 1.0, 5, "sigma", 0.15, 0.35, 9), True,
+        None, SweepSection("phi0", 0.1, 1.0, 5, "sigma", 0.15, 0.35, 9),
     ),
     FigurePreset(
         "fig09", "uncertainty utility loss vs initial wealth and ambiguity aversion",
-        0.10, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11), True,
+        0.10, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11),
     ),
     FigurePreset(
         "fig10", "uncertainty utility loss vs drift and risk aversion",
-        0.10, SweepSection("mu", 0.06, 0.14, 5, "gamma0", 1.5, 4.0, 6), True,
+        0.10, SweepSection("mu", 0.06, 0.14, 5, "gamma0", 1.5, 4.0, 6),
     ),
     FigurePreset(
         "fig11", "uncertainty utility loss vs skewness preference and volatility",
-        0.10, SweepSection("phi0", 0.1, 1.0, 5, "sigma", 0.15, 0.35, 9), True,
+        0.10, SweepSection("phi0", 0.1, 1.0, 5, "sigma", 0.15, 0.35, 9),
     ),
     FigurePreset(
         "fig12", "allocation gap to the no-skew strategy across volatilities",
-        None, SweepSection("sigma", 0.15, 0.35, 21, "phi0", 0.25, 1.0, 4), False,
+        None, SweepSection("sigma", 0.15, 0.35, 21, "phi0", 0.25, 1.0, 4),
     ),
     FigurePreset(
         "fig13", "allocation gap to the basic strategy vs wealth and ambiguity",
-        0.10, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11), False,
+        0.10, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11),
     ),
     FigurePreset(
         "fig14", "combined utility loss vs initial wealth and ambiguity aversion",
-        0.10, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11), False,
+        0.10, SweepSection("w0", 2.0, 6.0, 5, "xi", 0.5, 3.0, 11),
     ),
 )
 

@@ -68,10 +68,10 @@ class SimConfig:
 
     num_paths: int = 100_000
     seed: int = 0
-    start_time: float = 0.0
-    start_wealth: float = 4.0
     scheme: Scheme = Scheme.EXACT_LOGNORMAL
     measure: Measure = Measure.DISTORTED
+    start_time: float = 0.0
+    start_wealth: float = 4.0
     num_steps: int = 200
 
     def __post_init__(self):
@@ -439,21 +439,8 @@ def verify_value(
     a coefficient table or a misspecified-strategy one, simulated under
     the distorted dynamics that table describes.  A given ``sim`` is
     reused when it ran ``cfg`` from (t, w) under the distorted measure.
+    A ``t`` outside ``[0, T)`` raises ``OutOfHorizon``.
     """
-    if t == table.grid.horizon:
-        # degenerate terminal distribution: value equals wealth, no penalty
-        est = MomentEstimate(value=w, std_error=0.0)
-        sim = SimResult(
-            config=replace(cfg, start_time=t, start_wealth=w),
-            moments=tuple(MomentEstimate(w ** n, 0.0) for n in (1, 2, 3, 4)),
-            sup_fourth_moment=w ** 4, min_wealth=w,
-            penalty=MomentEstimate(0.0, 0.0), objective=est,
-        )
-        return ValueCheck(
-            time=t, wealth=w, value=w, analytic_objective=w,
-            analytic_rel_err=0.0, mc_objective=est, mc_z=0.0, sim=sim,
-        )
-
     cfg = replace(cfg, start_time=t, start_wealth=w, measure=Measure.DISTORTED)
     paths = _sim_curves(table, market, cfg)
     d3_floor = float(table.delta3[table.grid.nodes >= t].min())

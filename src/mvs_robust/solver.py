@@ -269,8 +269,9 @@ class _Group:
     misspecified-value lanes from position ``mis``.  A coefficient lane's
     strategy is its own ratio, weighted by ``c = 1/(xi+1)^2``.  A
     misspecified-value lane's strategy is its driver's ratio, unweighted;
-    in a ``mixed`` group ``xi * v2 / ratio`` is subtracted from its drift,
-    and its ratio is guarded as well as its denominator.  ``drv`` holds
+    ``xi * v2 / ratio`` is subtracted from its drift, and its ratio is
+    guarded as well as its denominator.  A batch without misspecified
+    lanes takes the same steps on empty slices.  ``drv`` holds
     each lane's driver position (its own for a coefficient lane),
     ``rates(i, j)`` gives ``(r, theta)`` at half-grid indices ``i .. j-1``,
     and RK4 stage ``s`` leaves its denominators and ratios in row ``s`` of
@@ -280,7 +281,6 @@ class _Group:
     def __init__(self, lanes: list[Lane], rates, eps_den: float) -> None:
         n = len(lanes)
         self.mis = sum(lane.driver is None for lane in lanes)
-        self.mixed = self.mis < n
         self.xi = np.array([lane.xi for lane in lanes], dtype=float)
         self.g0 = np.array([lane.gamma0 for lane in lanes], dtype=float)
         self.p0 = np.array([lane.phi0 for lane in lanes], dtype=float)
@@ -330,7 +330,7 @@ class _Group:
         then loses ``(xi * v2) / ratio``, worked on views taken here.
         """
         mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-        n, mis, mixed, drv = self.g0.size, self.mis, self.mixed, self.drv
+        n, mis, drv = self.g0.size, self.mis, self.drv
         g0, p0, p2, c, hxi = self.g0, self.p0, self.p2, self.c, self.hxi
         two, three = self.two, self.three
         hh, dt, h6, two4 = (np.full((4, n), x) for x in (0.5 * h, h, h / 6.0, 2.0))
@@ -351,10 +351,9 @@ class _Group:
             sub(q, y2, num), mul(g0, num, num), add(y1, num, num)
             mul(two, q, b), mul(b, y4, b), add(y3, b, b), mul(three, w, t), sub(b, t, b)
             mul(p0, b, b), add(num, b, num), div(num, den, ratio)
-            own = ratio[drv] if mixed else ratio
+            own = ratio[drv]
             mul(th, own, tf), mul(tf, own, v2), mul(v2, c, v2), mul(tf, c, a), add(r, a, a)
-            if mixed:
-                mul(xi_m, v2_m, t_m), div(t_m, ratios_m[s], t_m), sub(a_m, t_m, a_m)
+            mul(xi_m, v2_m, t_m), div(t_m, ratios_m[s], t_m), sub(a_m, t_m, a_m)
             mul(hxi, v2, pen), mul(pen, den, pen)
             mul(two, a, k1), add(k1, v2, k1), add(a, v2, k2), mul(three, k2, k2)
             k3[...] = a

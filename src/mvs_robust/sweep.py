@@ -8,11 +8,12 @@ where the solver degenerates are recorded with the error name in the
 status column instead of aborting the sweep; a cell outside a
 parameter's domain is a ``ConfigError``, at load as at run.
 
-``config.sweep_cells`` expands the cells and builds every distinct
-market once, every distinct backward system (market, effective weights,
-misspecified kind) becomes one lane, and all lanes are integrated in a
-single ``integrate_lanes`` call that keeps node-0 values only.  Output bytes do not depend on which other
-cells share the batch.
+Load expands the cells and builds every distinct market once
+(``RunConfig.cells``).  Every distinct backward system (market,
+effective weights, misspecified kind) becomes one lane, and all lanes
+are integrated in a single ``integrate_lanes`` call that keeps node-0
+values only.  Output bytes do not depend on which other cells share the
+batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, SweepCell, sweep_cells
+from .config import RunConfig, SweepCell
 from .errors import MvsRobustError
 from .market import MarketCurves
 from .policy import bracket, policy_point, value_report
@@ -87,14 +88,15 @@ def _cell_row(cell: SweepCell, market: MarketCurves, ids: tuple[int, ...], plan:
 def run_sweep(config: RunConfig) -> tuple[list[str], list[SweepRow]]:
     """Evaluate every cell; returns (header, rows) in deterministic order.
     Raises ``ConfigError`` for a cell outside a parameter's domain."""
-    markets, cells = sweep_cells(config)
+    markets, cells = config.cells
     sw = config.sweep
     params = [sw.param] + ([sw.param2] if sw.param2 else [])
     header = params + list(RESULT_FIELDS) + ["status"]
 
     plan = LanePlan()
     lanes = [plan.add_model(cell.market, cell.prefs) for cell in cells]
-    results = integrate_lanes(plan.lanes, markets, config.build_grid(), config.solver.eps_den)
+    results = integrate_lanes(plan.lanes, markets, config.market_curves.grid,
+                              config.solver.eps_den)
     rows = [_cell_row(cell, markets[cell.market], ids, plan, results)
             for cell, ids in zip(cells, lanes)]
     return header, rows

@@ -37,7 +37,6 @@ from mvs_robust import (
     verify_value,
 )
 from mvs_robust.cli import main
-from mvs_robust.config import sweep_grid
 from mvs_robust.policy import bracket, policy_point
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
 from mvs_robust.solver import LanePlan
@@ -219,33 +218,21 @@ def test_acceptance_08_value_verification(base_table, base_market):
 
 def test_acceptance_09_delta3_positivity(base_model):
     t0 = time.perf_counter()
-    combos = {}
+    # each distinct FULL system of every preset's cells is one lane of a
+    # single batch; its running minimum of the denominator is the grid
+    # minimum of delta3
+    plan, markets, lanes = LanePlan(), [], {}
+    grid = base_model.full.grid
     for preset in FIGURE_PRESETS:
-        if not preset.delta3_checked:
-            continue
-        cfg = preset_config(preset)
-        for values in sweep_grid(cfg):
-            cell = cfg.with_overrides(values)
-            key = (
-                round(cell.market.mu[0], 12), round(cell.market.sigma[0][0], 12),
-                round(cell.preferences.gamma0, 12), round(cell.preferences.phi0, 12),
-                round(cell.preferences.xi, 12), round(cell.market.r, 12),
+        cell_markets, cells = preset_config(preset).cells
+        assert all(market.grid == grid for market in cell_markets)
+        for i, cell in enumerate(cells):
+            lanes[preset.name, i] = plan.add_variant(
+                len(markets) + cell.market, cell.prefs, ModelVariant.FULL
             )
-            combos.setdefault(key, cell)
-    worst = delta3_scan(base_model.full).min_value
-    # each combination's FULL table is one lane of a single batch; its
-    # running minimum of the denominator is the grid minimum of delta3
-    grid = next(iter(combos.values())).build_grid()
-    assert all(cell.build_grid() == grid for cell in combos.values())
-    plan, markets, market_index, lanes = LanePlan(), [], {}, {}
-    for key, cell in combos.items():
-        if cell.market not in market_index:
-            market_index[cell.market] = len(markets)
-            markets.append(cell.build_market())
-        lanes[key] = plan.add_variant(
-            market_index[cell.market], cell.build_preferences(), ModelVariant.FULL
-        )
+        markets += cell_markets
     results = integrate_lanes(plan.lanes, markets, grid)
+    worst = delta3_scan(base_model.full).min_value
     bad = []
     for key, lane in lanes.items():
         res = results[lane]
@@ -257,8 +244,8 @@ def test_acceptance_09_delta3_positivity(base_model):
         if not min_delta3 > 0.0:
             bad.append((key, min_delta3))
     report("09", "delta3_positivity", not bad and worst > 0.0,
-           f"{len(combos)} unique parameter combinations; min delta3 = {worst:.4f}; "
-           f"violations={bad}", t0)
+           f"{len(lanes)} cells of {len(FIGURE_PRESETS)} presets, {len(plan.lanes)} lanes; "
+           f"min delta3 = {worst:.4f}; violations={bad}", t0)
 
 
 def _u_star(market, prefs, grid, w0, variant=ModelVariant.FULL):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvs_robust import ConfigError, MvsRobustError, checks, simulate
+from mvs_robust import ConfigError, MvsRobustError, checks, config, simulate
 from mvs_robust.checks import check_lognormal_moments, solve_context
 from mvs_robust.cli import main
 from mvs_robust.config import SweepSection, parse_config, sweep_grid
@@ -126,6 +126,17 @@ class TestExitCodes:
         assert "second axis" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        ("[preferences]\ngamma0 = -1\n[simulation]\nnum_paths = abc\n",
+         "gamma0 must be positive"),
+        ("[market]\nsigma = 0\n[preferences]\ngamma0 = -1\n", "gamma0 must be positive"),
+    ])
+    def test_section_checks_itself_as_it_is_built(self, tmp_path, capsys, text, message):
+        # [preferences] is parsed before [simulation] and checked before the market is built
+        cfg = write(tmp_path, "bad.cfg", text)
+        assert main(["check", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("param,low,message", [
         ("gamma0", -1.0, "gamma0 must be positive"),
         ("w0", -1.0, "start_wealth must be positive"),
@@ -190,7 +201,7 @@ class TestCheckCommand:
         # two runs that differ only in the penalty estimate are not identical
         ctx = solve_context(parse_config(QUICK))
         first = checks.simulate_equilibrium_wealth(ctx.table, ctx.market,
-                                                   ctx.config.build_sim_config())
+                                                   ctx.config.simulation)
         second = replace(first, penalty=replace(first.penalty, value=first.penalty.value + 1.0))
         runs = iter((first, second))
         monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: next(runs))
@@ -281,6 +292,29 @@ class TestTailBuilds:
         assert self.count_builds(monkeypatch, lambda: main(argv)) == 2
 
 
+class TestMarketBuilds:
+    """Load builds each market once, and every command reads what load built."""
+
+    @pytest.mark.parametrize("command, preset, builds", [
+        ("sweep", "fig01", 1),  # every cell on the base market
+        ("sweep", "fig02", 7),  # the base market, then one per swept drift
+        ("solve", None, 1),
+        ("check", None, 1),
+        ("simulate", None, 1),
+    ])
+    def test_builds_per_command(self, tmp_path, monkeypatch, command, preset, builds):
+        text = QUICK if preset is None else preset_config(
+            next(p for p in FIGURE_PRESETS if p.name == preset)).to_text()
+        argv = [command, "--config", write(tmp_path, "c.cfg", text)]
+        if command != "check":
+            argv += ["--out", str(tmp_path / "out")]
+        real, calls = config.build_market, []
+        monkeypatch.setattr(config, "build_market",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert main(argv) == 0
+        assert len(calls) == builds
+
+
 class TestSweepCommand:
     def test_monotone_allocation_in_xi(self, tmp_path):
         cfg = write(
@@ -334,9 +368,9 @@ class TestSweepCommand:
         assert [row.status for row in rows] == ["ok"] * 6
         for row in rows:
             cfg = config.with_overrides(row.values)
-            mkt = cfg.build_market()
+            mkt = cfg.market_curves
             grid = mkt.grid
-            model = solve_all(mkt, cfg.build_preferences(), grid, cfg.solver.eps_den)
+            model = solve_all(mkt, cfg.preferences, grid, cfg.solver.eps_den)
             w0 = cfg.simulation.start_wealth
             pol = equilibrium_policy(model.full, mkt, 0.0, w0)
             rep = value_at(model, 0.0, w0)

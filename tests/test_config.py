@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from mvs_robust import ConfigError, MvsRobustError, NonPositiveHorizon, SingularGram
 from mvs_robust.config import RunConfig, SweepSection, parse_config
+from mvs_robust.market import Preferences
+from mvs_robust.simulate import Scheme, SimConfig
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
 from mvs_robust.sweep import run_sweep
 
@@ -38,6 +40,13 @@ class TestParsing:
         assert cfg.sweep is None
         assert cfg == RunConfig()
 
+    def test_sections_are_the_library_objects(self):
+        cfg = parse_config("[simulation]\nscheme = euler\n")
+        assert cfg.preferences == Preferences(2.0, 0.5, 1.0)
+        assert cfg.simulation == SimConfig(seed=42, scheme=Scheme.EULER_MARUYAMA)
+        assert cfg.build_preferences() is cfg.preferences
+        assert cfg.market_curves is cfg.market_curves  # built once
+
     def test_round_trip(self):
         cfg = parse_config(BASE_TEXT)
         again = parse_config(cfg.to_text())
@@ -59,7 +68,7 @@ class TestParsing:
         cfg = parse_config(
             "[market]\nmu = 0.15, 0.10\nsigma = 0.25, 0.20\n"
         )
-        market = cfg.build_market()
+        market = cfg.market_curves
         assert market.num_assets == 2
         np.testing.assert_allclose(market.gram_at(0.0), np.diag([0.0625, 0.04]))
 
@@ -67,7 +76,7 @@ class TestParsing:
         cfg = parse_config(
             "[market]\nmu = 0.15, 0.10\nsigma = 0.25, 0.0; 0.05, 0.20\n"
         )
-        market = cfg.build_market()
+        market = cfg.market_curves
         sig = market.volatility_at(0.0)
         np.testing.assert_allclose(sig, [[0.25, 0.0], [0.05, 0.20]])
 

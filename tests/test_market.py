@@ -46,15 +46,6 @@ class TestPreferences:
         with pytest.raises(ConfigError):
             Preferences(gamma0=2.0, xi=-1.0)
 
-    def test_induced_curves_positive_decreasing(self):
-        p = Preferences(gamma0=2.0, phi0=0.5, xi=1.0)
-        ws = np.linspace(0.5, 50.0, 40)
-        gammas = [p.risk_aversion_at(w) for w in ws]
-        phis = [p.skew_preference_at(w) for w in ws]
-        assert all(g > 0 for g in gammas) and all(f > 0 for f in phis)
-        assert all(b < a for a, b in zip(gammas, gammas[1:]))
-        assert all(b < a for a, b in zip(phis, phis[1:]))
-
 
 class TestBuildMarket:
     def test_base_instance(self, base_market):

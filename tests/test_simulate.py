@@ -500,13 +500,11 @@ class TestVerifyValue:
         assert foreign.objective != own.sim.objective
         assert verify_value(base_table, base_market, 0.0, 4.0, cfg, sim=foreign) == own
 
-    def test_terminal_time_is_exact(self, base_table, base_market):
+    def test_terminal_time_is_out_of_horizon(self, base_table, base_market):
+        # no path starts at the horizon, as in simulate_equilibrium_wealth
         cfg = SimConfig(num_paths=200, seed=1, num_steps=4)
-        res = verify_value(base_table, base_market, 5.0, 4.0, cfg)
-        assert res.value == 4.0
-        assert res.analytic_objective == 4.0
-        assert res.sim.penalty.value == 0.0
-        assert res.mc_z == 0.0
+        with pytest.raises(OutOfHorizon, match=r"start_time 5\.0 outside \[0, 5\.0\)"):
+            verify_value(base_table, base_market, 5.0, 4.0, cfg)
 
     def test_near_terminal_time(self, base_table, base_market):
         cfg = SimConfig(num_paths=200, seed=1, num_steps=4)
