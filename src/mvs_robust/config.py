@@ -133,11 +133,11 @@ class RunConfig:
         the sweep cells, so that bad values fail at load.  The preferences and
         the simulation settings checked themselves when they were built."""
         self.market_curves
-        if self.solver.picard_tol <= 0.0:
+        if not self.solver.picard_tol > 0.0:  # NaN fails too
             raise ConfigError(f"picard_tol must be positive, got {self.solver.picard_tol}")
         if self.solver.picard_max_iter < 1:
             raise ConfigError("picard_max_iter must be >= 1")
-        if self.solver.eps_den <= 0.0:
+        if not self.solver.eps_den > 0.0:  # NaN fails too
             raise ConfigError(f"eps_den must be positive, got {self.solver.eps_den}")
         if not 0.0 <= self.simulation.start_time < self.market.T:
             raise ConfigError(

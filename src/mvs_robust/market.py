@@ -196,9 +196,9 @@ def build_market(
     drift,
     volatility,
     num_steps: int = DEFAULT_NUM_STEPS,
-    grid: TimeGrid | None = None,
 ) -> MarketCurves:
-    """Validate inputs, derive cached quantities, and return the market.
+    """Validate inputs, derive cached quantities, and return the market on
+    ``TimeGrid(horizon, num_steps)``, its ``grid``.
 
     ``drift`` may be a scalar (one asset), an ``(M,)`` vector, or an
     ``(N+1, M)`` table.  ``volatility`` may be a scalar, an ``(M,)``
@@ -209,10 +209,7 @@ def build_market(
     ``SingularGram`` if ``sigma' sigma`` fails a Cholesky factorization
     at any node.
     """
-    if grid is None:
-        grid = TimeGrid(horizon, num_steps)
-    elif grid.horizon != horizon:
-        raise ConfigError("grid horizon does not match market horizon")
+    grid = TimeGrid(horizon, num_steps)
     n = grid.num_steps + 1
 
     mu = np.asarray(drift, dtype=float)

@@ -28,8 +28,8 @@ RK4 over a lane axis: a sweep integrates all of its distinct systems in
 one call, and a misspecified-value lane reads, at every RK4 stage, the
 ratio of the coefficient lane that drives it.  A lone lane marches on
 Python floats (``_march_lone``); a batch of two or more lanes marches
-once as lane arrays (``_march``), through buffers allocated once per
-batch (``_Group.kernel``).
+once as lane arrays (``_march``), through buffers it allocates once per
+batch.
 
 The denominator of the algebraic ratio equals ``gamma0`` at the
 terminal time and must stay positive for the backward solution to
@@ -262,119 +262,11 @@ class LanePlan:
 _BLOCK = 64  # steps whose half-grid rates a march gathers at once
 
 
-class _Group:
-    """Per-lane constants and buffers of a batch of lanes, as arrays over the lane axis.
-
-    One formula serves both kinds of lane: coefficient lanes, then
-    misspecified-value lanes from position ``mis``.  A coefficient lane's
-    strategy is its own ratio, weighted by ``c = 1/(xi+1)^2``.  A
-    misspecified-value lane's strategy is its driver's ratio, unweighted;
-    ``xi * v2 / ratio`` is subtracted from its drift, and its ratio is
-    guarded as well as its denominator.  A batch without misspecified
-    lanes takes the same steps on empty slices.  ``drv`` holds
-    each lane's driver position (its own for a coefficient lane),
-    ``rates(i, j)`` gives ``(r, theta)`` at half-grid indices ``i .. j-1``,
-    and RK4 stage ``s`` leaves its denominators and ratios in row ``s`` of
-    ``dens`` and ``ratios``.
-    """
-
-    def __init__(self, lanes: list[Lane], rates, eps_den: float) -> None:
-        n = len(lanes)
-        self.mis = sum(lane.driver is None for lane in lanes)
-        self.xi = np.array([lane.xi for lane in lanes], dtype=float)
-        self.g0 = np.array([lane.gamma0 for lane in lanes], dtype=float)
-        self.p0 = np.array([lane.phi0 for lane in lanes], dtype=float)
-        self.p2 = 2.0 * self.p0
-        self.hxi = 0.5 * self.xi
-        self.c = np.array([1.0 if lane.driver is not None else
-                           1.0 / ((lane.xi + 1.0) * (lane.xi + 1.0)) for lane in lanes])
-        # numpy multiplies two arrays faster than an array and a Python float
-        self.two, self.three = np.full(n, 2.0), np.full(n, 3.0)
-        self.eps = np.full((4, n), eps_den)
-        self.ratio_eps = np.full((4, n), [0.0 if lane.driver is None else eps_den
-                                          for lane in lanes])
-        self.dens, self.ratios = np.full((4, n), math.nan), np.full((4, n), math.nan)
-        self.finite = 4 * n  # finite state entries at the last test
-        self.drv = np.array([p if lane.driver is None else lane.driver
-                             for p, lane in enumerate(lanes)], dtype=np.intp)
-        cols = np.array([lane.market for lane in lanes], dtype=np.intp)
-        self.rates = lambda i, j: rates[i:j, :, cols]
-
-    def failed(self, alive, y):
-        """``(newly, degenerate)`` if a living lane failed in this step, else None.
-        Counts test every lane at once; a failed lane's guards become ``-inf``
-        and its non-finite entries stay so, so it sets off no later test."""
-        low, small = self.dens < self.eps, np.abs(self.ratios) < self.ratio_eps
-        finite = np.isfinite(y)
-        if not (np.count_nonzero(low) or np.count_nonzero(small)) and (
-                np.count_nonzero(finite) == self.finite):
-            return None
-        self.finite = np.count_nonzero(finite)
-        dead = np.logical_not(alive)
-        self.eps[:, dead] = self.ratio_eps[:, dead] = -np.inf
-        bad = (low | small).any(axis=0)
-        newly = alive & (bad | np.logical_not(finite.all(axis=0)))
-        return (newly, bad) if newly.any() else None
-
-    def kernel(self, h):
-        """``(first, advance)`` of a step from a node: ``first(y, rates)`` is the
-        first stage's ``G``, and ``advance(y, g1, rates at the midpoint, rates
-        at the next node)`` runs the other three and updates ``y`` in place.
-
-        Every buffer is allocated here, once per batch, and every ufunc
-        writes into one through its positional ``out``: in a batch of a few
-        hundred lanes numpy's fixed cost per call, not arithmetic, sets the
-        speed.  A coefficient lane gets ``_rhs``'s operations on the same
-        operands in the same order, so its numbers are bitwise those of the
-        lane marched alone on floats.  A misspecified lane's drift ``a``
-        then loses ``(xi * v2) / ratio``, worked on views taken here.
-        """
-        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-        n, mis, drv = self.g0.size, self.mis, self.drv
-        g0, p0, p2, c, hxi = self.g0, self.p0, self.p2, self.c, self.hxi
-        two, three = self.two, self.three
-        hh, dt, h6, two4 = (np.full((4, n), x) for x in (0.5 * h, h, h / 6.0, 2.0))
-        q, w, t, num, b, tf, v2, pen = np.empty((8, n))
-        ys, u, k = np.empty((3, 4, n))  # a stage's state; h * G, then the RK4 sum; G's factors
-        gs, ys_rows = list(np.empty((4, 4, n))), tuple(ys)  # the stages' G; rows of ys
-        a, k1, k2, k3 = k  # G = k * y + (pen, 0, 0, 0) and k = (a, 2a + v2, 3(a + v2), a)
-        ratios, dens = list(self.ratios), list(self.dens)
-        ratios_m, xi_m, v2_m, a_m, t_m = ([r[mis:] for r in ratios], self.xi[mis:], v2[mis:],
-                                          a[mis:], t[mis:])
-
-        def stage(s, y, y1, y2, y3, y4, rt):
-            ratio, den, g = ratios[s], dens[s], gs[s]
-            r, th = rt[0], rt[1]
-            # ``_rhs`` in its order of operations: q and w, den, the ratio, v2 and a, pen, G
-            mul(y4, y4, q), mul(y4, y2, w)
-            mul(g0, y2, den), sub(w, y3, t), mul(p2, t, t), add(den, t, den)
-            sub(q, y2, num), mul(g0, num, num), add(y1, num, num)
-            mul(two, q, b), mul(b, y4, b), add(y3, b, b), mul(three, w, t), sub(b, t, b)
-            mul(p0, b, b), add(num, b, num), div(num, den, ratio)
-            own = ratio[drv]
-            mul(th, own, tf), mul(tf, own, v2), mul(v2, c, v2), mul(tf, c, a), add(r, a, a)
-            mul(xi_m, v2_m, t_m), div(t_m, ratios_m[s], t_m), sub(a_m, t_m, a_m)
-            mul(hxi, v2, pen), mul(pen, den, pen)
-            mul(two, a, k1), add(k1, v2, k1), add(a, v2, k2), mul(three, k2, k2)
-            k3[...] = a
-            mul(k, y, g), add(g[0], pen, g[0])
-            return g
-
-        def advance(y, g1, rt_mid, rt_next):
-            for s, step, rt in ((1, hh, rt_mid), (2, hh, rt_mid), (3, dt, rt_next)):
-                mul(step, gs[s - 1], u), add(y, u, ys)
-                stage(s, ys, *ys_rows, rt)
-            add(gs[1], gs[2], u), mul(two4, u, u), add(g1, u, u), add(u, gs[3], u)
-            mul(h6, u, u), add(y, u, y)
-
-        return lambda y, rt: stage(0, y, y[0], y[1], y[2], y[3], rt), advance
-
-
 def _rhs(y, par, rates):
     """Right-hand side ``G`` (``dy/dt = -G``), ratio and denominator of one
     coefficient lane on Python floats, whose constants ``par`` are
-    ``(gamma0, phi0, 2 phi0, c, xi/2)``; ``_Group.kernel`` gives every
-    coefficient lane of a batch the same operations in the same order."""
+    ``(gamma0, phi0, 2 phi0, c, xi/2)``; ``_march`` gives every coefficient
+    lane of a batch the same operations in the same order."""
     g0, p0, p2, c, hxi = par
     r, th = rates[0], rates[1]
     y1, y2, y3, y4 = y
@@ -459,47 +351,129 @@ def _march(batch: list[Lane], rates, grid: TimeGrid, eps_den: float, keep: bool)
     """Backward RK4 of every lane of ``batch`` as lane arrays; returns its
     ``LaneResult`` list.
 
-    Every guard is per lane and per stage.  A failing lane keeps its
-    node and error class and is left out of every result; a lane whose
-    driver fails fails with it; every other lane goes on.
-    """
-    n, size = grid.num_steps, len(batch)
-    par = _Group(batch, rates, eps_den)
-    first, advance = par.kernel(grid.dt)
-    errors: dict[int, LaneResult] = {}
+    One formula serves both kinds of lane: coefficient lanes, then
+    misspecified-value lanes from position ``mis``.  A coefficient lane's
+    strategy is its own ratio, weighted by ``c = 1/(xi+1)^2``.  A
+    misspecified-value lane's strategy is its driver's ratio, unweighted;
+    ``xi * v2 / ratio`` is subtracted from its drift, and its ratio is
+    guarded as well as its denominator.  A batch without misspecified
+    lanes takes the same steps on empty slices.  ``drv`` holds each lane's
+    driver position (its own for a coefficient lane), and RK4 stage ``s``
+    leaves its denominators and ratios in row ``s`` of ``dens`` and
+    ``ratios``.
 
-    def fail(alive, newly, degenerate, k):
-        """Record the lanes ``newly`` failed in the step from node ``k``,
-        then fail the living lanes whose driver has failed."""
+    Every buffer is allocated here, once per batch, and every ufunc writes
+    into one through its positional ``out``: in a batch of a few hundred
+    lanes numpy's fixed cost per call, not arithmetic, sets the speed.  A
+    coefficient lane gets ``_rhs``'s operations on the same operands in the
+    same order, so its numbers are bitwise those of the lane marched alone
+    on floats.
+
+    Every guard is per lane and per stage.  A failing lane keeps its node
+    and error class and is left out of every result; a lane whose driver
+    fails fails with it; every other lane goes on.
+    """
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    n, size, h = grid.num_steps, len(batch), grid.dt
+    mis = sum(lane.driver is None for lane in batch)
+    xi, g0, p0 = np.array([(ln.xi, ln.gamma0, ln.phi0) for ln in batch], dtype=float).T.copy()
+    p2, hxi = 2.0 * p0, 0.5 * xi
+    c = np.array([1.0 if lane.driver is not None else
+                  1.0 / ((lane.xi + 1.0) * (lane.xi + 1.0)) for lane in batch])
+    drv = np.array([p if lane.driver is None else lane.driver
+                    for p, lane in enumerate(batch)], dtype=np.intp)
+    cols = np.array([lane.market for lane in batch], dtype=np.intp)
+    # numpy multiplies two arrays faster than an array and a Python float
+    two, three = np.full(size, 2.0), np.full(size, 3.0)
+    hh, dt, h6, two4 = (np.full((4, size), x) for x in (0.5 * h, h, h / 6.0, 2.0))
+    eps = np.full((4, size), eps_den)
+    ratio_eps = np.full((4, size), [0.0 if lane.driver is None else eps_den for lane in batch])
+    dens, ratios = np.full((4, size), math.nan), np.full((4, size), math.nan)
+    den_rows, ratio_rows = list(dens), list(ratios)
+    q, w, t, num, b, tf, v2, pen = np.empty((8, size))
+    ys, u, fac = np.empty((3, 4, size))  # a stage's state; h * G, then the RK4 sum; G's factors
+    gs, ys_rows = list(np.empty((4, 4, size))), tuple(ys)  # the stages' G; rows of ys
+    a, k1, k2, k3 = fac  # G = fac * y + (pen, 0, 0, 0) and fac = (a, 2a + v2, 3(a + v2), a)
+    ratios_m, xi_m, v2_m, a_m, t_m = ([r[mis:] for r in ratio_rows], xi[mis:], v2[mis:],
+                                      a[mis:], t[mis:])
+
+    def stage(s, y, y1, y2, y3, y4, rt):
+        ratio, den, g = ratio_rows[s], den_rows[s], gs[s]
+        r, th = rt[0], rt[1]
+        # ``_rhs`` in its order of operations: q and w, den, the ratio, v2 and a, pen, G
+        mul(y4, y4, q), mul(y4, y2, w)
+        mul(g0, y2, den), sub(w, y3, t), mul(p2, t, t), add(den, t, den)
+        sub(q, y2, num), mul(g0, num, num), add(y1, num, num)
+        mul(two, q, b), mul(b, y4, b), add(y3, b, b), mul(three, w, t), sub(b, t, b)
+        mul(p0, b, b), add(num, b, num), div(num, den, ratio)
+        own = ratio[drv]
+        mul(th, own, tf), mul(tf, own, v2), mul(v2, c, v2), mul(tf, c, a), add(r, a, a)
+        mul(xi_m, v2_m, t_m), div(t_m, ratios_m[s], t_m), sub(a_m, t_m, a_m)
+        mul(hxi, v2, pen), mul(pen, den, pen)
+        mul(two, a, k1), add(k1, v2, k1), add(a, v2, k2), mul(three, k2, k2)
+        k3[...] = a
+        mul(fac, y, g), add(g[0], pen, g[0])
+        return g
+
+    def advance(y, g1, rt_mid, rt_next):
+        """The other three stages of the step from ``y``, whose first stage
+        gave ``g1``; updates ``y`` in place."""
+        for s, step, rt in ((1, hh, rt_mid), (2, hh, rt_mid), (3, dt, rt_next)):
+            mul(step, gs[s - 1], u), add(y, u, ys)
+            stage(s, ys, *ys_rows, rt)
+        add(gs[1], gs[2], u), mul(two4, u, u), add(g1, u, u), add(u, gs[3], u)
+        mul(h6, u, u), add(y, u, y)
+
+    errors: dict[int, LaneResult] = {}
+    finite = 4 * size  # finite state entries at the last test
+
+    def fail(alive, y, k):
+        """Whether a living lane failed in the step from node ``k``.  Records
+        the lanes that did and the living lanes whose driver has failed, and
+        takes both out of ``alive`` in place.  Counts test every lane at once;
+        a failed lane's guards become ``-inf`` and its non-finite entries stay
+        so, so it sets off no later test."""
+        nonlocal finite
+        low, small = dens < eps, np.abs(ratios) < ratio_eps
+        fin = np.isfinite(y)
+        if not (np.count_nonzero(low) or np.count_nonzero(small)) and (
+                np.count_nonzero(fin) == finite):
+            return False
+        finite = np.count_nonzero(fin)
+        dead = np.logical_not(alive)
+        eps[:, dead] = ratio_eps[:, dead] = -np.inf
+        bad = (low | small).any(axis=0)
+        newly = alive & (bad | np.logical_not(fin.all(axis=0)))
+        if not newly.any():
+            return False
         for p in np.flatnonzero(newly):
-            errors[p] = _failure(batch[p], degenerate[p], k, grid, eps_den)
-        alive = alive & np.logical_not(newly)
-        orphans = alive & np.logical_not(alive[par.drv])
+            errors[p] = _failure(batch[p], bad[p], k, grid, eps_den)
+        alive &= np.logical_not(newly)
+        orphans = alive & np.logical_not(alive[drv])
         for p in np.flatnonzero(orphans):
-            driver = errors[par.drv[p]]
+            driver = errors[drv[p]]
             errors[p] = LaneResult(driver.error, f"driver lane failed: {driver.message}",
                                    driver.node)
-        return alive & np.logical_not(orphans)
+        alive &= np.logical_not(orphans)
+        return True
 
     y = np.ones((4, size))
+    y_rows = tuple(y)
     alive = np.ones(size, bool)
     lo = np.full(size, math.inf)
     path = np.empty((6, n + 1, size)) if keep else None  # ``_march_lone``'s rows, lanes last
-    for k, rt, rt_mid, rt_next in _steps(par.rates, n):
-        g1 = first(y, rt)
-        np.minimum(lo, par.dens[0], out=lo)
+    for k, rt, rt_mid, rt_next in _steps(lambda i, j: rates[i:j, :, cols], n):
+        g1 = stage(0, y, *y_rows, rt)
+        np.minimum(lo, den_rows[0], out=lo)
         if keep:
-            path[:, k] = par.ratios[0], *y, par.dens[0]
+            path[:, k] = ratio_rows[0], *y_rows, den_rows[0]
         if k:  # node 0 closes the paths; rows 1-3 keep stages every living lane passed
             advance(y, g1, rt_mid, rt_next)
-        failed = par.failed(alive, y)
-        if failed is not None:
-            alive = fail(alive, *failed, k)
-            if not alive.any():
-                break
+        if fail(alive, y, k) and not alive.any():
+            break
 
     return [errors[p] if p in errors else LaneResult(
-        ratio0=float(par.ratios[0, p]),
+        ratio0=float(ratios[0, p]),
         state0=tuple(float(v) for v in y[:, p]),
         den_min=float(lo[p]),
         path=path[..., p].copy() if keep else None,
@@ -626,7 +600,7 @@ def solve_f_picard(
     converged tail-segment by tail-segment, which succeeds whenever the
     solution exists on the grid.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ConfigError(f"tol must be positive, got {tol}")
     gamma0, phi0, xi = prefs.gamma0, prefs.phi0, prefs.xi
     n = grid.num_steps

@@ -20,7 +20,8 @@ def base_grid():
 
 @pytest.fixture(scope="session")
 def base_market(base_grid):
-    return build_market(BASE["T"], BASE["r"], BASE["mu"], BASE["sigma"], grid=base_grid)
+    return build_market(BASE["T"], BASE["r"], BASE["mu"], BASE["sigma"],
+                        num_steps=base_grid.num_steps)
 
 
 @pytest.fixture(scope="session")

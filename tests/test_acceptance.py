@@ -24,7 +24,6 @@ from mvs_robust import (
     NonFiniteState,
     Preferences,
     SimConfig,
-    TimeGrid,
     build_market,
     delta3_scan,
     equilibrium_policy,
@@ -64,7 +63,6 @@ def _solvable_draws(count=20, seed=DRAW_SEED, max_attempts=100):
     rng = np.random.default_rng(seed)
     out = []
     attempts = 0
-    grid = TimeGrid(BASE["T"], 2000)
     while len(out) < count and attempts < max_attempts:
         attempts += 1
         gamma0 = rng.uniform(0.5, 5.0)
@@ -72,13 +70,13 @@ def _solvable_draws(count=20, seed=DRAW_SEED, max_attempts=100):
         xi = rng.uniform(0.0, 3.0)
         theta = rng.uniform(0.0, 0.5)
         mu = BASE["r"] + BASE["sigma"] * np.sqrt(theta)
-        market = build_market(BASE["T"], BASE["r"], mu, BASE["sigma"], grid=grid)
+        market = build_market(BASE["T"], BASE["r"], mu, BASE["sigma"], num_steps=2000)
         prefs = Preferences(gamma0, phi0, xi)
         try:
-            table = solve_system(market, prefs, grid)
+            table = solve_system(market, prefs, market.grid)
         except (DegenerateDenominator, NonFiniteState):
             continue
-        out.append((market, prefs, grid, table))
+        out.append((market, prefs, market.grid, table))
     assert len(out) == count, f"only {len(out)} solvable draws in {attempts} attempts"
     return out, attempts
 

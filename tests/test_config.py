@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvs_robust import ConfigError, MvsRobustError, NonPositiveHorizon, SingularGram
-from mvs_robust.config import RunConfig, SweepSection, parse_config
+from mvs_robust.config import RunConfig, SolverSection, SweepSection, parse_config
 from mvs_robust.market import Preferences
 from mvs_robust.simulate import Scheme, SimConfig
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
@@ -184,6 +184,13 @@ class TestValidation:
         # solver
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("key", ["picard_tol", "eps_den"])
+    def test_nan_solver_setting_built_in_code(self, key):
+        # the parser refuses ``nan`` itself; a config built in code meets validate
+        cfg = RunConfig(solver=SolverSection(**{key: float("nan")}))
+        with pytest.raises(ConfigError, match=f"^{key} must be positive, got nan$"):
+            cfg.validate()
 
     def test_run_sweep_without_sweep_section(self):
         with pytest.raises(MvsRobustError, match=r"config has no \[sweep\] section"):

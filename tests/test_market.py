@@ -86,10 +86,6 @@ class TestBuildMarket:
         with pytest.raises(ConfigError, match=match):
             build_market(1.0, 0.05, drift, volatility, num_steps=10)
 
-    def test_grid_horizon_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="grid horizon does not match market horizon"):
-            build_market(5.0, 0.05, 0.15, 0.25, grid=TimeGrid(4.0, 10))
-
     def test_singular_gram_names_first_bad_node(self):
         # nodes 0 to 4 pass the scan before node 5 fails
         sig = np.full((11, 1, 1), 0.25)
@@ -133,11 +129,10 @@ class TestBuildMarket:
             assert m.theta_nodes[k] == pytest.approx(theta, rel=1e-14)
 
     def test_piecewise_linear_tables(self):
-        grid = TimeGrid(2.0, 4)
         r = np.linspace(0.02, 0.06, 5)
         mu = np.linspace(0.10, 0.20, 5).reshape(5, 1)
         sig = np.full((5, 1, 1), 0.25)
-        m = build_market(2.0, r, mu, sig, grid=grid)
+        m = build_market(2.0, r, mu, sig, num_steps=4)
         # halfway between nodes 0 and 1
         assert m.risk_free_at(0.25) == pytest.approx(0.025, abs=1e-15)
         assert m.excess_at(0.25)[0] == pytest.approx(0.1125 - 0.025, abs=1e-15)
@@ -145,7 +140,7 @@ class TestBuildMarket:
     def test_per_node_curve_exact_at_nodes(self, base_grid):
         # t / dt is not an integer at many nodes: the segment comes from the nodes
         r = 0.05 + 0.02 * np.sin(3.0 * base_grid.nodes)
-        m = build_market(5.0, r, 0.15, 0.25, grid=base_grid)
+        m = build_market(5.0, r, 0.15, 0.25, num_steps=base_grid.num_steps)
         np.testing.assert_array_equal(m.risk_free_at(base_grid.nodes), r)
         np.testing.assert_array_equal(m.excess_at(base_grid.nodes)[:, 0], m.excess_nodes[:, 0])
 

@@ -135,10 +135,14 @@ class TestPicard:
         with pytest.raises(ConfigError):
             solve_f_picard(base_market, base_prefs, base_grid, tol=0.0)
 
+    def test_nan_tol_rejected(self, base_market, base_prefs, base_grid):
+        with pytest.raises(ConfigError, match="^tol must be positive, got nan$"):
+            solve_f_picard(base_market, base_prefs, base_grid, tol=float("nan"))
+
     def test_continuation_handles_noncontractive_map(self):
         # plain damped iteration diverges here; RK4 still solves it
-        grid = TimeGrid(5.0, 2000)
-        m = build_market(5.0, 0.05, 0.05 + 0.25 * np.sqrt(0.309), 0.25, grid=grid)
+        m = build_market(5.0, 0.05, 0.05 + 0.25 * np.sqrt(0.309), 0.25, num_steps=2000)
+        grid = m.grid
         prefs = Preferences(1.713, 0.792, 0.552)
         table = solve_system(m, prefs, grid)
         f, info = solve_f_picard(m, prefs, grid, full_output=True)
@@ -358,7 +362,7 @@ class TestLaneBatch:
         # on the steep market (mu = 10, sigma = 0.2) lane states overflow
         grid = TimeGrid(BASE["T"], num_steps)
         drift = BASE["mu"] + 0.02 * np.cos(grid.nodes)[:, None]
-        markets = [build_market(BASE["T"], BASE["r"], mu, sigma, grid=grid)
+        markets = [build_market(BASE["T"], BASE["r"], mu, sigma, num_steps=grid.num_steps)
                    for mu, sigma in ((drift, BASE["sigma"]), (10.0, 0.2))]
         plan = coefficient_plan(Preferences(2.0, 0.5, 1.0), Preferences(1.0, 0.5, 1.0),
                                 Preferences(3.0, 0.0, 0.4), Preferences(2.0, 0.5, 2.0))
@@ -528,16 +532,15 @@ class TestColumnsAt:
 
     @staticmethod
     def base_table_on(num_steps, prefs):
-        grid = TimeGrid(BASE["T"], num_steps)
-        m = build_market(BASE["T"], BASE["r"], BASE["mu"], BASE["sigma"], grid=grid)
-        return solve_system(m, prefs, grid)
+        m = build_market(BASE["T"], BASE["r"], BASE["mu"], BASE["sigma"], num_steps=num_steps)
+        return solve_system(m, prefs, m.grid)
 
     @pytest.mark.parametrize("market", [{}, THREE_ASSET], ids=["base", "three_asset"])
     @pytest.mark.parametrize("kind", ["coefficient", "mispec"])
     def test_matches_cubic_spline_off_nodes(self, market, kind):
-        grid = TimeGrid(BASE["T"], 2000)
         m = build_market(BASE["T"], BASE["r"], market.get("mu", BASE["mu"]),
-                         market.get("sigma", BASE["sigma"]), grid=grid)
+                         market.get("sigma", BASE["sigma"]), num_steps=2000)
+        grid = m.grid
         prefs = Preferences(2.0, 0.5, 1.0)
         table = (solve_system(m, prefs, grid) if kind == "coefficient" else
                  solve_mispec_system(m, prefs, grid, MispecKind.IGNORE_UNCERTAINTY))

@@ -70,6 +70,8 @@ SWEEPS = {
         "[sweep]\nparam = xi\nmin = 0.5\nmax = 3.0\ncount = 3\n"
         "param2 = r\nmin2 = 0.03\nmax2 = 0.06\ncount2 = 2\n"
     ),
+    # one axis, so a one-parameter header and ``sweep_grid``'s one-axis branch
+    "base-xi": "[sweep]\nparam = xi\nmin = 0.5\nmax = 3.0\ncount = 4\n",
 }
 
 
