@@ -28,8 +28,8 @@ RK4 over a lane axis: a sweep integrates all of its distinct systems in
 one call, and a misspecified-value lane reads, at every RK4 stage, the
 ratio of the coefficient lane that drives it.  A lone lane marches on
 Python floats (``_march_lone``); a batch of two or more lanes marches
-once as lane arrays (``_march``), through buffers it allocates once per
-batch.
+once as lane arrays (``_march``), in one step loop whose stages and
+guards write into buffers it allocates once per batch.
 
 The denominator of the algebraic ratio equals ``gamma0`` at the
 terminal time and must stay positive for the backward solution to
@@ -354,13 +354,10 @@ def _march(batch: list[Lane], rates, grid: TimeGrid, eps_den: float, keep: bool)
     One formula serves both kinds of lane: coefficient lanes, then
     misspecified-value lanes from position ``mis``.  A coefficient lane's
     strategy is its own ratio, weighted by ``c = 1/(xi+1)^2``.  A
-    misspecified-value lane's strategy is its driver's ratio, unweighted;
-    ``xi * v2 / ratio`` is subtracted from its drift, and its ratio is
-    guarded as well as its denominator.  A batch without misspecified
-    lanes takes the same steps on empty slices.  ``drv`` holds each lane's
-    driver position (its own for a coefficient lane), and RK4 stage ``s``
-    leaves its denominators and ratios in row ``s`` of ``dens`` and
-    ``ratios``.
+    misspecified-value lane's strategy is its driver's ratio, unweighted,
+    and ``xi * v2 / ratio`` is subtracted from its drift.  A batch without
+    misspecified lanes takes the same steps on empty slices.  ``drv`` holds
+    each lane's driver position (its own for a coefficient lane).
 
     Every buffer is allocated here, once per batch, and every ufunc writes
     into one through its positional ``out``: in a batch of a few hundred
@@ -369,9 +366,17 @@ def _march(batch: list[Lane], rates, grid: TimeGrid, eps_den: float, keep: bool)
     same order, so its numbers are bitwise those of the lane marched alone
     on floats.
 
-    Every guard is per lane and per stage.  A failing lane keeps its node
-    and error class and is left out of every result; a lane whose driver
-    fails fails with it; every other lane goes on.
+    Every guard is per lane and per stage.  Stage ``s`` leaves its ratios
+    in row ``s`` of ``ratios`` and its denominators in row ``s`` of
+    ``guard``, whose rows 4-7 take the ratios' magnitudes after each step;
+    one comparison with ``bounds`` tests all eight rows.  The bound is
+    ``eps_den`` for every denominator and for a misspecified lane's ratio,
+    and 0, which no magnitude falls below, for a coefficient lane's.  When
+    a guard trips or the count of finite state entries falls, each living
+    lane that tripped one or holds a non-finite entry fails at that step
+    with its node and error class, and is left out of every result; a lane
+    whose driver fails fails with it; every other lane goes on.  A failed
+    lane's bounds become ``-inf``, so only living lanes trip a guard.
     """
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     n, size, h = grid.num_steps, len(batch), grid.dt
@@ -386,9 +391,11 @@ def _march(batch: list[Lane], rates, grid: TimeGrid, eps_den: float, keep: bool)
     # numpy multiplies two arrays faster than an array and a Python float
     two, three = np.full(size, 2.0), np.full(size, 3.0)
     hh, dt, h6, two4 = (np.full((4, size), x) for x in (0.5 * h, h, h / 6.0, 2.0))
-    eps = np.full((4, size), eps_den)
-    ratio_eps = np.full((4, size), [0.0 if lane.driver is None else eps_den for lane in batch])
-    dens, ratios = np.full((4, size), math.nan), np.full((4, size), math.nan)
+    guard = np.full((8, size), math.nan)  # the stages' denominators, then |ratios|
+    dens, mags, ratios = guard[:4], guard[4:], np.full((4, size), math.nan)
+    bounds = np.full((8, size), eps_den)
+    bounds[4:, :mis] = 0.0
+    low, fin = np.empty((8, size), bool), np.empty((4, size), bool)
     den_rows, ratio_rows = list(dens), list(ratios)
     q, w, t, num, b, tf, v2, pen = np.empty((8, size))
     ys, u, fac = np.empty((3, 4, size))  # a stage's state; h * G, then the RK4 sum; G's factors
@@ -413,63 +420,41 @@ def _march(batch: list[Lane], rates, grid: TimeGrid, eps_den: float, keep: bool)
         mul(two, a, k1), add(k1, v2, k1), add(a, v2, k2), mul(three, k2, k2)
         k3[...] = a
         mul(fac, y, g), add(g[0], pen, g[0])
-        return g
-
-    def advance(y, g1, rt_mid, rt_next):
-        """The other three stages of the step from ``y``, whose first stage
-        gave ``g1``; updates ``y`` in place."""
-        for s, step, rt in ((1, hh, rt_mid), (2, hh, rt_mid), (3, dt, rt_next)):
-            mul(step, gs[s - 1], u), add(y, u, ys)
-            stage(s, ys, *ys_rows, rt)
-        add(gs[1], gs[2], u), mul(two4, u, u), add(g1, u, u), add(u, gs[3], u)
-        mul(h6, u, u), add(y, u, y)
 
     errors: dict[int, LaneResult] = {}
     finite = 4 * size  # finite state entries at the last test
-
-    def fail(alive, y, k):
-        """Whether a living lane failed in the step from node ``k``.  Records
-        the lanes that did and the living lanes whose driver has failed, and
-        takes both out of ``alive`` in place.  Counts test every lane at once;
-        a failed lane's guards become ``-inf`` and its non-finite entries stay
-        so, so it sets off no later test."""
-        nonlocal finite
-        low, small = dens < eps, np.abs(ratios) < ratio_eps
-        fin = np.isfinite(y)
-        if not (np.count_nonzero(low) or np.count_nonzero(small)) and (
-                np.count_nonzero(fin) == finite):
-            return False
-        finite = np.count_nonzero(fin)
-        dead = np.logical_not(alive)
-        eps[:, dead] = ratio_eps[:, dead] = -np.inf
-        bad = (low | small).any(axis=0)
-        newly = alive & (bad | np.logical_not(fin.all(axis=0)))
-        if not newly.any():
-            return False
-        for p in np.flatnonzero(newly):
-            errors[p] = _failure(batch[p], bad[p], k, grid, eps_den)
-        alive &= np.logical_not(newly)
-        orphans = alive & np.logical_not(alive[drv])
-        for p in np.flatnonzero(orphans):
-            driver = errors[drv[p]]
-            errors[p] = LaneResult(driver.error, f"driver lane failed: {driver.message}",
-                                   driver.node)
-        alive &= np.logical_not(orphans)
-        return True
-
     y = np.ones((4, size))
     y_rows = tuple(y)
     alive = np.ones(size, bool)
     lo = np.full(size, math.inf)
     path = np.empty((6, n + 1, size)) if keep else None  # ``_march_lone``'s rows, lanes last
     for k, rt, rt_mid, rt_next in _steps(lambda i, j: rates[i:j, :, cols], n):
-        g1 = stage(0, y, *y_rows, rt)
+        stage(0, y, *y_rows, rt)
         np.minimum(lo, den_rows[0], out=lo)
         if keep:
             path[:, k] = ratio_rows[0], *y_rows, den_rows[0]
         if k:  # node 0 closes the paths; rows 1-3 keep stages every living lane passed
-            advance(y, g1, rt_mid, rt_next)
-        if fail(alive, y, k) and not alive.any():
+            for s, step, rs in ((1, hh, rt_mid), (2, hh, rt_mid), (3, dt, rt_next)):
+                mul(step, gs[s - 1], u), add(y, u, ys)
+                stage(s, ys, *ys_rows, rs)
+            add(gs[1], gs[2], u), mul(two4, u, u), add(gs[0], u, u), add(u, gs[3], u)
+            mul(h6, u, u), add(y, u, y)
+        np.abs(ratios, out=mags), np.less(guard, bounds, out=low), np.isfinite(y, out=fin)
+        if not np.count_nonzero(low) and np.count_nonzero(fin) == finite:
+            continue
+        finite = np.count_nonzero(fin)
+        bad = low.any(axis=0)
+        newly = alive & (bad | ~fin.all(axis=0))
+        for p in np.flatnonzero(newly):
+            errors[p] = _failure(batch[p], bad[p], k, grid, eps_den)
+        alive &= ~newly
+        orphans = alive & ~alive[drv]
+        for p in np.flatnonzero(orphans):
+            driver = errors[drv[p]]
+            errors[p] = replace(driver, message=f"driver lane failed: {driver.message}")
+        alive &= ~orphans
+        bounds[:, ~alive] = -np.inf
+        if not alive.any():
             break
 
     return [errors[p] if p in errors else LaneResult(

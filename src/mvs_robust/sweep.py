@@ -87,8 +87,9 @@ def _cell_row(cell: SweepCell, market: MarketCurves, ids: tuple[int, ...], plan:
 
 def run_sweep(config: RunConfig) -> tuple[list[str], list[SweepRow]]:
     """Evaluate every cell; returns (header, rows) in deterministic order.
-    Raises ``ConfigError`` for a cell outside a parameter's domain."""
-    markets, cells = config.cells
+    Validates the whole config first, so a config built in code raises
+    the ``ConfigError`` that load would."""
+    markets, cells = config.validate().cells
     sw = config.sweep
     params = [sw.param] + ([sw.param2] if sw.param2 else [])
     header = params + list(RESULT_FIELDS) + ["status"]

@@ -192,6 +192,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{key} must be positive, got nan$"):
             cfg.validate()
 
+    @pytest.mark.parametrize("eps_den", [float("nan"), 0.0, -1.0])
+    def test_run_sweep_validates_a_config_built_in_code(self, eps_den):
+        # load's text and class, not integrate_lanes' bare ValueError
+        cfg = RunConfig(solver=SolverSection(eps_den=eps_den),
+                        sweep=SweepSection("xi", 0.5, 1.0, 2))
+        with pytest.raises(ConfigError, match=f"^eps_den must be positive, got {eps_den}$"):
+            run_sweep(cfg)
+
     def test_run_sweep_without_sweep_section(self):
         with pytest.raises(MvsRobustError, match=r"config has no \[sweep\] section"):
             run_sweep(RunConfig())

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mvs_robust import (
     solve_system,
 )
 from mvs_robust import solver
+from mvs_robust.config import parse_config
 from mvs_robust.policy import value_bracket
 from mvs_robust.presets import FIGURE_PRESETS, preset_config
 from mvs_robust.solver import Lane, LanePlan, PicardInfo, integrate_lanes, solve_all
@@ -388,6 +390,35 @@ class TestLaneBatch:
         batch = integrate_lanes(plan.lanes, [base_market], base_grid, keep_paths=True)
         alone = march_each_alone(plan.lanes, [base_market], base_grid, keep_paths=True)
         assert_same_results(alone, batch)
+
+    # a guard of 0.3 trips both kinds of lane on a coarse grid
+    RATIO_GUARD = (
+        "[solver]\nnum_steps = 200\neps_den = 0.3\n"
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 3\n"
+        "param2 = gamma0\nmin2 = 1\nmax2 = 4\ncount2 = 4\n"
+    )
+
+    def test_every_guard_outcome_is_its_lane_alone(self):
+        cfg = parse_config(self.RATIO_GUARD)
+        markets, cells = cfg.cells
+        plan = LanePlan()
+        for cell in cells:
+            plan.add_model(cell.market, cell.prefs)
+        args = plan.lanes, markets, cfg.market_curves.grid
+        batch = integrate_lanes(*args, eps_den=0.3, keep_paths=True)
+        assert_same_results(march_each_alone(*args, eps_den=0.3, keep_paths=True), batch)
+        assert {res.error for res in batch} == {None, DegenerateDenominator}
+        outcomes = Counter((lane.driver is None, res.message.partition(" below guard 0.3")[0])
+                           for lane, res in zip(plan.lanes, batch))
+        assert outcomes == {
+            (True, ""): 30,
+            (True, "coefficient denominator"): 2,
+            (False, "driver lane failed: coefficient denominator"): 2,
+            (False, "value-system denominator or ratio"): 13,
+            (False, ""): 9,
+        }
+        _, rows = run_sweep(cfg)
+        assert Counter(row.status for row in rows) == {"DegenerateDenominator": 9, "ok": 3}
 
     @pytest.mark.parametrize("shuffle", ["reversed", "shuffled"])
     def test_results_do_not_depend_on_lane_order(self, base_market, base_grid, shuffle):

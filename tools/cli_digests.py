@@ -72,6 +72,14 @@ SWEEPS = {
     ),
     # one axis, so a one-parameter header and ``sweep_grid``'s one-axis branch
     "base-xi": "[sweep]\nparam = xi\nmin = 0.5\nmax = 3.0\ncount = 4\n",
+    # a guard of 0.3 on 200 steps: coefficient lanes fail on their denominator,
+    # the misspecified lanes they drive fail with them, and others fail on their own
+    # denominator or ratio, so 9 of the 12 cells read DegenerateDenominator
+    "ratio-guard": (
+        "[solver]\nnum_steps = 200\neps_den = 0.3\n"
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 3\n"
+        "param2 = gamma0\nmin2 = 1\nmax2 = 4\ncount2 = 4\n"
+    ),
 }
 
 
