@@ -11,6 +11,7 @@ penalty, running fourth moment) is ``simulate``'s one extrapolated rule.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import MvsRobustError
-from .market import MarketCurves, Preferences, TimeGrid
+from .market import MarketCurves, TimeGrid
 from .policy import coefficients_at, delta3_scan
 from .simulate import (
     SimResult,
@@ -59,11 +60,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CheckContext:
-    """A configuration with its market, preferences and FULL table."""
+    """A configuration with its market and FULL table."""
 
     config: RunConfig
     market: MarketCurves
-    prefs: Preferences
     table: CoefficientTable
 
     @cached_property
@@ -73,16 +73,17 @@ class CheckContext:
 
 
 def solve_context(config: RunConfig) -> CheckContext:
-    market, prefs = config.market_curves, config.preferences
-    table = solve_system(market, prefs, market.grid, ModelVariant.FULL, config.solver.eps_den)
-    return CheckContext(config, market, prefs, table)
+    market = config.market_curves
+    table = solve_system(market, config.preferences, market.grid, ModelVariant.FULL,
+                         config.solver.eps_den)
+    return CheckContext(config, market, table)
 
 
 def check_terminal_conditions(ctx: CheckContext) -> CheckResult:
     """Terminal nodes carry the exact boundary values."""
     table = ctx.table
     errs = [
-        abs(table.f[-1] - 1.0 / ctx.prefs.gamma0),
+        abs(table.f[-1] - 1.0 / ctx.config.preferences.gamma0),
         abs(table.h1[-1] - 1.0), abs(table.h2[-1] - 1.0),
         abs(table.h3[-1] - 1.0), abs(table.g1[-1] - 1.0),
     ]
@@ -95,7 +96,7 @@ def check_oracle_equivalence(ctx: CheckContext) -> CheckResult:
     rule is second order, so the oracle is ``(4 P(2N)[::2] - P(N)) / 3``."""
     solver, grid = ctx.config.solver, ctx.market.grid
     f_n, f_2n = (
-        solve_f_picard(ctx.market, ctx.prefs, g, tol=solver.picard_tol,
+        solve_f_picard(ctx.market, ctx.config.preferences, g, tol=solver.picard_tol,
                        max_iter=solver.picard_max_iter, eps_den=solver.eps_den)
         for g in (grid, TimeGrid(grid.horizon, 2 * grid.num_steps))
     )
@@ -175,9 +176,10 @@ def check_moment_bound(ctx: CheckContext) -> CheckResult:
 
 
 def check_determinism(ctx: CheckContext) -> CheckResult:
-    """A second run of the shared simulation agrees bitwise, every field."""
+    """A second run of the shared simulation agrees bit for bit, every field, as
+    pickles: a NaN matches a NaN and ``-0.0`` differs from ``0.0``."""
     again = simulate_equilibrium_wealth(ctx.table, ctx.market, ctx.config.simulation)
-    return CheckResult("determinism", ctx.sim == again)
+    return CheckResult("determinism", pickle.dumps(ctx.sim) == pickle.dumps(again))
 
 
 ALL_CHECKS = (

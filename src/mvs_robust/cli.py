@@ -75,8 +75,6 @@ def cmd_solve(config: RunConfig, out_dir: Path, variants: list[ModelVariant], ar
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path, argv) -> int:
-    if config.sweep is None:
-        raise ConfigError("sweep command requires a [sweep] section")
     header, rows = run_sweep(config)
     _write(out_dir / "sweep.csv", rows_to_csv(header, rows))
     _write_meta(out_dir, config, argv)

@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, MvsRobustError
+from .errors import ConfigError
 from .market import DEFAULT_NUM_STEPS, MarketCurves, Preferences, build_market
 from .simulate import Measure, Scheme, SimConfig
 from .solver import DEFAULT_EPS_DEN, DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL
@@ -144,11 +144,9 @@ class RunConfig:
                 f"start_time must lie in [0, T) = [0, {self.market.T:g}), "
                 f"got {self.simulation.start_time}"
             )
-        if self.sweep is not None:
-            self._validate_sweep(self.sweep)
-        return self
-
-    def _validate_sweep(self, sw: SweepSection) -> None:
+        sw = self.sweep
+        if sw is None:
+            return self
         if (sw.param2, sw.min2, sw.max2, sw.count2).count(None) not in (0, 4):
             raise ConfigError("[sweep] second axis needs param2, min2, max2 and count2, or none")
         if sw.param2 == sw.param:
@@ -163,6 +161,7 @@ class RunConfig:
             if name in ("mu", "sigma") and len(self.market.mu) != 1:
                 raise ConfigError(f"sweeping {name!r} requires a single risky asset")
         self.cells
+        return self
 
     def with_overrides(self, values: dict[str, float]) -> "RunConfig":
         """New config with sweepable parameters replaced by ``values``."""
@@ -207,7 +206,7 @@ def sweep_grid(config: RunConfig) -> list[dict[str, float]]:
     """Cell parameter dictionaries in output order (outer x inner)."""
     sw = config.sweep
     if sw is None:
-        raise MvsRobustError("config has no [sweep] section")
+        raise ConfigError("config has no [sweep] section")
     first = np.linspace(sw.min, sw.max, sw.count)
     if sw.param2 is None:
         return [{sw.param: float(v)} for v in first]

@@ -182,14 +182,6 @@ def _checked_theta(beta: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return _theta(beta, gram)
 
 
-def _solves(gram: np.ndarray, excess: np.ndarray) -> bool:
-    try:
-        _checked_theta(excess, gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def build_market(
     horizon: float,
     risk_free,
@@ -243,11 +235,14 @@ def build_market(
     try:
         theta = _checked_theta(excess, gram)
     except np.linalg.LinAlgError:
-        bad = next(k for k in range(n) if not _solves(gram[k:k + 1], excess[k:k + 1]))
-        raise SingularGram(
-            f"Gram matrix singular or not positive definite at node {bad} "
-            f"(t = {grid.nodes[bad]:g})"
-        ) from None
+        for bad in range(n):  # the first node whose Sigma fails alone
+            try:
+                _checked_theta(excess[bad:bad + 1], gram[bad:bad + 1])
+            except np.linalg.LinAlgError:
+                raise SingularGram(
+                    f"Gram matrix singular or not positive definite at node {bad} "
+                    f"(t = {grid.nodes[bad]:g})"
+                ) from None
 
     return MarketCurves(
         num_assets=num_assets,

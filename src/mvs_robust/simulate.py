@@ -13,6 +13,7 @@ independent oracle against the solved tables: orders 1..3 must reproduce
 ``g1 w``, ``h2 w**2`` and ``h3 w**3``, and the sampled running fourth
 moment must stay within ``FOURTH_MOMENT_BAND`` of its closed form.  Each
 oracle integral, the penalty's too, is Simpson's rule (``_tail_integrals``).
+A non-finite standard error gives a z-score of NaN, which fails every band.
 
 Randomness is counter-based: path ``i`` consumes a fixed block range of
 a Philox stream keyed by the seed.  Paths are accumulated on the calling
@@ -43,12 +44,13 @@ import numpy as np
 from .errors import ConfigError, OutOfHorizon, PenaltyUndefined, UnsolvedTable
 from .market import MarketCurves
 from .policy import value_bracket
-from .solver import MispecTable, SolvedTable
+from .solver import MispecTable, SolvedTable, reverse_cumtrapz
 
 _CHUNK = 16384          # paths per accumulation block, fixed for determinism
 _LEAF = 1024            # most paths marched and filled at once; only memory depends on it
 _STEP_BLOCK = 25        # steps marched per numpy call on a leaf; only speed depends on it
 _MIN_UNIFORM = 5e-324   # keeps ndtri finite if a raw uniform is exactly 0
+_MAX_WEALTH = float(np.finfo(float).max) ** 0.25  # a start wealth's w ** 4 overflows from here
 FOURTH_MOMENT_BAND = (0.8, 1.25)  # sampled / analytic running fourth moment
 
 
@@ -79,8 +81,9 @@ class SimConfig:
             raise ConfigError(f"num_paths must be >= 2, got {self.num_paths}")
         if self.num_steps < 1:
             raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
-        if not (np.isfinite(self.start_wealth) and self.start_wealth > 0.0):
-            raise ConfigError(f"start_wealth must be positive, got {self.start_wealth}")
+        if not 0.0 < self.start_wealth < _MAX_WEALTH:  # NaN fails too
+            raise ConfigError(f"start_wealth must be positive and below {_MAX_WEALTH:.5g}, "
+                              f"got {self.start_wealth}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
@@ -91,7 +94,9 @@ class MomentEstimate:
     std_error: float
 
     def z_score(self, target: float) -> float:
-        """``(value - target) / std_error``, or 0 for a zero standard error."""
+        """``(value - target) / std_error``: 0 if std_error is 0, NaN if it is not finite."""
+        if not np.isfinite(self.std_error):
+            return np.nan
         return float((self.value - target) / self.std_error) if self.std_error > 0.0 else 0.0
 
 
@@ -183,15 +188,15 @@ def _cumtrapz(g: np.ndarray, times: np.ndarray) -> np.ndarray:
 def _tail_integrals(table: SolvedTable, market: MarketCurves, times: np.ndarray,
                     measure: Measure, integrand) -> np.ndarray:
     """Integrals of each row of ``integrand(curves)`` from each of ``times`` to the last, as
-    ``(4 R_half - R) / 3`` (Simpson's rule per step): ``R`` the trapezoid rule on ``times``,
-    ``R_half`` on their steps halved.  The curves are built once, at ``times`` and each
-    step's midpoint; ``integrand`` may hold a trapezoid rule on the grid it is given."""
+    ``(4 R_half - R) / 3`` (Simpson's rule per step): ``R`` is ``reverse_cumtrapz`` on
+    ``times``, ``R_half`` on their steps halved.  The curves are built once, at ``times`` and
+    each step's midpoint; ``integrand`` may hold a trapezoid rule of its own."""
     fine = np.empty(2 * times.size - 1)
     fine[::2], fine[1::2] = times, 0.5 * (times[:-1] + times[1:])
     curves = _curves(table, market, fine, measure)
     half, plain = integrand(curves), integrand(_Curves(*(c[::2] for c in curves)))
-    return -(4.0 * _cumtrapz(half[..., ::-1], fine[::-1])[..., ::2]
-             - _cumtrapz(plain[..., ::-1], times[::-1]))[..., ::-1] / 3.0
+    return (4.0 * reverse_cumtrapz(half, np.diff(fine))[..., ::2]
+            - reverse_cumtrapz(plain, np.diff(times))) / 3.0
 
 
 def _objective(m1, m2, m3, penalty, w: float, gamma0: float, phi0: float):
@@ -357,7 +362,9 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
             1.0,
         ])
         block = cov[np.ix_((0, 1, 2, 4), (0, 1, 2, 4))]
-        obj_var = max(0.0, float(grad @ block @ grad))
+        obj_var = float(grad @ block @ grad)
+        if obj_var <= 0.0:  # rounding below zero; a NaN stays, to fail the band
+            obj_var = 0.0
         result_objective = MomentEstimate(
             value=float(obj), std_error=float(np.sqrt(obj_var / npaths))
         )

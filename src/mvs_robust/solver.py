@@ -12,8 +12,8 @@ of time functions solved backward from the horizon:
   integrator serves all of them.
 
 * ``solve_f_picard`` solves the equivalent integral equation for ``f``
-  by damped fixed-point iteration on the same grid (trapezoid
-  quadrature), backed by a backward-continuation fallback for
+  by damped fixed-point iteration on the same grid (trapezoid rule,
+  ``reverse_cumtrapz``), backed by a backward-continuation fallback for
   parameter sets where the plain iteration is not contractive.  It is
   an independent numerical route to the same unique solution and is
   used as an oracle for ``solve_system``.
@@ -29,7 +29,8 @@ one call, and a misspecified-value lane reads, at every RK4 stage, the
 ratio of the coefficient lane that drives it.  A lone lane marches on
 Python floats (``_march_lone``); a batch of two or more lanes marches
 once as lane arrays (``_march``), in one step loop whose stages and
-guards write into buffers it allocates once per batch.
+guards write into buffers it allocates once per batch.  The three table
+builders add their kinds to one plan and march it once (``_tables``).
 
 The denominator of the algebraic ratio equals ``gamma0`` at the
 terminal time and must stay positive for the backward solution to
@@ -96,12 +97,6 @@ class MispecKind(enum.Enum):
         return prefs.gamma0, phi0, prefs.xi
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 class SolvedTable:
     """What both table kinds share: frozen node columns and their values
     between nodes.
@@ -115,7 +110,9 @@ class SolvedTable:
 
     def __post_init__(self):
         for name in self.COLUMNS:
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+            column = np.ascontiguousarray(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def columns_at(self, t) -> np.ndarray:
         """Every column (``COLUMNS`` order on the last axis) at the time or
@@ -521,11 +518,23 @@ def integrate_lanes(
     return [res[at[p]] for p in range(len(lanes))]
 
 
-def _table(cls, kind, grid, lane: Lane, res: LaneResult, *driver: LaneResult):
-    """A ``cls`` table whose columns are the lane's path rows and, for a
-    misspecified lane, its driver's ratio row."""
-    columns = (*res.check().path, *(d.path[0] for d in driver))
-    return cls(kind, grid, lane.gamma0, lane.phi0, lane.xi, **dict(zip(cls.COLUMNS, columns)))
+def _tables(market: MarketCurves, prefs: Preferences, grid: TimeGrid, eps_den: float,
+            kinds: Sequence[ModelVariant | MispecKind]) -> list[SolvedTable]:
+    """A table per kind (model variant or misspecified kind) from one batch: its
+    lane's path rows and a misspecified kind's driver's ratio row.  Raises the
+    first failure in ``kinds`` order, a misspecified kind's driver's first."""
+    plan = LanePlan()
+    ids = [plan.add_mispec(0, prefs, kind) if isinstance(kind, MispecKind)
+           else plan.add_variant(0, prefs, kind) for kind in kinds]
+    res = integrate_lanes(plan.lanes, [market], grid, eps_den, keep_paths=True)
+    tables = []
+    for kind, i in zip(kinds, ids):
+        lane, cls, rows = plan.lanes[i], CoefficientTable, ()
+        if isinstance(kind, MispecKind):
+            cls, rows = MispecTable, (res[lane.driver].check().path[0],)
+        columns = dict(zip(cls.COLUMNS, (*res[i].check().path, *rows)))
+        tables.append(cls(kind, grid, lane.gamma0, lane.phi0, lane.xi, **columns))
+    return tables
 
 
 def solve_system(
@@ -540,9 +549,7 @@ def solve_system(
     Terminal conditions are exact: ``h1``, ``h2``, ``h3``, ``g1`` equal 1
     and ``f`` equals ``1 / gamma0`` at the horizon.
     """
-    lane = Lane(0, *variant.effective(prefs))
-    [res] = integrate_lanes([lane], [market], grid, eps_den, keep_paths=True)
-    return _table(CoefficientTable, variant, grid, lane, res)
+    return _tables(market, prefs, grid, eps_den, [variant])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +562,13 @@ class PicardInfo:
     mode: str  # "global" or "continuation"
 
 
-def reverse_cumtrapz(g: np.ndarray, dt: float) -> np.ndarray:
-    """out[i] = trapezoid integral of g from node i to the last node."""
-    inc = 0.5 * dt * (g[:-1] + g[1:])
+def reverse_cumtrapz(g: np.ndarray, dt) -> np.ndarray:
+    """out[..., i] = trapezoid integral of each row of g from node i to the
+    last node; ``dt`` is the step width, or an array of each step's width."""
+    inc = 0.5 * dt * (g[..., :-1] + g[..., 1:])
     out = np.empty_like(g)
-    out[-1] = 0.0
-    out[:-1] = np.cumsum(inc[::-1])[::-1]
+    out[..., -1] = 0.0
+    out[..., :-1] = np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 
@@ -711,11 +719,7 @@ def solve_mispec_system(
     distorted dynamics; the skewness weight is kept for
     ``IGNORE_UNCERTAINTY`` and dropped for ``IGNORE_BOTH``.
     """
-    plan = LanePlan()
-    lane = plan.add_mispec(0, prefs, kind)
-    res = integrate_lanes(plan.lanes, [market], grid, eps_den, keep_paths=True)
-    drv = plan.lanes[lane].driver
-    return _table(MispecTable, kind, grid, plan.lanes[lane], res[lane], res[drv].check())
+    return _tables(market, prefs, grid, eps_den, [kind])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +751,5 @@ def solve_all(
     Raises the first failure in field order (full, neutral, noskew,
     basic, mispec_u, mispec_both).
     """
-    plan = LanePlan()
-    idx = plan.add_model(0, prefs)
-    res = integrate_lanes(plan.lanes, [market], grid, eps_den, keep_paths=True)
-    tables = [
-        _table(CoefficientTable, v, grid, plan.lanes[i], res[i]) for v, i in zip(ModelVariant, idx)
-    ]
-    for kind, i in zip(MispecKind, idx[4:]):
-        lane = plan.lanes[i]
-        tables.append(_table(MispecTable, kind, grid, lane, res[i], res[lane.driver]))
-    return SolvedModel(prefs, grid, *tables)
+    return SolvedModel(prefs, grid, *_tables(market, prefs, grid, eps_den,
+                                             [*ModelVariant, *MispecKind]))

@@ -36,6 +36,8 @@ THREE_ASSET = (
     "[market]\nmu = 0.12, 0.15, 0.18\n"
     "sigma = 0.20, 0, 0; 0.06, 0.22, 0; 0.04, 0.05, 0.25\n"
 )
+# the sampled third and fourth moments' centred comoments overflow
+WEALTH_1E70 = "[simulation]\nstart_wealth = 1e70\nnum_paths = 2000\nnum_steps = 20\n"
 XI_R_SWEEP = (
     "[sweep]\nparam = xi\nmin = 0.5\nmax = 3.0\ncount = 3\n"
     "param2 = r\nmin2 = 0.03\nmax2 = 0.06\ncount2 = 2\n"
@@ -137,6 +139,15 @@ class TestExitCodes:
         assert main(["check", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "check"])
+    def test_start_wealth_past_fourth_power_overflow_is_2(self, tmp_path, capsys, command):
+        # simulate and check raised OverflowError from w ** 4 and exited 1
+        cfg = write(tmp_path, "w.cfg", "[simulation]\nstart_wealth = 1.16e77\n")
+        out = [] if command == "check" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--config", cfg, *out]) == 2
+        assert capsys.readouterr().err == ("error: ConfigError: start_wealth must be positive "
+                                           "and below 1.1579e+77, got 1.16e+77\n")
+
     @pytest.mark.parametrize("param,low,message", [
         ("gamma0", -1.0, "gamma0 must be positive"),
         ("w0", -1.0, "start_wealth must be positive"),
@@ -207,6 +218,29 @@ class TestCheckCommand:
         monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: next(runs))
         assert not checks.check_determinism(ctx).passed
 
+    @pytest.mark.parametrize("first, second, same", [
+        (float("nan"), float("nan"), True), (0.0, -0.0, False),
+    ])
+    def test_determinism_compares_bits(self, monkeypatch, first, second, same):
+        # bitwise: two NaNs (distinct objects) are the same run, 0.0 and -0.0 are not
+        ctx = solve_context(parse_config(QUICK))
+        sim = checks.simulate_equilibrium_wealth(ctx.table, ctx.market, ctx.config.simulation)
+        runs = iter([replace(sim, min_wealth=first), replace(sim, min_wealth=second)])
+        monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: next(runs))
+        assert checks.check_determinism(ctx).passed is same
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the comoments overflow
+    def test_non_finite_standard_error_fails_value_verification(self, tmp_path, capsys):
+        # the objective's standard error is NaN, so its z-score is too; the two
+        # runs hold NaN in the same fields and are still the same run
+        cfg = write(tmp_path, "c.cfg", WEALTH_1E70)
+        assert main(["check", "--config", cfg]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines if "status=fail" in line] == [
+            "check=value_verification"
+        ]
+        assert " mc_z=nan " in next(line for line in lines if "value_verification" in line)
+
     @pytest.mark.parametrize("measure, runs", [("distorted", 2), ("reference", 3)])
     def test_simulation_runs_per_check(self, monkeypatch, measure, runs):
         # the checks share one run; determinism makes a second, and under the
@@ -250,6 +284,17 @@ class TestCheckCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the comoments overflow
+    def test_non_finite_standard_errors_fail_their_bands(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg", WEALTH_1E70)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = {row[0]: row[1:] for row in (
+            line.split(",") for line in (tmp_path / "simulation.csv").read_text().splitlines())}
+        # estimate, std_error, analytic, z_score, flag
+        assert [(rows[q][1], *rows[q][3:]) for q in ("moment_3", "moment_4", "objective")] == [
+            ("nan", "nan", "fail")] * 3
+        assert rows["moment_1"][-1] == rows["moment_2"][-1] == "pass"
+
     def test_deterministic_output(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", QUICK)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -394,9 +439,10 @@ class TestSweepCommand:
         with pytest.raises(ConfigError, match="gamma0 must be positive"):
             run_sweep(config)
 
-    def test_sweep_without_section_is_config_error(self, tmp_path):
+    def test_sweep_without_section_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", QUICK)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: ConfigError: config has no [sweep] section\n"
 
 
 class TestFiguresCommand:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvs_robust import ConfigError, MvsRobustError, NonPositiveHorizon, SingularGram
+from mvs_robust import ConfigError, NonPositiveHorizon, SingularGram
 from mvs_robust.config import RunConfig, SolverSection, SweepSection, parse_config
 from mvs_robust.market import Preferences
 from mvs_robust.simulate import Scheme, SimConfig
@@ -201,8 +201,13 @@ class TestValidation:
             run_sweep(cfg)
 
     def test_run_sweep_without_sweep_section(self):
-        with pytest.raises(MvsRobustError, match=r"config has no \[sweep\] section"):
+        with pytest.raises(ConfigError, match=r"^config has no \[sweep\] section$"):
             run_sweep(RunConfig())
+
+    def test_w0_axis_past_fourth_power_overflow(self):
+        # every cell's SimConfig checks its start wealth at load
+        with pytest.raises(ConfigError, match=r"below 1\.1579e\+77, got 2e\+77$"):
+            parse_config("[sweep]\nparam = w0\nmin = 1\nmax = 2e77\ncount = 2\n")
 
     def test_empty_drift_rejected(self):
         with pytest.raises(ConfigError, match="drift has no asset"):

@@ -574,6 +574,16 @@ class TestMomentBound:
         assert res.ratio == pytest.approx(1.0, rel=1e-12)
 
 
+class TestMomentEstimate:
+    @pytest.mark.parametrize("std_error, z", [
+        (0.0, 0.0), (0.5, 2.0), (np.inf, np.nan), (np.nan, np.nan),
+    ])
+    def test_z_score(self, std_error, z):
+        # a non-finite standard error gives NaN, outside every band
+        got = simulate.MomentEstimate(2.0, std_error).z_score(1.0)
+        assert got == z or (np.isnan(got) and np.isnan(z))
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -582,6 +592,17 @@ class TestSimConfig:
             SimConfig(num_steps=0)
         with pytest.raises(ConfigError):
             SimConfig(start_wealth=0.0)
+
+    def test_start_wealth_below_fourth_power_overflow(self):
+        # from the bound up, Python's w ** 4 raises OverflowError in _simulate
+        # and moment_bound_check
+        bound = float(np.finfo(float).max) ** 0.25
+        below = float(np.nextafter(bound, 0.0))
+        assert np.isfinite(SimConfig(start_wealth=below).start_wealth ** 4)
+        for w in (bound, 1.16e77, 1e300, np.inf, np.nan):
+            with pytest.raises(ConfigError, match=r"^start_wealth must be positive and "
+                                                  r"below 1\.1579e\+77, got "):
+                SimConfig(start_wealth=w)
 
     def test_frozen(self, quick_sim):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -278,6 +278,58 @@ def test_solve_all_reuses_consistent_drivers(base_model):
     assert np.array_equal(base_model.mispec_both.driver_f, base_model.basic.f)
 
 
+def _raised(market, prefs, eps_den, kind):
+    """The ``DegenerateDenominator`` text of ``kind``'s builder (``solve_all``
+    for ``None``), or None when it solves."""
+    grid = market.grid
+    try:
+        if kind is None:
+            solve_all(market, prefs, grid, eps_den)
+        elif isinstance(kind, ModelVariant):
+            solve_system(market, prefs, grid, kind, eps_den)
+        else:
+            solve_mispec_system(market, prefs, grid, kind, eps_den)
+    except DegenerateDenominator as exc:
+        return str(exc)
+    return None
+
+
+class TestBuilderFailures:
+    """Each builder raises the first failure in its tables' order, and a
+    misspecified table its driver's failure, in the driver's words, before its own."""
+
+    def test_first_variant_in_field_order(self, base_market):
+        # FULL fails at node 72 and neutral at node 1483: solve_all raises FULL's
+        prefs = Preferences(1.0, 0.5, 1.0)
+        full = "coefficient denominator below guard 1e-12 at node 72 (t = 0.18)"
+        neutral = "coefficient denominator below guard 1e-12 at node 1483 (t = 3.7075)"
+        kinds = (None, *ModelVariant, *MispecKind)
+        assert [_raised(base_market, prefs, 1e-12, k) for k in kinds] == [
+            full, full, neutral, None, None, neutral, None,
+        ]
+
+    def test_failed_driver_raises_its_own_text(self):
+        # the neutral driver degenerates at node 1613; FULL solves
+        market = make_market(mu=0.27903, sigma=0.32978)
+        prefs = Preferences(2.27791, 2.62057, 1.41690)
+        neutral = "coefficient denominator below guard 1e-12 at node 1613 (t = 4.0325)"
+        kinds = (None, ModelVariant.FULL, ModelVariant.AMBIGUITY_NEUTRAL, *MispecKind)
+        assert [_raised(market, prefs, 1e-12, k) for k in kinds] == [
+            neutral, None, neutral, neutral, None,
+        ]
+
+    def test_first_misspecified_failure(self):
+        # every coefficient table solves under a guard of 0.3, and both value systems fail
+        market = make_market(num_steps=200)
+        prefs = Preferences(2.0, 0.5, 0.5)
+        text = "value-system denominator or ratio below guard 0.3 at node {}"
+        kinds = (None, *ModelVariant, *MispecKind)
+        assert [_raised(market, prefs, 0.3, k) for k in kinds] == [
+            text.format("21 (t = 0.525)"), None, None, None, None,
+            text.format("21 (t = 0.525)"), text.format("65 (t = 1.625)"),
+        ]
+
+
 @pytest.mark.parametrize("mu", [BASE["mu"], 0.10], ids=["base", "mu0.10"])
 def test_table_columns_are_lane_path_rows(base_prefs, base_grid, mu):
     market = make_market(mu=mu)

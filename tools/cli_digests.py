@@ -12,6 +12,10 @@ a command prints, standard output and standard error together, is hashed
 as ``<config>/<command>.out`` (``presets/figures.out`` for ``figures``),
 so an error text is compared as well as an exit code; ``run.meta`` is
 hashed without its ``command =`` line, which names the temporary directory.
+A command that raises instead of returning an exit code reads
+``exit <ExceptionClass>``, and its ``.out`` ends with the class and message.
+Neither a crash nor a warning prints a file path, which would name the
+checkout: a warning prints as its class and message.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 from mvs_robust.cli import main
@@ -62,6 +67,11 @@ CONFIGS = {
     "wealth-5.431-3asset": THREE_ASSET + "[simulation]\nstart_wealth = 5.431\n",
     # the FULL solve degenerates at node 72: solve and simulate exit 3, check fails every line
     "degenerate": "[preferences]\ngamma0 = 1.0\n",
+    # a start wealth whose fourth power overflows, which load rejects
+    "huge-wealth": "[simulation]\nstart_wealth = 1.16e77\n",
+    # the sampled third and fourth moments' standard errors are not finite,
+    # so those bands and the objective's fail
+    "wealth-1e70": "[simulation]\nstart_wealth = 1e70\nnum_paths = 2000\nnum_steps = 20\n",
 }
 # sweeps beyond the figure presets, which all have one asset
 SWEEPS = {
@@ -87,7 +97,11 @@ def _run(argv: list[str], where: Path) -> None:
     """Run one command and keep what it prints as ``where/<command>.out``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:  # a crash is an outcome to compare, not a reason to stop
+            code = type(exc).__name__
+            print(f"{code}: {exc}")
     print(f"exit {code}  {' '.join(argv[:1] + [Path(a).name for a in argv[1:]])}")
     where.mkdir(parents=True, exist_ok=True)
     (where / f"{argv[0]}.out").write_text(out.getvalue())
@@ -103,6 +117,7 @@ def _digest(path: Path) -> str:
 
 
 def run_all(root: Path) -> None:
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     for name, text in CONFIGS.items():
         cfg = root / f"{name}.cfg"
         cfg.write_text(text)
