@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .checks import MC_Z_BOUND, run_checks, solve_context
-from .config import RunConfig, _member, load_config
+from .config import RunConfig, _format, _member, load_config
 from .errors import ConfigError, MvsRobustError
 from .policy import value_bracket
 from .presets import FIGURE_PRESETS, preset_config
@@ -34,9 +34,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _write(path: Path, text: str) -> None:
@@ -68,7 +65,7 @@ def cmd_solve(config: RunConfig, out_dir: Path, variants: list[ModelVariant], ar
         rows = (row.tolist() for row in np.column_stack(
             (grid.nodes, table.f, table.h1, table.h2, table.h3, table.g1, table.h2, table.delta3)
         ))
-        lines = ["t,f,h1,h2,h3,g1,k1,delta3"] + [",".join(_fmt(v) for v in row) for row in rows]
+        lines = ["t,f,h1,h2,h3,g1,k1,delta3"] + [",".join(map(_format, row)) for row in rows]
         _write(out_dir / f"coefficients_{variant.value}.csv", "\n".join(lines) + "\n")
     _write_meta(out_dir, config, argv)
     return EXIT_OK
@@ -86,7 +83,7 @@ def _z_line(name: str, est, analytic: float) -> str:
     the z band (z is 0 for a zero standard error)."""
     z = est.z_score(analytic)
     flag = "pass" if abs(z) <= MC_Z_BOUND else "fail"
-    return f"{name},{_fmt(est.value)},{_fmt(est.std_error)},{_fmt(analytic)},{_fmt(z)},{flag}"
+    return ",".join([name, *map(_format, (est.value, est.std_error, analytic, z)), flag])
 
 
 def cmd_check(config: RunConfig) -> int:
@@ -110,11 +107,11 @@ def cmd_simulate(config: RunConfig, out_dir: Path, argv) -> int:
         lines.append(_z_line(f"moment_{order}", est, moment))
     m1, m2 = res.moments[0].value, res.moments[1].value
     variance = max(0.0, m2 - m1 * m1)
-    lines.append(f"variance,{_fmt(variance)},,,,")
-    lines.append(f"sup_fourth_moment,{_fmt(res.sup_fourth_moment)},,,,")
-    lines.append(f"min_wealth,{_fmt(res.min_wealth)},,,,")
+    lines.append(f"variance,{_format(variance)},,,,")
+    lines.append(f"sup_fourth_moment,{_format(res.sup_fourth_moment)},,,,")
+    lines.append(f"min_wealth,{_format(res.min_wealth)},,,,")
     if res.penalty is not None:
-        lines.append(f"penalty,{_fmt(res.penalty.value)},{_fmt(res.penalty.std_error)},,,")
+        lines.append(f"penalty,{_format(res.penalty.value)},{_format(res.penalty.std_error)},,,")
     if res.objective is not None:
         lines.append(_z_line("objective", res.objective, value_bracket(table, t0) * w0))
     _write(out_dir / "simulation.csv", "\n".join(lines) + "\n")

@@ -244,13 +244,13 @@ def sweep_cells(config: RunConfig) -> tuple[list[MarketCurves], list[SweepCell]]
 
 
 def _format(value) -> str:
-    """A value as config text: 17 significant digits for floats, ``,``
-    between list items and ``;`` between matrix rows."""
+    """A value as text, in config and every output alike: 17 significant digits for
+    floats (tested first: most values are), ``,`` between list items, ``;`` between rows."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
     if isinstance(value, tuple):
         sep = "; " if value and isinstance(value[0], tuple) else ", "
         return sep.join(_format(x) for x in value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
     if isinstance(value, enum.Enum):
         return value.value
     return str(value)

@@ -13,7 +13,10 @@ independent oracle against the solved tables: orders 1..3 must reproduce
 ``g1 w``, ``h2 w**2`` and ``h3 w**3``, and the sampled running fourth
 moment must stay within ``FOURTH_MOMENT_BAND`` of its closed form.  Each
 oracle integral, the penalty's too, is Simpson's rule (``_tail_integrals``).
-A non-finite standard error gives a z-score of NaN, which fails every band.
+Overflow fails a band without a warning: ``_simulate``, its pool task
+``march`` (for itself: a pool thread starts from numpy's default error
+state) and ``moment_bound_check`` ignore numpy's floating-point errors,
+and a non-finite standard error gives a z-score of NaN, failing every band.
 
 Randomness is counter-based: path ``i`` consumes a fixed block range of
 a Philox stream keyed by the seed.  Paths are accumulated on the calling
@@ -161,17 +164,13 @@ def _curves(
     return _Curves(times, drift, vol2, pen_rate)
 
 
-def _sim_times(table: SolvedTable, cfg: SimConfig) -> np.ndarray:
-    """The simulation grid: ``num_steps`` equal steps from the start time to the horizon."""
+def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Curves:
+    """The curves on ``num_steps`` equal steps from the start time to the horizon."""
     horizon = table.grid.horizon
     if not 0.0 <= cfg.start_time < horizon:
         raise OutOfHorizon(f"start_time {cfg.start_time} outside [0, {horizon})")
-    return np.linspace(cfg.start_time, horizon, cfg.num_steps + 1)
-
-
-def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Curves:
-    """The curves on the simulation grid."""
-    return _curves(table, market, _sim_times(table, cfg), cfg.measure)
+    return _curves(table, market, np.linspace(cfg.start_time, horizon, cfg.num_steps + 1),
+                   cfg.measure)
 
 
 def _tail_times(table: SolvedTable, t: float) -> np.ndarray:
@@ -255,6 +254,7 @@ def _merge(sums, centre, comoments, count: int, x: np.ndarray) -> None:
     sums += x.sum(axis=1)
 
 
+@np.errstate(all="ignore")
 def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
     from concurrent.futures import ThreadPoolExecutor  # no thread until a simulation
     times, drift, vol2, pen_rate = curves
@@ -276,6 +276,7 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
     comoments = np.zeros((5, 5))            # sums of (x - centre)(x - centre)'
     min_w = w0
 
+    @np.errstate(all="ignore")  # not inherited: a pool thread has its own error state
     def march(first: int, n: int):
         """Fill and march the leaf of paths ``first .. first + n``: their final wealth and
         penalty, and their per-step ``np.sum(W ** 4)`` and ``np.min(W)``."""
@@ -419,12 +420,9 @@ def lognormal_moments(
 class ValueCheck:
     """Objective reassembly compared against the solved value function."""
 
-    time: float
-    wealth: float
     value: float
     analytic_objective: float
     analytic_rel_err: float
-    mc_objective: MomentEstimate
     mc_z: float
     sim: SimResult
 
@@ -467,11 +465,9 @@ def verify_value(
 
     if sim is None or sim.config != cfg:
         sim = _simulate(table, paths, cfg)
-    mc = sim.objective
     return ValueCheck(
-        time=t, wealth=w, value=value,
-        analytic_objective=float(analytic), analytic_rel_err=float(rel_err),
-        mc_objective=mc, mc_z=mc.z_score(value), sim=sim,
+        value=value, analytic_objective=float(analytic), analytic_rel_err=float(rel_err),
+        mc_z=sim.objective.z_score(value), sim=sim,
     )
 
 
@@ -487,6 +483,7 @@ class MomentBound:
     consistent: bool
 
 
+@np.errstate(all="ignore")
 def moment_bound_check(
     table: SolvedTable, market: MarketCurves, cfg: SimConfig, sim: SimResult | None = None,
 ) -> MomentBound:
@@ -498,19 +495,19 @@ def moment_bound_check(
     They are consistent when their ratio lies in ``FOURTH_MOMENT_BAND``.
     A given ``sim`` run with ``cfg`` is reused.
     """
-    times = _sim_times(table, cfg)
-    tail = _tail_integrals(table, market, times, cfg.measure,
+    paths = _sim_curves(table, market, cfg)
+    tail = _tail_integrals(table, market, paths.times, cfg.measure,
                            lambda c: 4.0 * c.drift + 6.0 * c.vol2)
     curve = cfg.start_wealth ** 4 * np.exp(tail[0] - tail)
     idx = int(np.argmax(curve))
     analytic_sup = float(curve[idx])
 
     if sim is None or sim.config != cfg:
-        sim = _simulate(table, _curves(table, market, times, cfg.measure), cfg)
+        sim = _simulate(table, paths, cfg)
     ratio = sim.sup_fourth_moment / analytic_sup
     return MomentBound(
         analytic_sup=analytic_sup,
-        analytic_argmax_time=float(times[idx]),
+        analytic_argmax_time=float(paths.times[idx]),
         mc_sup=sim.sup_fourth_moment,
         ratio=float(ratio),
         finite=bool(np.isfinite(analytic_sup) and np.isfinite(sim.sup_fourth_moment)),

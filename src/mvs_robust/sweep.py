@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, SweepCell
+from .config import RunConfig, SweepCell, _format
 from .errors import MvsRobustError
 from .market import MarketCurves
 from .policy import bracket, policy_point, value_report
@@ -108,11 +108,8 @@ def rows_to_csv(header: list[str], rows: list[SweepRow]) -> str:
     lines = [",".join(header)]
     param_names = [h for h in header if h not in RESULT_FIELDS and h != "status"]
     for row in rows:
-        cells = [f"{row.values[p]:.17g}" for p in param_names]
-        if row.fields is None:
-            cells += ["" for _ in RESULT_FIELDS]
-        else:
-            cells += [f"{row.fields[k]:.17g}" for k in RESULT_FIELDS]
+        cells = [_format(row.values[p]) for p in param_names]
+        cells += ["" if row.fields is None else _format(row.fields[k]) for k in RESULT_FIELDS]
         cells.append(row.status)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -36,8 +36,15 @@ THREE_ASSET = (
     "[market]\nmu = 0.12, 0.15, 0.18\n"
     "sigma = 0.20, 0, 0; 0.06, 0.22, 0; 0.04, 0.05, 0.25\n"
 )
-# the sampled third and fourth moments' centred comoments overflow
-WEALTH_1E70 = "[simulation]\nstart_wealth = 1e70\nnum_paths = 2000\nnum_steps = 20\n"
+
+
+def wealth_config(w0: str) -> str:
+    """2,000 paths of 20 steps from ``w0``.  From 1e70 the sampled third and fourth
+    moments' centred comoments overflow; at 1.15e77, just below load's bound, the
+    second moment's too, and both the sampled and analytic fourth moments."""
+    return f"[simulation]\nstart_wealth = {w0}\nnum_paths = 2000\nnum_steps = 20\n"
+
+
 XI_R_SWEEP = (
     "[sweep]\nparam = xi\nmin = 0.5\nmax = 3.0\ncount = 3\n"
     "param2 = r\nmin2 = 0.03\nmax2 = 0.06\ncount2 = 2\n"
@@ -229,17 +236,22 @@ class TestCheckCommand:
         monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: next(runs))
         assert checks.check_determinism(ctx).passed is same
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the comoments overflow
-    def test_non_finite_standard_error_fails_value_verification(self, tmp_path, capsys):
+    @pytest.mark.parametrize("w0, failed", [
+        ("1e70", {"value_verification": " mc_z=nan "}),
+        ("1.15e77", {"value_verification": " mc_z=nan ",
+                     "moment_bound": " analytic_sup=inf mc_sup=inf ratio=nan"}),
+    ], ids=["1e70", "1.15e77"])
+    def test_non_finite_standard_error_fails_value_verification(self, tmp_path, capsys,
+                                                                w0, failed):
         # the objective's standard error is NaN, so its z-score is too; the two
-        # runs hold NaN in the same fields and are still the same run
-        cfg = write(tmp_path, "c.cfg", WEALTH_1E70)
+        # runs hold NaN in the same fields and are still the same run; the
+        # suite's warning filter makes any overflow warning an error
+        cfg = write(tmp_path, "c.cfg", wealth_config(w0))
         assert main(["check", "--config", cfg]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in lines if "status=fail" in line] == [
-            "check=value_verification"
-        ]
-        assert " mc_z=nan " in next(line for line in lines if "value_verification" in line)
+        fails = {line.split()[0]: line for line in lines if "status=fail" in line}
+        assert list(fails) == [f"check={name}" for name in failed]
+        assert all(text in fails[f"check={name}"] for name, text in failed.items())
 
     @pytest.mark.parametrize("measure, runs", [("distorted", 2), ("reference", 3)])
     def test_simulation_runs_per_check(self, monkeypatch, measure, runs):
@@ -284,16 +296,22 @@ class TestCheckCommand:
 
 
 class TestSimulateCommand:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the comoments overflow
-    def test_non_finite_standard_errors_fail_their_bands(self, tmp_path):
-        cfg = write(tmp_path, "c.cfg", WEALTH_1E70)
+    @pytest.mark.parametrize("w0, failed, sup_finite", [
+        ("1e70", ("moment_3", "moment_4", "objective"), True),
+        ("1.15e77", ("moment_2", "moment_3", "moment_4", "objective"), False),
+    ], ids=["1e70", "1.15e77"])
+    def test_non_finite_standard_errors_fail_their_bands(self, tmp_path, w0, failed,
+                                                         sup_finite):
+        cfg = write(tmp_path, "c.cfg", wealth_config(w0))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = {row[0]: row[1:] for row in (
             line.split(",") for line in (tmp_path / "simulation.csv").read_text().splitlines())}
         # estimate, std_error, analytic, z_score, flag
-        assert [(rows[q][1], *rows[q][3:]) for q in ("moment_3", "moment_4", "objective")] == [
-            ("nan", "nan", "fail")] * 3
-        assert rows["moment_1"][-1] == rows["moment_2"][-1] == "pass"
+        assert [(rows[q][1], *rows[q][3:]) for q in failed] == [
+            ("nan", "nan", "fail")] * len(failed)
+        passed = [f"moment_{n}" for n in (1, 2, 3, 4) if f"moment_{n}" not in failed]
+        assert [rows[q][-1] for q in passed] == ["pass"] * len(passed)
+        assert np.isfinite(float(rows["sup_fourth_moment"][0])) == sup_finite
 
     def test_deterministic_output(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", QUICK)

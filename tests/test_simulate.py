@@ -563,6 +563,14 @@ class TestMomentBound:
             (fourth,) = lognormal_moments(table, market, 0.0, cfg.start_wealth, (4,))
             assert res.analytic_sup == pytest.approx(fourth, rel=rel)
 
+    def test_overflow_is_not_finite_without_warning(self, base_table, base_market):
+        # just below load's bound both fourth moments overflow; the suite's
+        # warning filter makes any overflow warning an error
+        cfg = SimConfig(num_paths=2_000, seed=0, num_steps=20, start_wealth=1.15e77)
+        res = moment_bound_check(base_table, base_market, cfg)
+        assert not res.finite and not res.consistent
+        assert res.analytic_sup == res.mc_sup == np.inf and np.isnan(res.ratio)
+
     def test_zero_theta_exact(self, base_grid):
         market = make_market(mu=BASE["r"])
         table = solve_system(market, Preferences(2.0, 0.5, 1.0), base_grid)
