@@ -30,8 +30,6 @@ def coefficients_at(table: CoefficientTable, t: float) -> tuple[float, ...]:
 class PolicyPoint:
     """Equilibrium strategy and sensitivity aggregates at one (t, w)."""
 
-    time: float
-    wealth: float
     allocation: np.ndarray   # money in each risky asset
     distortion: np.ndarray   # Girsanov drift adjustment, wealth-free
     delta1: float
@@ -95,11 +93,8 @@ def policy_point(
     delta3 = g0 * h2 + 2.0 * p0 * (g1 * h2 - h3)
     ambiguity_pref = -delta2 / (delta1 * delta1)
 
-    return PolicyPoint(
-        time=t, wealth=w, allocation=allocation, distortion=distortion,
-        delta1=delta1, delta2=delta2, delta3=delta3,
-        ambiguity_pref=ambiguity_pref,
-    )
+    return PolicyPoint(allocation=allocation, distortion=distortion, delta1=delta1,
+                       delta2=delta2, delta3=delta3, ambiguity_pref=ambiguity_pref)
 
 
 def bracket(gamma0: float, phi0: float, h1: float, h2: float, h3: float, g1: float) -> float:
@@ -121,8 +116,6 @@ def value_bracket(table: SolvedTable, t: float) -> float:
 class ValueReport:
     """All six value functions and the three loss ratios at one (t, w)."""
 
-    time: float
-    wealth: float
     value_full: float
     value_neutral: float
     value_noskew: float
@@ -158,7 +151,6 @@ def value_report(t: float, w: float, brackets: tuple[float, ...]) -> ValueReport
     if b_full == 0.0:
         raise ZeroDenominatorValue(f"value function vanishes at t = {t}")
     return ValueReport(
-        time=t, wealth=w,
         value_full=b_full * w,
         value_neutral=b_neutral * w,
         value_noskew=b_noskew * w,

@@ -12,11 +12,10 @@ of time functions solved backward from the horizon:
   integrator serves all of them.
 
 * ``solve_f_picard`` solves the equivalent integral equation for ``f``
-  by damped fixed-point iteration on the same grid (trapezoid rule,
-  ``reverse_cumtrapz``), backed by a backward-continuation fallback for
-  parameter sets where the plain iteration is not contractive.  It is
-  an independent numerical route to the same unique solution and is
-  used as an oracle for ``solve_system``.
+  on the same grid (trapezoid rule) by a backward march over the nodes:
+  at each node, fixed-point iteration of one scalar map given the nodes
+  above it.  It is an independent numerical route to the same unique
+  solution and is used as an oracle for ``solve_system``.
 
 * ``solve_mispec_system`` solves the analogous backward system for the
   value of an investor who follows a pre-specified naive strategy
@@ -558,8 +557,7 @@ def solve_system(
 
 @dataclass(frozen=True)
 class PicardInfo:
-    iterations: int
-    mode: str  # "global" or "continuation"
+    iterations: int  # map evaluations over every node
 
 
 def reverse_cumtrapz(g: np.ndarray, dt) -> np.ndarray:
@@ -581,121 +579,71 @@ def solve_f_picard(
     eps_den: float = DEFAULT_EPS_DEN,
     full_output: bool = False,
 ):
-    """Solve the integral equation for ``f`` by damped fixed-point iteration.
+    """Solve the integral equation for ``f`` by a backward march over the nodes.
 
-    The map rebuilds the exponential coefficient representations from
-    the current iterate with trapezoid quadrature on the grid and
-    returns the implied ratio function.  Iteration starts from the
-    constant terminal value ``1 / gamma0``, halving the step weight
-    whenever the sup-norm residual grows.  If the global iteration
-    stalls, the solver falls back to backward continuation: the map only
-    propagates information backward in time, so the fixed point is
-    converged tail-segment by tail-segment, which succeeds whenever the
-    solution exists on the grid.
+    The equation gives ``f`` at a node from the exponential coefficients
+    ``g1``, ``h2``, ``h3`` and ``h1``, whose rates depend on ``f`` and are
+    integrated from the node to the horizon by the trapezoid rule on the
+    grid.  At node ``j`` those integrals hold ``f[j]`` only in their last
+    half-step, so the discrete fixed point is found one node at a time from
+    the horizon down: ``f[N] = 1 / gamma0``, and ``f[j]`` is the fixed point
+    of a scalar map given ``f[j+1..N]``.  Each node applies the map from
+    ``f[j+1]`` until a value changes by less than ``tol``, and keeps that
+    value and its integrals, running sums on Python floats, for the node
+    below.  ``PicardInfo.iterations`` counts the map evaluations.
+
+    Raises ``NoConvergence`` when a node's value changes by ``tol`` or more
+    in each of ``max_iter`` evaluations, and ``DegenerateDenominator`` when a
+    denominator falls below ``eps_den``; NaN and an overflowing exponential
+    fall below it too.
     """
     if not tol > 0.0:  # NaN fails too
         raise ConfigError(f"tol must be positive, got {tol}")
     gamma0, phi0, xi = prefs.gamma0, prefs.phi0, prefs.xi
-    n = grid.num_steps
-    dt = grid.dt
+    n, nodes = grid.num_steps, grid.nodes
+    hdt = 0.5 * grid.dt
     c = 1.0 / ((xi + 1.0) * (xi + 1.0))
-    nodes = grid.nodes
-    rr = np.asarray(market.risk_free_at(nodes), dtype=float)
-    th = np.asarray(market.theta_at(nodes), dtype=float)
-    f_cap = max(6.0, 4.0 / gamma0)
-
-    def apply_map(fa: np.ndarray, j: int) -> tuple[np.ndarray | None, bool]:
-        """One sweep of the map on nodes j..N.
-
-        Returns (new tail, degenerate flag); the tail is None when the
-        iterate left the valid set, with the flag marking a denominator
-        below the guard (as opposed to a plain overflow).
-        """
-        fc = np.clip(fa, -f_cap, f_cap)
-        thj, rrj = th[j:], rr[j:]
-        rate_g = rrj + thj * fc * c
-        rate_h2 = 2.0 * rrj + (2.0 * thj * fc + thj * fc * fc) * c
-        rate_h3 = 3.0 * (rrj + (thj * fc + thj * fc * fc) * c)
-        g1 = np.exp(reverse_cumtrapz(rate_g, dt))
-        h2 = np.exp(reverse_cumtrapz(rate_h2, dt))
-        h3 = np.exp(reverse_cumtrapz(rate_h3, dt))
-        den = gamma0 * h2 + 2.0 * phi0 * (g1 * h2 - h3)
-        if not np.all(np.isfinite(den)):
-            return None, False
-        if np.min(den) < eps_den:
-            return None, True
-        q = 0.5 * xi * c * thj * fc * fc * den
-        h1 = g1 * (1.0 + reverse_cumtrapz(q / g1, dt))
-        fn = (
-            h1 + gamma0 * (g1 * g1 - h2)
-            + phi0 * (h3 + 2.0 * g1 ** 3 - 3.0 * g1 * h2)
-        ) / den
-        return (fn, False) if np.all(np.isfinite(fn)) else (None, False)
-
-    total = 0  # map evaluations across both phases, capped by max_iter
-
-    # Global damped iteration; sufficient for all but strongly
-    # non-contractive parameter sets.
-    f = np.full(n + 1, 1.0 / gamma0)
-    lam = 1.0
-    prev_res = np.inf
-    budget_global = max(1, max_iter // 2) if max_iter > 1 else max_iter
-    while total < budget_global:
-        fn, _ = apply_map(f, 0)
-        total += 1
-        if fn is None:
-            break
-        res = float(np.max(np.abs(fn - f)))
-        if res < tol and np.max(np.abs(fn)) < 0.99 * f_cap:
-            return (fn, PicardInfo(total, "global")) if full_output else fn
-        if res > prev_res:
-            lam = max(0.5 * lam, 2.0 ** -6)
-        f = f + lam * (fn - f)
-        prev_res = res
-        if total > 60 and lam <= 2.0 ** -6:
-            break
-
-    # Backward continuation: converge the fixed point on growing tail
-    # segments [t_j, T]; values on an already-converged tail are fixed
-    # points of the restricted map and do not move.
-    f = np.full(n + 1, 1.0 / gamma0)
-    i = n
-    seg = max(1, n // 20)
-    while i > 0:
-        j = max(0, i - seg)
-        tail = f[j:].copy()
-        converged = False
-        degenerate = False
-        stage_evals = 0
-        while stage_evals < 80 and total < max_iter:
-            fn, degenerate = apply_map(tail, j)
-            total += 1
-            stage_evals += 1
-            if fn is None:
+    hxc = 0.5 * xi * c
+    rr = np.asarray(market.risk_free_at(nodes), dtype=float).tolist()
+    th = np.asarray(market.theta_at(nodes), dtype=float).tolist()
+    f = [1.0 / gamma0] * (n + 1)
+    # the rates of g1, h2, h3 and h1 / g1 at node j + 1, and their integrals from it
+    r, x = rr[n], f[n]
+    tx = th[n] * x
+    rg, r2, r3, r1 = (r + tx * c, 2.0 * r + (2.0 * tx + tx * x) * c,
+                      3.0 * (r + (tx + tx * x) * c), hxc * tx * x * gamma0)
+    sg = s2 = s3 = s1 = 0.0
+    total = 0
+    for j in range(n - 1, -1, -1):
+        r, t, x, evals = rr[j], th[j], f[j + 1], 0
+        while True:  # the integrals at f[j] = x, then the map's value there
+            tx = t * x
+            ag, a2, a3 = (r + tx * c, 2.0 * r + (2.0 * tx + tx * x) * c,
+                          3.0 * (r + (tx + tx * x) * c))
+            ig, i2, i3 = sg + hdt * (ag + rg), s2 + hdt * (a2 + r2), s3 + hdt * (a3 + r3)
+            try:
+                g1, h2, h3 = math.exp(ig), math.exp(i2), math.exp(i3)
+            except OverflowError:  # where numpy gives inf: no finite denominator
+                g1 = h2 = h3 = math.nan
+            den = gamma0 * h2 + 2.0 * phi0 * (g1 * h2 - h3)
+            if not (den >= eps_den and g1 > 0.0):  # NaN too; g1 = 0 would divide by zero
+                raise DegenerateDenominator(f"fixed-point denominator below guard {eps_den:g} "
+                                            f"at node {j} (t = {nodes[j]:g})")
+            a1 = hxc * tx * x * den / g1
+            i1 = s1 + hdt * (a1 + r1)
+            if evals and abs(x - last) < tol:
                 break
-            res = float(np.max(np.abs(fn - tail)))
-            tail = fn
-            if res < tol:
-                converged = True
-                break
-        if converged:
-            f[j:] = tail
-            i = j
-        elif seg == 1 and degenerate:
-            # the tail beyond this node is converged, so the map itself
-            # degenerates here: no valid solution extends past t_j
-            raise DegenerateDenominator(
-                f"fixed-point denominator below guard {eps_den:g} extending "
-                f"to node {j} (t = {nodes[j]:g})"
-            )
-        elif seg > 1 and total < max_iter:
-            seg = max(1, seg // 2)
-        else:
-            raise NoConvergence(
-                f"fixed-point iteration stalled at node {i} "
-                f"(t = {nodes[i]:g}) after {total} map evaluations"
-            )
-    return (f, PicardInfo(total, "continuation")) if full_output else f
+            if evals == max_iter:
+                raise NoConvergence(f"fixed-point iteration at node {j} (t = {nodes[j]:g}) "
+                                    f"changed by {tol:g} or more in each of {max_iter} "
+                                    "map evaluations")
+            last, evals = x, evals + 1
+            x = (g1 * (1.0 + i1) + gamma0 * (g1 * g1 - h2)
+                 + phi0 * (h3 + 2.0 * g1 * g1 * g1 - 3.0 * g1 * h2)) / den
+        total += evals
+        f[j], rg, r2, r3, r1, sg, s2, s3, s1 = x, ag, a2, a3, a1, ig, i2, i3, i1
+    f = np.array(f)
+    return (f, PicardInfo(total)) if full_output else f
 
 
 # ---------------------------------------------------------------------------

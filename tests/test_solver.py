@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -120,13 +121,13 @@ class TestPicard:
         assert f[-1] == 1.0 / base_prefs.gamma0
 
     def test_zero_theta_fixed_point_in_one_iteration(self, base_grid):
-        # theta = 0 makes the map constant: the first evaluation lands on the
-        # fixed point and the second confirms it
+        # theta = 0 makes each node's map constant: the first evaluation lands
+        # on the node's fixed point and the second confirms it
         m = make_market(mu=BASE["r"])
         prefs = Preferences(2.0, 0.5, 1.0)
         exact = np.exp(-BASE["r"] * (BASE["T"] - base_grid.nodes)) / 2.0
         f, info = solve_f_picard(m, prefs, base_grid, full_output=True)
-        assert info == PicardInfo(iterations=2, mode="global")
+        assert info == PicardInfo(iterations=2 * base_grid.num_steps)
         assert np.max(np.abs(f - exact)) < 1e-10
 
     def test_budget_exhaustion_raises(self, base_market, base_prefs, base_grid):
@@ -141,14 +142,14 @@ class TestPicard:
         with pytest.raises(ConfigError, match="^tol must be positive, got nan$"):
             solve_f_picard(base_market, base_prefs, base_grid, tol=float("nan"))
 
-    def test_continuation_handles_noncontractive_map(self):
-        # plain damped iteration diverges here; RK4 still solves it
+    def test_march_solves_noncontractive_map(self):
+        # iterating the map on the whole grid diverges here; RK4 and the
+        # node-by-node march still solve it
         m = build_market(5.0, 0.05, 0.05 + 0.25 * np.sqrt(0.309), 0.25, num_steps=2000)
         grid = m.grid
         prefs = Preferences(1.713, 0.792, 0.552)
         table = solve_system(m, prefs, grid)
-        f, info = solve_f_picard(m, prefs, grid, full_output=True)
-        assert isinstance(info, PicardInfo) and info.mode == "continuation"
+        f = solve_f_picard(m, prefs, grid)
         assert np.max(np.abs(f - table.f)) < 1e-6
 
 
@@ -217,6 +218,40 @@ class TestRk4VsPicard:
                 assert gap <= 2.0 * doubling + 1e-9, (mu, sigma, prefs)
                 solved += 1
         assert 0 < solved < 40  # both branches are exercised
+
+
+def _seeded_draws(count):
+    """The first ``count`` draws of ``TestRk4VsPicard::test_seeded_draws``."""
+    rng = np.random.default_rng(1)
+    return [(rng.uniform(0.06, 0.3), rng.uniform(0.1, 0.4),
+             Preferences(rng.uniform(0.5, 4.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)))
+            for _ in range(count)]
+
+
+def _failure_node(solve):
+    """The node a ``DegenerateDenominator`` from ``solve()`` names, or None if it solves."""
+    try:
+        solve()
+    except DegenerateDenominator as exc:
+        return int(re.search(r"node (\d+) ", str(exc)).group(1))
+    return None
+
+
+@pytest.mark.parametrize("mu,sigma,prefs", [
+    *(pytest.param(*draw, id=f"draw{i}") for i, draw in enumerate(_seeded_draws(40))),
+    # fig02's cell mu = 0.16, gamma0 = 1.5, neutral lane: the oracle's exponential
+    # overflows at the node where RK4 degenerates
+    pytest.param(0.16, 0.25, Preferences(1.5, 0.5, 0.0), id="fig02-overflow"),
+])
+def test_oracle_fails_where_rk4_fails(mu, sigma, prefs):
+    """The oracle solves where RK4 solves, and degenerates within one node
+    of where RK4 degenerates."""
+    m = make_market(mu=mu, sigma=sigma)
+    rk4 = _failure_node(lambda: solve_system(m, prefs, m.grid))
+    oracle = _failure_node(lambda: solve_f_picard(m, prefs, m.grid))
+    assert (rk4 is None) == (oracle is None)
+    if rk4 is not None:
+        assert abs(oracle - rk4) <= 1, (rk4, oracle)
 
 
 class TestClosedFormConsistency:

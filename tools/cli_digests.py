@@ -42,7 +42,7 @@ CONFIGS = {
     ),
     # a one-asset market where beta^2 / Sigma and a solve-and-dot differ by 1 ulp
     "mu-0.10-sigma-0.2": "[market]\nmu = 0.10\nsigma = 0.2\n",
-    # solvable, but plain Picard's own error at 2,000 steps exceeds 1e-6
+    # solvable, but the un-extrapolated oracle's own error at 2,000 steps exceeds 1e-6
     "found": (
         "[market]\nmu = 0.27903\nsigma = 0.32978\n"
         "[preferences]\ngamma0 = 2.27791\nphi0 = 2.62057\nxi = 1.41690\n"
