@@ -1,10 +1,12 @@
 """Named verification checks bundled behind the ``check`` command.
 
 Every check runs at the configuration's own parameters with pinned
-tolerances and returns a machine-readable result.  The checks share one
-market and solved FULL table (``solve_context``, which ``simulate`` uses
-too), and one Monte Carlo run (``CheckContext.sim``) for the checks that
-simulate.  The same bounds are asserted by the acceptance test suite.
+tolerances and returns a machine-readable result.  A check is a function
+of one solved table of either kind, the loaded config (its market is
+``config.market_curves``) and the table's shared Monte Carlo run, which
+only the three checks that simulate read.  ``run_checks`` solves the FULL
+table once (``solve_full``, which ``simulate`` uses too) and runs that
+simulation once.  The same bounds are asserted by the acceptance test suite.
 ``oracle_equivalence`` extrapolates Picard; every other oracle integral (moments,
 penalty, running fourth moment) is ``simulate``'s one extrapolated rule.
 """
@@ -13,13 +15,12 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import MvsRobustError
-from .market import MarketCurves, TimeGrid
+from .market import Preferences, TimeGrid
 from .policy import coefficients_at, delta3_scan
 from .simulate import (
     SimResult,
@@ -29,12 +30,7 @@ from .simulate import (
     simulate_equilibrium_wealth,
     verify_value,
 )
-from .solver import (
-    CoefficientTable,
-    ModelVariant,
-    solve_f_picard,
-    solve_system,
-)
+from .solver import CoefficientTable, ModelVariant, SolvedTable, solve_f_picard, solve_system
 
 ORACLE_SUP_TOL = 1e-6          # RK4 vs extrapolated fixed-point route, sup norm on f
 CLOSED_FORM_REL_TOL = 1e-7     # quadrature reconstruction of h2, h3, g1
@@ -58,81 +54,71 @@ class CheckResult:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class CheckContext:
-    """A configuration with its market and FULL table."""
-
-    config: RunConfig
-    market: MarketCurves
-    table: CoefficientTable
-
-    @cached_property
-    def sim(self) -> SimResult:
-        """The configured simulation of the table, run once on first use."""
-        return simulate_equilibrium_wealth(self.table, self.market, self.config.simulation)
-
-
-def solve_context(config: RunConfig) -> CheckContext:
+def solve_full(config: RunConfig) -> CoefficientTable:
+    """The config's FULL table: the one ``check`` verifies and ``simulate`` runs."""
     market = config.market_curves
-    table = solve_system(market, config.preferences, market.grid, ModelVariant.FULL,
-                         config.solver.eps_den)
-    return CheckContext(config, market, table)
+    return solve_system(market, config.preferences, market.grid, ModelVariant.FULL,
+                        config.solver.eps_den)
 
 
-def check_terminal_conditions(ctx: CheckContext) -> CheckResult:
-    """Terminal nodes carry the exact boundary values."""
-    table = ctx.table
-    errs = [
-        abs(table.f[-1] - 1.0 / ctx.config.preferences.gamma0),
-        abs(table.h1[-1] - 1.0), abs(table.h2[-1] - 1.0),
-        abs(table.h3[-1] - 1.0), abs(table.g1[-1] - 1.0),
-    ]
-    worst = max(errs)
+def check_terminal_conditions(table: SolvedTable, config: RunConfig,
+                             sim: SimResult | None) -> CheckResult:
+    """Terminal nodes carry the exact boundary values: the ratio ``1/gamma0``
+    and ``y1..y4`` one, read by position in ``COLUMNS`` from either table kind."""
+    ratio, *ys = (getattr(table, name) for name in table.COLUMNS[:5])
+    worst = max(abs(ratio[-1] - 1.0 / table.gamma0), *(abs(y[-1] - 1.0) for y in ys))
     return CheckResult("terminal_conditions", worst == 0.0, {"max_abs_err": worst})
 
 
-def check_oracle_equivalence(ctx: CheckContext) -> CheckResult:
-    """RK4 route and integral-equation route agree on f.  Picard's trapezoid
-    rule is second order, so the oracle is ``(4 P(2N)[::2] - P(N)) / 3``."""
-    solver, grid = ctx.config.solver, ctx.market.grid
+def check_oracle_equivalence(table: CoefficientTable, config: RunConfig,
+                             sim: SimResult | None) -> CheckResult:
+    """RK4 route and integral-equation route agree on f, at the table's effective
+    weights.  Picard's trapezoid rule is second order, so the oracle is
+    ``(4 P(2N)[::2] - P(N)) / 3``."""
+    solver, grid = config.solver, table.grid
+    prefs = Preferences(table.gamma0, table.phi0, table.xi)
     f_n, f_2n = (
-        solve_f_picard(ctx.market, ctx.config.preferences, g, tol=solver.picard_tol,
+        solve_f_picard(config.market_curves, prefs, g, tol=solver.picard_tol,
                        max_iter=solver.picard_max_iter, eps_den=solver.eps_den)
         for g in (grid, TimeGrid(grid.horizon, 2 * grid.num_steps))
     )
-    sup = float(np.max(np.abs(ctx.table.f - (4.0 * f_2n[::2] - f_n) / 3.0)))
+    sup = float(np.max(np.abs(table.f - (4.0 * f_2n[::2] - f_n) / 3.0)))
     return CheckResult(
         "oracle_equivalence", sup < ORACLE_SUP_TOL,
         {"sup_diff": sup, "tol": ORACLE_SUP_TOL},
     )
 
 
-def check_closed_form_consistency(ctx: CheckContext) -> CheckResult:
-    """g1, h2, h3 at every node are the lognormal moment growths of orders
-    1..3, the exponentials of their rates integrated to the horizon."""
-    table = ctx.table
-    growth = np.exp(log_moment_growth(table, ctx.market, 0.0, (1, 2, 3)))
-    rel = float(np.max(np.abs(growth / np.array([table.g1, table.h2, table.h3]) - 1.0)))
+def check_closed_form_consistency(table: SolvedTable, config: RunConfig,
+                                  sim: SimResult | None) -> CheckResult:
+    """g1, h2, h3 (b1, a2, a3 of a misspecified table) at every node are the
+    lognormal moment growths of orders 1..3, the exponentials of their rates
+    integrated to the horizon."""
+    _, _, y2, y3, y4 = (getattr(table, name) for name in table.COLUMNS[:5])
+    growth = np.exp(log_moment_growth(table, config.market_curves, 0.0, (1, 2, 3)))
+    rel = float(np.max(np.abs(growth / np.array([y4, y2, y3]) - 1.0)))
     return CheckResult(
         "closed_form_consistency", rel < CLOSED_FORM_REL_TOL,
         {"max_rel_err": rel, "tol": CLOSED_FORM_REL_TOL},
     )
 
 
-def check_h2_equals_k1(ctx: CheckContext) -> CheckResult:
+def check_h2_equals_k1(table: SolvedTable, config: RunConfig,
+                      sim: SimResult | None) -> CheckResult:
     """Kept for readers of ``check``'s output: ``k1`` has ``h2``'s equation and
     terminal value, so a table stores ``h2`` once and ``solve`` writes it twice."""
     return CheckResult("h2_equals_k1", True, {"max_abs_diff": 0.0})
 
 
-def check_lognormal_moments(ctx: CheckContext) -> CheckResult:
+def check_lognormal_moments(table: SolvedTable, config: RunConfig,
+                           sim: SimResult | None) -> CheckResult:
     """Orders 1..3 of the wealth GBM reproduce g1 w, h2 w^2, h3 w^3 at the
     start time, with the coefficients interpolated there."""
-    w = ctx.config.simulation.start_wealth
-    t = ctx.config.simulation.start_time
-    _, _, h2, h3, g1 = coefficients_at(ctx.table, t)
+    w = config.simulation.start_wealth
+    t = config.simulation.start_time
+    _, _, h2, h3, g1 = coefficients_at(table, t)
     targets = (g1 * w, h2 * w ** 2, h3 * w ** 3)
-    moments = lognormal_moments(ctx.table, ctx.market, t, w, (1, 2, 3))
+    moments = lognormal_moments(table, config.market_curves, t, w, (1, 2, 3))
     worst = max(abs(m / target - 1.0) for m, target in zip(moments, targets))
     return CheckResult(
         "lognormal_moments", worst < MOMENT_REL_TOL,
@@ -140,10 +126,11 @@ def check_lognormal_moments(ctx: CheckContext) -> CheckResult:
     )
 
 
-def check_value_verification(ctx: CheckContext) -> CheckResult:
+def check_value_verification(table: SolvedTable, config: RunConfig,
+                             sim: SimResult) -> CheckResult:
     """Analytic and Monte Carlo objective reassembly hit the value function."""
-    s = ctx.config.simulation
-    res = verify_value(ctx.table, ctx.market, s.start_time, s.start_wealth, s, sim=ctx.sim)
+    s = config.simulation
+    res = verify_value(table, config.market_curves, s.start_time, s.start_wealth, s, sim=sim)
     ok = res.analytic_rel_err < VALUE_REL_TOL and abs(res.mc_z) <= MC_Z_BOUND
     return CheckResult(
         "value_verification", ok,
@@ -155,16 +142,17 @@ def check_value_verification(ctx: CheckContext) -> CheckResult:
     )
 
 
-def check_delta3_positivity(ctx: CheckContext) -> CheckResult:
-    scan = delta3_scan(ctx.table)
+def check_delta3_positivity(table: SolvedTable, config: RunConfig,
+                           sim: SimResult | None) -> CheckResult:
+    scan = delta3_scan(table)
     return CheckResult(
         "delta3_positivity", scan.all_positive,
         {"min_delta3": scan.min_value, "argmin_time": scan.argmin_time},
     )
 
 
-def check_moment_bound(ctx: CheckContext) -> CheckResult:
-    res = moment_bound_check(ctx.table, ctx.market, ctx.config.simulation, sim=ctx.sim)
+def check_moment_bound(table: SolvedTable, config: RunConfig, sim: SimResult) -> CheckResult:
+    res = moment_bound_check(table, config.market_curves, config.simulation, sim=sim)
     return CheckResult(
         "moment_bound", res.finite and res.consistent,
         {
@@ -175,11 +163,11 @@ def check_moment_bound(ctx: CheckContext) -> CheckResult:
     )
 
 
-def check_determinism(ctx: CheckContext) -> CheckResult:
-    """A second run of the shared simulation agrees bit for bit, every field, as
-    pickles: a NaN matches a NaN and ``-0.0`` differs from ``0.0``."""
-    again = simulate_equilibrium_wealth(ctx.table, ctx.market, ctx.config.simulation)
-    return CheckResult("determinism", pickle.dumps(ctx.sim) == pickle.dumps(again))
+def check_determinism(table: SolvedTable, config: RunConfig, sim: SimResult) -> CheckResult:
+    """A second run of ``sim`` agrees bit for bit, every field, as pickles:
+    a NaN matches a NaN and ``-0.0`` differs from ``0.0``."""
+    again = simulate_equilibrium_wealth(table, config.market_curves, config.simulation)
+    return CheckResult("determinism", pickle.dumps(sim) == pickle.dumps(again))
 
 
 ALL_CHECKS = (
@@ -196,16 +184,20 @@ ALL_CHECKS = (
 
 
 def run_checks(config: RunConfig) -> list[CheckResult]:
-    """Every check on one shared solve; a failed solve fails every check."""
+    """Every check on the FULL table and one shared run of it; a failed solve
+    fails every check.  Validates the whole config first, so a config built in
+    code raises the ``ConfigError`` that load would."""
+    config.validate()
     names = [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
     try:
-        ctx = solve_context(config)
+        table = solve_full(config)
+        sim = simulate_equilibrium_wealth(table, config.market_curves, config.simulation)
     except MvsRobustError as exc:
         return [CheckResult(name, False, message=_failure(exc)) for name in names]
     results = []
     for name, fn in zip(names, ALL_CHECKS):
         try:
-            results.append(fn(ctx))
+            results.append(fn(table, config, sim))
         except MvsRobustError as exc:
             results.append(CheckResult(name, False, message=_failure(exc)))
     return results

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import MC_Z_BOUND, run_checks, solve_context
+from .checks import MC_Z_BOUND, run_checks, solve_full
 from .config import RunConfig, _format, _member, load_config
 from .errors import ConfigError, MvsRobustError
 from .policy import value_bracket
@@ -94,9 +94,7 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, argv) -> int:
-    ctx = solve_context(config)
-    table, market = ctx.table, ctx.market
-    cfg = config.simulation
+    table, market, cfg = solve_full(config), config.market_curves, config.simulation
     res = simulate_equilibrium_wealth(table, market, cfg)
 
     w0 = cfg.start_wealth

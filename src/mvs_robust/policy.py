@@ -21,8 +21,8 @@ from .market import MarketCurves
 from .solver import CoefficientTable, SolvedModel, SolvedTable
 
 
-def coefficients_at(table: CoefficientTable, t: float) -> tuple[float, ...]:
-    """(f, h1, h2, h3, g1) interpolated at time t."""
+def coefficients_at(table: SolvedTable, t: float) -> tuple[float, ...]:
+    """The ratio and y1..y4 (f, h1, h2, h3, g1 of a coefficient table) at time t."""
     return tuple(table.columns_at(t).tolist()[:5])
 
 
@@ -172,7 +172,7 @@ class Delta3Report:
     all_positive: bool
 
 
-def delta3_scan(table: CoefficientTable) -> Delta3Report:
+def delta3_scan(table: SolvedTable) -> Delta3Report:
     """Report the grid minimum of delta3 and whether it stays positive."""
     idx = int(np.argmin(table.delta3))
     mn = float(table.delta3[idx])

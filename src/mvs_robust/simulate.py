@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, OutOfHorizon, PenaltyUndefined, UnsolvedTable
 from .market import MarketCurves
 from .policy import value_bracket
-from .solver import MispecTable, SolvedTable, reverse_cumtrapz
+from .solver import MispecTable, SolvedTable
 
 _CHUNK = 16384          # paths per accumulation block, fixed for determinism
 _LEAF = 1024            # most paths marched and filled at once; only memory depends on it
@@ -184,18 +184,28 @@ def _cumtrapz(g: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(g.shape[:-1] + (1,)), steps], axis=-1)
 
 
+def _reverse_cumtrapz(g: np.ndarray, dt) -> np.ndarray:
+    """out[..., i] = trapezoid integral of each row of g from node i to the
+    last node; ``dt`` holds each step's width."""
+    inc = 0.5 * dt * (g[..., :-1] + g[..., 1:])
+    out = np.empty_like(g)
+    out[..., -1] = 0.0
+    out[..., :-1] = np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1]
+    return out
+
+
 def _tail_integrals(table: SolvedTable, market: MarketCurves, times: np.ndarray,
                     measure: Measure, integrand) -> np.ndarray:
     """Integrals of each row of ``integrand(curves)`` from each of ``times`` to the last, as
-    ``(4 R_half - R) / 3`` (Simpson's rule per step): ``R`` is ``reverse_cumtrapz`` on
+    ``(4 R_half - R) / 3`` (Simpson's rule per step): ``R`` is ``_reverse_cumtrapz`` on
     ``times``, ``R_half`` on their steps halved.  The curves are built once, at ``times`` and
     each step's midpoint; ``integrand`` may hold a trapezoid rule of its own."""
     fine = np.empty(2 * times.size - 1)
     fine[::2], fine[1::2] = times, 0.5 * (times[:-1] + times[1:])
     curves = _curves(table, market, fine, measure)
     half, plain = integrand(curves), integrand(_Curves(*(c[::2] for c in curves)))
-    return (4.0 * reverse_cumtrapz(half, np.diff(fine))[..., ::2]
-            - reverse_cumtrapz(plain, np.diff(times))) / 3.0
+    return (4.0 * _reverse_cumtrapz(half, np.diff(fine))[..., ::2]
+            - _reverse_cumtrapz(plain, np.diff(times))) / 3.0
 
 
 def _objective(m1, m2, m3, penalty, w: float, gamma0: float, phi0: float):

@@ -560,16 +560,6 @@ class PicardInfo:
     iterations: int  # map evaluations over every node
 
 
-def reverse_cumtrapz(g: np.ndarray, dt) -> np.ndarray:
-    """out[..., i] = trapezoid integral of each row of g from node i to the
-    last node; ``dt`` is the step width, or an array of each step's width."""
-    inc = 0.5 * dt * (g[..., :-1] + g[..., 1:])
-    out = np.empty_like(g)
-    out[..., -1] = 0.0
-    out[..., :-1] = np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1]
-    return out
-
-
 def solve_f_picard(
     market: MarketCurves,
     prefs: Preferences,

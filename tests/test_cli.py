@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mvs_robust import ConfigError, MvsRobustError, checks, config, simulate
-from mvs_robust.checks import check_lognormal_moments, solve_context
+from mvs_robust.checks import check_lognormal_moments, solve_full
 from mvs_robust.cli import main
 from mvs_robust.config import SweepSection, parse_config, sweep_grid
 from mvs_robust.policy import equilibrium_policy, value_at
@@ -212,29 +212,29 @@ class TestCheckCommand:
         cfg = parse_config(
             "[solver]\nnum_steps = 1000\n[simulation]\nstart_time = 0.0013\n"
         )
-        res = check_lognormal_moments(solve_context(cfg))
+        res = check_lognormal_moments(solve_full(cfg), cfg, None)
         assert res.passed, res.summary_line()
 
     def test_determinism_compares_every_field(self, monkeypatch):
         # two runs that differ only in the penalty estimate are not identical
-        ctx = solve_context(parse_config(QUICK))
-        first = checks.simulate_equilibrium_wealth(ctx.table, ctx.market,
-                                                   ctx.config.simulation)
+        cfg = parse_config(QUICK)
+        table = solve_full(cfg)
+        first = checks.simulate_equilibrium_wealth(table, cfg.market_curves, cfg.simulation)
         second = replace(first, penalty=replace(first.penalty, value=first.penalty.value + 1.0))
-        runs = iter((first, second))
-        monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: next(runs))
-        assert not checks.check_determinism(ctx).passed
+        monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: second)
+        assert not checks.check_determinism(table, cfg, first).passed
 
     @pytest.mark.parametrize("first, second, same", [
         (float("nan"), float("nan"), True), (0.0, -0.0, False),
     ])
     def test_determinism_compares_bits(self, monkeypatch, first, second, same):
         # bitwise: two NaNs (distinct objects) are the same run, 0.0 and -0.0 are not
-        ctx = solve_context(parse_config(QUICK))
-        sim = checks.simulate_equilibrium_wealth(ctx.table, ctx.market, ctx.config.simulation)
-        runs = iter([replace(sim, min_wealth=first), replace(sim, min_wealth=second)])
-        monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: next(runs))
-        assert checks.check_determinism(ctx).passed is same
+        cfg = parse_config(QUICK)
+        table = solve_full(cfg)
+        sim = checks.simulate_equilibrium_wealth(table, cfg.market_curves, cfg.simulation)
+        again = replace(sim, min_wealth=second)
+        monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: again)
+        assert checks.check_determinism(table, cfg, replace(sim, min_wealth=first)).passed is same
 
     @pytest.mark.parametrize("w0, failed", [
         ("1e70", {"value_verification": " mc_z=nan "}),
@@ -273,26 +273,67 @@ class TestCheckCommand:
         assert "check=oracle_equivalence status=fail" in out
 
     def test_raised_f_node_fails_oracle(self):
-        ctx = solve_context(parse_config(QUICK))
-        assert checks.check_oracle_equivalence(ctx).passed
-        f = ctx.table.f.copy()
+        cfg = parse_config(QUICK)
+        table = solve_full(cfg)
+        assert checks.check_oracle_equivalence(table, cfg, None).passed
+        f = table.f.copy()
         f[150] += 2e-6
-        raised = replace(ctx, table=replace(ctx.table, f=f))
-        assert not checks.check_oracle_equivalence(raised).passed
+        assert not checks.check_oracle_equivalence(replace(table, f=f), cfg, None).passed
 
     @pytest.mark.parametrize("check", ["closed_form_consistency", "lognormal_moments"])
     def test_steep_config_passes_moment_quadrature(self, check):
         # plain trapezoid rules are 1.7e-6 off here, the extrapolated ones 7.6e-10
-        res = getattr(checks, f"check_{check}")(solve_context(parse_config(STEEP)))
+        cfg = parse_config(STEEP)
+        res = getattr(checks, f"check_{check}")(solve_full(cfg), cfg, None)
         assert res.passed and res.metrics["max_rel_err"] < 1e-8, res.summary_line()
 
     def test_raised_h2_node_fails_closed_form(self):
-        ctx = solve_context(parse_config(STEEP))
-        assert checks.check_closed_form_consistency(ctx).passed
-        h2 = ctx.table.h2.copy()
+        cfg = parse_config(STEEP)
+        table = solve_full(cfg)
+        assert checks.check_closed_form_consistency(table, cfg, None).passed
+        h2 = table.h2.copy()
         h2[1000] *= 1.0 + 1e-6
-        raised = replace(ctx, table=replace(ctx.table, h2=h2))
-        assert not checks.check_closed_form_consistency(raised).passed
+        assert not checks.check_closed_form_consistency(replace(table, h2=h2), cfg, None).passed
+
+
+
+class TestEveryTable:
+    """A check takes any solved table: the four variants and both
+    misspecified-value systems, on the default grid of 2,000 steps."""
+
+    TABLES = ("full", "neutral", "noskew", "basic", "mispec_u", "mispec_both")
+
+    @pytest.fixture(scope="class", params=["", "[market]\nmu = 0.10\n"], ids=["base", "mu-0.10"])
+    def solved(self, request):
+        cfg = parse_config(request.param + "[simulation]\nnum_paths = 4000\nnum_steps = 50\n")
+        market = cfg.market_curves
+        return cfg, solve_all(market, cfg.preferences, market.grid, cfg.solver.eps_den)
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("check", ["terminal_conditions", "closed_form_consistency",
+                                       "lognormal_moments", "delta3_positivity"])
+    def test_table_check_passes(self, solved, check, table):
+        cfg, model = solved
+        res = getattr(checks, f"check_{check}")(getattr(model, table), cfg, None)
+        assert res.passed, res.summary_line()
+
+    @pytest.mark.parametrize("table", TABLES[:4])
+    def test_oracle_passes_at_effective_weights(self, solved, table):
+        cfg, model = solved
+        res = checks.check_oracle_equivalence(getattr(model, table), cfg, None)
+        assert res.passed, res.summary_line()
+
+    def test_raised_a2_node_fails_closed_form_alone(self, solved):
+        # every check but the oracle, which takes coefficient tables only
+        cfg, model = solved
+        a2 = model.mispec_both.a2.copy()
+        a2[1000] *= 1.0 + 1e-6
+        table = replace(model.mispec_both, a2=a2)
+        sim = checks.simulate_equilibrium_wealth(table, cfg.market_curves, cfg.simulation)
+        failed = [fn.__name__ for fn in checks.ALL_CHECKS
+                  if fn is not checks.check_oracle_equivalence
+                  and not fn(table, cfg, sim).passed]
+        assert failed == ["check_closed_form_consistency"]
 
 
 class TestSimulateCommand:
@@ -346,8 +387,10 @@ class TestTailBuilds:
         return len(calls)
 
     def test_check_lognormal_moments_builds_once(self, monkeypatch):
-        ctx = solve_context(parse_config(QUICK))
-        assert self.count_builds(monkeypatch, lambda: check_lognormal_moments(ctx)) == 1
+        cfg = parse_config(QUICK)
+        table = solve_full(cfg)
+        assert self.count_builds(monkeypatch,
+                                 lambda: check_lognormal_moments(table, cfg, None)) == 1
 
     def test_simulate_builds_sim_grid_and_one_tail(self, monkeypatch, tmp_path):
         cfg = write(tmp_path, "c.cfg", QUICK)

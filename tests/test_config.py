@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvs_robust import ConfigError, NonPositiveHorizon, SingularGram
+from mvs_robust.checks import run_checks
 from mvs_robust.config import RunConfig, SolverSection, SweepSection, parse_config
 from mvs_robust.market import Preferences
 from mvs_robust.simulate import Scheme, SimConfig
@@ -192,13 +193,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{key} must be positive, got nan$"):
             cfg.validate()
 
+    @pytest.mark.parametrize("run", [run_sweep, run_checks], ids=["run_sweep", "run_checks"])
     @pytest.mark.parametrize("eps_den", [float("nan"), 0.0, -1.0])
-    def test_run_sweep_validates_a_config_built_in_code(self, eps_den):
+    def test_run_sweep_validates_a_config_built_in_code(self, eps_den, run):
         # load's text and class, not integrate_lanes' bare ValueError
         cfg = RunConfig(solver=SolverSection(eps_den=eps_den),
                         sweep=SweepSection("xi", 0.5, 1.0, 2))
         with pytest.raises(ConfigError, match=f"^eps_den must be positive, got {eps_den}$"):
-            run_sweep(cfg)
+            run(cfg)
 
     def test_run_sweep_without_sweep_section(self):
         with pytest.raises(ConfigError, match=r"^config has no \[sweep\] section$"):
