@@ -8,12 +8,13 @@ Public surface:
   :func:`solve_mispec_system`, :func:`solve_all`, all through
   :func:`integrate_lanes`: a lone lane marches its own RK4 on Python
   floats, a batch of lanes one RK4 over numpy lane arrays in buffers
-  allocated once, and both give a lane the same bits
+  allocated once, and both give a lane the same bits; a table carries
+  the market it was solved on
 * policy and values: :func:`equilibrium_policy`, :func:`value_at`,
   :func:`delta3_scan`
-* simulation oracles: :func:`simulate_equilibrium_wealth`,
-  :func:`lognormal_moments`, :func:`verify_value`,
-  :func:`moment_bound_check`
+* simulation oracles on a table and its market:
+  :func:`simulate_equilibrium_wealth`, :func:`lognormal_moments`,
+  :func:`verify_value`, :func:`moment_bound_check`
 """
 
 __version__ = "0.1.0"
@@ -29,7 +30,6 @@ from .errors import (
     OutOfHorizon,
     PenaltyUndefined,
     SingularGram,
-    UnsolvedTable,
     ZeroDenominatorValue,
 )
 from .market import MarketCurves, Preferences, TimeGrid, build_market
@@ -79,6 +79,6 @@ __all__ = [
     "moment_bound_check",
     "MvsRobustError", "ConfigError", "NonPositiveHorizon", "SingularGram",
     "OutOfHorizon", "NonPositiveWealth", "DegenerateDenominator",
-    "NonFiniteState", "NoConvergence", "UnsolvedTable",
+    "NonFiniteState", "NoConvergence",
     "ZeroDenominatorValue", "PenaltyUndefined",
 ]

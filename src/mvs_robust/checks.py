@@ -2,13 +2,14 @@
 
 Every check runs at the configuration's own parameters with pinned
 tolerances and returns a machine-readable result.  A check is a function
-of one solved table of either kind, the loaded config (its market is
-``config.market_curves``) and the table's shared Monte Carlo run, which
-only the three checks that simulate read.  ``run_checks`` solves the FULL
-table once (``solve_full``, which ``simulate`` uses too) and runs that
-simulation once.  The same bounds are asserted by the acceptance test suite.
-``oracle_equivalence`` extrapolates Picard; every other oracle integral (moments,
-penalty, running fourth moment) is ``simulate``'s one extrapolated rule.
+of one solved table of either kind, on the market it carries, the loaded
+config and the table's shared Monte Carlo run, which only the three checks
+that simulate read.  ``run_checks`` solves the FULL table once
+(``solve_full``, the one reader of ``config.market_curves``, which
+``simulate`` uses too) and runs that simulation once.  The same bounds
+are asserted by the acceptance test suite.  ``oracle_equivalence``
+extrapolates Picard; every other oracle integral (moments, penalty,
+running fourth moment) is ``simulate``'s one extrapolated rule.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def check_oracle_equivalence(table: CoefficientTable, config: RunConfig,
     solver, grid = config.solver, table.grid
     prefs = Preferences(table.gamma0, table.phi0, table.xi)
     f_n, f_2n = (
-        solve_f_picard(config.market_curves, prefs, g, tol=solver.picard_tol,
+        solve_f_picard(table.market, prefs, g, tol=solver.picard_tol,
                        max_iter=solver.picard_max_iter, eps_den=solver.eps_den)
         for g in (grid, TimeGrid(grid.horizon, 2 * grid.num_steps))
     )
@@ -95,7 +96,7 @@ def check_closed_form_consistency(table: SolvedTable, config: RunConfig,
     lognormal moment growths of orders 1..3, the exponentials of their rates
     integrated to the horizon."""
     _, _, y2, y3, y4 = (getattr(table, name) for name in table.COLUMNS[:5])
-    growth = np.exp(log_moment_growth(table, config.market_curves, 0.0, (1, 2, 3)))
+    growth = np.exp(log_moment_growth(table, 0.0, (1, 2, 3)))
     rel = float(np.max(np.abs(growth / np.array([y4, y2, y3]) - 1.0)))
     return CheckResult(
         "closed_form_consistency", rel < CLOSED_FORM_REL_TOL,
@@ -118,7 +119,7 @@ def check_lognormal_moments(table: SolvedTable, config: RunConfig,
     t = config.simulation.start_time
     _, _, h2, h3, g1 = coefficients_at(table, t)
     targets = (g1 * w, h2 * w ** 2, h3 * w ** 3)
-    moments = lognormal_moments(table, config.market_curves, t, w, (1, 2, 3))
+    moments = lognormal_moments(table, t, w, (1, 2, 3))
     worst = max(abs(m / target - 1.0) for m, target in zip(moments, targets))
     return CheckResult(
         "lognormal_moments", worst < MOMENT_REL_TOL,
@@ -130,7 +131,7 @@ def check_value_verification(table: SolvedTable, config: RunConfig,
                              sim: SimResult) -> CheckResult:
     """Analytic and Monte Carlo objective reassembly hit the value function."""
     s = config.simulation
-    res = verify_value(table, config.market_curves, s.start_time, s.start_wealth, s, sim=sim)
+    res = verify_value(table, s.start_time, s.start_wealth, s, sim=sim)
     ok = res.analytic_rel_err < VALUE_REL_TOL and abs(res.mc_z) <= MC_Z_BOUND
     return CheckResult(
         "value_verification", ok,
@@ -152,7 +153,7 @@ def check_delta3_positivity(table: SolvedTable, config: RunConfig,
 
 
 def check_moment_bound(table: SolvedTable, config: RunConfig, sim: SimResult) -> CheckResult:
-    res = moment_bound_check(table, config.market_curves, config.simulation, sim=sim)
+    res = moment_bound_check(table, config.simulation, sim=sim)
     return CheckResult(
         "moment_bound", res.finite and res.consistent,
         {
@@ -166,7 +167,7 @@ def check_moment_bound(table: SolvedTable, config: RunConfig, sim: SimResult) ->
 def check_determinism(table: SolvedTable, config: RunConfig, sim: SimResult) -> CheckResult:
     """A second run of ``sim`` agrees bit for bit, every field, as pickles:
     a NaN matches a NaN and ``-0.0`` differs from ``0.0``."""
-    again = simulate_equilibrium_wealth(table, config.market_curves, config.simulation)
+    again = simulate_equilibrium_wealth(table, config.simulation)
     return CheckResult("determinism", pickle.dumps(sim) == pickle.dumps(again))
 
 
@@ -191,7 +192,7 @@ def run_checks(config: RunConfig) -> list[CheckResult]:
     names = [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
     try:
         table = solve_full(config)
-        sim = simulate_equilibrium_wealth(table, config.market_curves, config.simulation)
+        sim = simulate_equilibrium_wealth(table, config.simulation)
     except MvsRobustError as exc:
         return [CheckResult(name, False, message=_failure(exc)) for name in names]
     results = []

@@ -94,13 +94,12 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, argv) -> int:
-    table, market, cfg = solve_full(config), config.market_curves, config.simulation
-    res = simulate_equilibrium_wealth(table, market, cfg)
+    table, cfg = solve_full(config), config.simulation
+    res = simulate_equilibrium_wealth(table, cfg)
 
-    w0 = cfg.start_wealth
-    t0 = cfg.start_time
+    w0, t0 = cfg.start_wealth, cfg.start_time
     lines = ["quantity,estimate,std_error,analytic,z_score,flag"]
-    analytic = lognormal_moments(table, market, t0, w0, (1, 2, 3, 4), cfg.measure)
+    analytic = lognormal_moments(table, t0, w0, (1, 2, 3, 4), cfg.measure)
     for order, est, moment in zip((1, 2, 3, 4), res.moments, analytic):
         lines.append(_z_line(f"moment_{order}", est, moment))
     m1, m2 = res.moments[0].value, res.moments[1].value

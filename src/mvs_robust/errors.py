@@ -49,10 +49,6 @@ class NoConvergence(MvsRobustError):
     """An iterative scheme exhausted its budget without converging."""
 
 
-class UnsolvedTable(MvsRobustError):
-    """A coefficient table does not match the market it is used with."""
-
-
 class ZeroDenominatorValue(MvsRobustError):
     """A value function is zero where a loss ratio is requested."""
 

@@ -38,13 +38,8 @@ class PolicyPoint:
     ambiguity_pref: float    # -delta2 / delta1**2
 
 
-def equilibrium_policy(
-    table: CoefficientTable,
-    market: MarketCurves,
-    t: float,
-    w: float,
-) -> PolicyPoint:
-    """Evaluate the equilibrium control-measure pair at (t, w).
+def equilibrium_policy(table: CoefficientTable, t: float, w: float) -> PolicyPoint:
+    """Evaluate the equilibrium control-measure pair at (t, w) on the table's market.
 
     The allocation is ``w / (xi + 1) * Sigma^{-1} beta * f(t)`` and the
     distortion is ``-xi / (xi + 1) * sigma Sigma^{-1} beta``: with
@@ -58,7 +53,7 @@ def equilibrium_policy(
     they test only that the interpolated columns agree with each other.
     """
     return policy_point(
-        market, t, w, table.gamma0, table.phi0, table.xi, coefficients_at(table, t)
+        table.market, t, w, table.gamma0, table.phi0, table.xi, coefficients_at(table, t)
     )
 
 

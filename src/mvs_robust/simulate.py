@@ -7,12 +7,13 @@ explicit geometric Brownian motion with deterministic drift
 per-step lognormal increments; an Euler-Maruyama scheme is retained
 purely as a discretization cross-check.  A misspecified-strategy table
 describes the same kind of process, driven by the naive strategy's ratio.
-``_curves`` builds both kinds' curves at any times from ``risk_free_at``,
-``theta_at`` and ``columns_at``.  Closed-form lognormal moments are the
-independent oracle against the solved tables: orders 1..3 must reproduce
-``g1 w``, ``h2 w**2`` and ``h3 w**3``, and the sampled running fourth
-moment must stay within ``FOURTH_MOMENT_BAND`` of its closed form.  Each
-oracle integral, the penalty's too, is Simpson's rule (``_tail_integrals``).
+``_curves`` builds both kinds' curves at any times from the market the
+table carries (``risk_free_at``, ``theta_at``) and its ``columns_at``.
+Closed-form lognormal moments are the independent oracle against the
+solved tables: orders 1..3 must reproduce ``g1 w``, ``h2 w**2`` and
+``h3 w**3``, and the sampled running fourth moment must stay within
+``FOURTH_MOMENT_BAND`` of its closed form.  Each oracle integral, the
+penalty's too, is Simpson's rule (``_tail_integrals``).
 Overflow fails a band without a warning: ``_simulate``, its pool task
 ``march`` (for itself: a pool thread starts from numpy's default error
 state) and ``moment_bound_check`` ignore numpy's floating-point errors,
@@ -44,8 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, OutOfHorizon, PenaltyUndefined, UnsolvedTable
-from .market import MarketCurves
+from .errors import ConfigError, OutOfHorizon, PenaltyUndefined
 from .policy import value_bracket
 from .solver import MispecTable, SolvedTable
 
@@ -124,13 +124,11 @@ class _Curves(NamedTuple):
     pen_rate: np.ndarray   # penalty integrand per unit wealth
 
 
-def _curves(
-    table: SolvedTable, market: MarketCurves, times: np.ndarray, measure: Measure
-) -> _Curves:
+def _curves(table: SolvedTable, times: np.ndarray, measure: Measure) -> _Curves:
     """The curves of the wealth GBM a solved table describes, at ``times``.
 
-    The rates come from ``risk_free_at`` and ``theta_at`` and the table's
-    columns from ``columns_at``, each exact at the nodes.  The investor
+    The rates come from the table's market (``risk_free_at``, ``theta_at``) and
+    its columns from ``columns_at``, each exact at the nodes.  The investor
     holds the strategy ratio ``s`` scaled by ``1/d`` (drift
     ``r + theta s / d`` under the reference measure): a coefficient
     table's own ``f`` with ``d = xi + 1``, a misspecified table's naive
@@ -141,13 +139,7 @@ def _curves(
     ``a`` (``xi_a = xi``).  Every unused weight is exact, so each kind
     gets bitwise its own formula.
     """
-    if table.grid != market.grid:
-        raise UnsolvedTable(
-            f"table grid ({table.grid.num_steps} steps over {table.grid.horizon}) "
-            f"does not match market grid ({market.grid.num_steps} steps over "
-            f"{market.grid.horizon})"
-        )
-    r, th = market.risk_free_at(times), market.theta_at(times)
+    r, th = table.market.risk_free_at(times), table.market.theta_at(times)
     col = dict(zip(table.COLUMNS, table.columns_at(times).T))
     xi = table.xi
     if isinstance(table, MispecTable):
@@ -164,13 +156,12 @@ def _curves(
     return _Curves(times, drift, vol2, pen_rate)
 
 
-def _sim_curves(table: SolvedTable, market: MarketCurves, cfg: SimConfig) -> _Curves:
+def _sim_curves(table: SolvedTable, cfg: SimConfig) -> _Curves:
     """The curves on ``num_steps`` equal steps from the start time to the horizon."""
     horizon = table.grid.horizon
     if not 0.0 <= cfg.start_time < horizon:
         raise OutOfHorizon(f"start_time {cfg.start_time} outside [0, {horizon})")
-    return _curves(table, market, np.linspace(cfg.start_time, horizon, cfg.num_steps + 1),
-                   cfg.measure)
+    return _curves(table, np.linspace(cfg.start_time, horizon, cfg.num_steps + 1), cfg.measure)
 
 
 def _tail_times(table: SolvedTable, t: float) -> np.ndarray:
@@ -194,18 +185,21 @@ def _reverse_cumtrapz(g: np.ndarray, dt) -> np.ndarray:
     return out
 
 
-def _tail_integrals(table: SolvedTable, market: MarketCurves, times: np.ndarray,
-                    measure: Measure, integrand) -> np.ndarray:
+def _tail_integrals(table: SolvedTable, times: np.ndarray, measure: Measure, integrand,
+                    plain: _Curves | None = None) -> np.ndarray:
     """Integrals of each row of ``integrand(curves)`` from each of ``times`` to the last, as
     ``(4 R_half - R) / 3`` (Simpson's rule per step): ``R`` is ``_reverse_cumtrapz`` on
     ``times``, ``R_half`` on their steps halved.  The curves are built once, at ``times`` and
-    each step's midpoint; ``integrand`` may hold a trapezoid rule of its own."""
-    fine = np.empty(2 * times.size - 1)
-    fine[::2], fine[1::2] = times, 0.5 * (times[:-1] + times[1:])
-    curves = _curves(table, market, fine, measure)
-    half, plain = integrand(curves), integrand(_Curves(*(c[::2] for c in curves)))
-    return (4.0 * _reverse_cumtrapz(half, np.diff(fine))[..., ::2]
-            - _reverse_cumtrapz(plain, np.diff(times))) / 3.0
+    each step's midpoint, or only at the midpoints when ``plain`` holds those at ``times``;
+    ``integrand`` may hold a trapezoid rule of its own."""
+    mid, at = 0.5 * (times[:-1] + times[1:]), np.arange(1, times.size)
+    if plain is None:
+        fine = _curves(table, np.insert(times, at, mid), measure)
+        plain = _Curves(*(c[::2] for c in fine))
+    else:
+        fine = _Curves(*(np.insert(p, at, m) for p, m in zip(plain, _curves(table, mid, measure))))
+    return (4.0 * _reverse_cumtrapz(integrand(fine), np.diff(fine.times))[..., ::2]
+            - _reverse_cumtrapz(integrand(plain), np.diff(times))) / 3.0
 
 
 def _objective(m1, m2, m3, penalty, w: float, gamma0: float, phi0: float):
@@ -390,26 +384,21 @@ def _simulate(table: SolvedTable, curves: _Curves, cfg: SimConfig) -> SimResult:
     )
 
 
-def simulate_equilibrium_wealth(
-    table: SolvedTable,
-    market: MarketCurves,
-    cfg: SimConfig,
-) -> SimResult:
+def simulate_equilibrium_wealth(table: SolvedTable, cfg: SimConfig) -> SimResult:
     """Simulate the equilibrium wealth GBM described by a solved table."""
-    return _simulate(table, _sim_curves(table, market, cfg), cfg)
+    return _simulate(table, _sim_curves(table, cfg), cfg)
 
 
-def log_moment_growth(table: SolvedTable, market: MarketCurves, t: float, orders: tuple[int, ...],
+def log_moment_growth(table: SolvedTable, t: float, orders: tuple[int, ...],
                       measure: Measure = Measure.DISTORTED) -> np.ndarray:
     """``log(E[W_T ** n] / w ** n)`` from t and each node after it, a row per
     order ``n``: ``n*drift + n(n-1)/2 * vol2`` integrated to the horizon."""
-    return _tail_integrals(table, market, _tail_times(table, t), measure, lambda c: np.array(
+    return _tail_integrals(table, _tail_times(table, t), measure, lambda c: np.array(
         [n * c.drift + 0.5 * n * (n - 1) * c.vol2 for n in orders]))
 
 
 def lognormal_moments(
     table: SolvedTable,
-    market: MarketCurves,
     t: float,
     w: float,
     orders: tuple[int, ...],
@@ -422,7 +411,7 @@ def lognormal_moments(
     """
     if not orders or any(n not in (1, 2, 3, 4) for n in orders):
         raise ConfigError(f"orders must be in 1..4, got {orders}")
-    growth = log_moment_growth(table, market, t, orders, measure)[:, 0]
+    growth = log_moment_growth(table, t, orders, measure)[:, 0]
     return tuple(w ** n * float(np.exp(g)) for n, g in zip(orders, growth))
 
 
@@ -439,7 +428,6 @@ class ValueCheck:
 
 def verify_value(
     table: SolvedTable,
-    market: MarketCurves,
     t: float,
     w: float,
     cfg: SimConfig,
@@ -457,7 +445,7 @@ def verify_value(
     A ``t`` outside ``[0, T)`` raises ``OutOfHorizon``.
     """
     cfg = replace(cfg, start_time=t, start_wealth=w, measure=Measure.DISTORTED)
-    paths = _sim_curves(table, market, cfg)
+    paths = _sim_curves(table, cfg)
     d3_floor = float(table.delta3[table.grid.nodes >= t].min())
     if d3_floor <= 0.0 and (paths.pen_rate != 0.0).any():
         raise PenaltyUndefined(
@@ -465,8 +453,8 @@ def verify_value(
             f"(min delta3 = {d3_floor:g})"
         )
 
-    m1, m2, m3 = lognormal_moments(table, market, t, w, (1, 2, 3))
-    penalty = _tail_integrals(table, market, _tail_times(table, t), Measure.DISTORTED,
+    m1, m2, m3 = lognormal_moments(table, t, w, (1, 2, 3))
+    penalty = _tail_integrals(table, _tail_times(table, t), Measure.DISTORTED,
                               lambda c: c.pen_rate * np.exp(_cumtrapz(c.drift, c.times)))[0]
     analytic = _objective(m1, m2, m3, w * penalty, w, table.gamma0, table.phi0)
 
@@ -495,7 +483,7 @@ class MomentBound:
 
 @np.errstate(all="ignore")
 def moment_bound_check(
-    table: SolvedTable, market: MarketCurves, cfg: SimConfig, sim: SimResult | None = None,
+    table: SolvedTable, cfg: SimConfig, sim: SimResult | None = None,
 ) -> MomentBound:
     """Compare the analytic running fourth moment with the sampled one.
 
@@ -505,9 +493,9 @@ def moment_bound_check(
     They are consistent when their ratio lies in ``FOURTH_MOMENT_BAND``.
     A given ``sim`` run with ``cfg`` is reused.
     """
-    paths = _sim_curves(table, market, cfg)
-    tail = _tail_integrals(table, market, paths.times, cfg.measure,
-                           lambda c: 4.0 * c.drift + 6.0 * c.vol2)
+    paths = _sim_curves(table, cfg)
+    tail = _tail_integrals(table, paths.times, cfg.measure,
+                           lambda c: 4.0 * c.drift + 6.0 * c.vol2, plain=paths)
     curve = cfg.start_wealth ** 4 * np.exp(tail[0] - tail)
     idx = int(np.argmax(curve))
     analytic_sup = float(curve[idx])

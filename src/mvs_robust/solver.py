@@ -102,7 +102,8 @@ class SolvedTable:
 
     ``COLUMNS`` lists a kind's columns in the order of its lane's path
     rows: the lane's own ratio, its state ``y1 .. y4`` and its denominator
-    ``delta3``, then, for a misspecified table, the driver's ratio.
+    ``delta3``, then, for a misspecified table, the driver's ratio.  Each
+    table carries the ``market`` it was solved on.
     """
 
     COLUMNS: ClassVar[tuple[str, ...]]
@@ -144,6 +145,7 @@ class CoefficientTable(SolvedTable):
 
     variant: ModelVariant
     grid: TimeGrid
+    market: MarketCurves
     gamma0: float
     phi0: float
     xi: float
@@ -167,6 +169,7 @@ class MispecTable(SolvedTable):
 
     kind: MispecKind
     grid: TimeGrid
+    market: MarketCurves
     gamma0: float
     phi0: float
     xi: float
@@ -532,7 +535,7 @@ def _tables(market: MarketCurves, prefs: Preferences, grid: TimeGrid, eps_den: f
         if isinstance(kind, MispecKind):
             cls, rows = MispecTable, (res[lane.driver].check().path[0],)
         columns = dict(zip(cls.COLUMNS, (*res[i].check().path, *rows)))
-        tables.append(cls(kind, grid, lane.gamma0, lane.phi0, lane.xi, **columns))
+        tables.append(cls(kind, grid, market, lane.gamma0, lane.phi0, lane.xi, **columns))
     return tables
 
 

@@ -182,7 +182,7 @@ def test_acceptance_06_h2_equals_k1(tmp_path):
            f"violations={bad}", t0)
 
 
-def test_acceptance_07_lognormal_oracle(base_table, base_market):
+def test_acceptance_07_lognormal_oracle(base_table):
     t0 = time.perf_counter()
     w = BASE["w0"]
     targets = {
@@ -190,10 +190,10 @@ def test_acceptance_07_lognormal_oracle(base_table, base_market):
         2: base_table.h2[0] * w ** 2,
         3: base_table.h3[0] * w ** 3,
     }
-    analytic = lognormal_moments(base_table, base_market, 0.0, w, (1, 2, 3))
+    analytic = lognormal_moments(base_table, 0.0, w, (1, 2, 3))
     analytic_worst = max(abs(analytic[n - 1] / targets[n] - 1.0) for n in (1, 2, 3))
     cfg = SimConfig(num_paths=MC_PATHS, seed=MC_SEED, start_wealth=w)
-    res = simulate_equilibrium_wealth(base_table, base_market, cfg)
+    res = simulate_equilibrium_wealth(base_table, cfg)
     zs = [
         abs(res.moments[n - 1].value - targets[n]) / res.moments[n - 1].std_error
         for n in (1, 2)
@@ -204,10 +204,10 @@ def test_acceptance_07_lognormal_oracle(base_table, base_market):
            f"({zs[0]:.2f}, {zs[1]:.2f}) <= 3", t0)
 
 
-def test_acceptance_08_value_verification(base_table, base_market):
+def test_acceptance_08_value_verification(base_table):
     t0 = time.perf_counter()
     cfg = SimConfig(num_paths=MC_PATHS, seed=MC_SEED)
-    res = verify_value(base_table, base_market, 0.0, BASE["w0"], cfg)
+    res = verify_value(base_table, 0.0, BASE["w0"], cfg)
     ok = res.analytic_rel_err < 1e-6 and abs(res.mc_z) <= 3.0
     report("08", "value_verification", ok,
            f"V(0,4) = {res.value:.6f}; analytic rel err = {res.analytic_rel_err:.3e} "
@@ -248,7 +248,7 @@ def test_acceptance_09_delta3_positivity(base_model):
 
 def _u_star(market, prefs, grid, w0, variant=ModelVariant.FULL):
     table = solve_system(market, prefs, grid, variant)
-    return equilibrium_policy(table, market, 0.0, w0).allocation[0]
+    return equilibrium_policy(table, 0.0, w0).allocation[0]
 
 
 def _strictly(seq, direction):
@@ -405,10 +405,10 @@ def test_acceptance_10b_strategy_gap_vs_basic_sign(base_grid):
     )
 
 
-def test_acceptance_11_moment_bound(base_table, base_market):
+def test_acceptance_11_moment_bound(base_table):
     t0 = time.perf_counter()
     cfg = SimConfig(num_paths=MC_PATHS, seed=MC_SEED)
-    res = moment_bound_check(base_table, base_market, cfg)
+    res = moment_bound_check(base_table, cfg)
     ok = res.finite and res.consistent and res.analytic_argmax_time == pytest.approx(BASE["T"])
     report("11", "moment_bound", ok,
            f"analytic sup = {res.analytic_sup:.2f} (attained at t = "

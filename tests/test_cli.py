@@ -219,7 +219,7 @@ class TestCheckCommand:
         # two runs that differ only in the penalty estimate are not identical
         cfg = parse_config(QUICK)
         table = solve_full(cfg)
-        first = checks.simulate_equilibrium_wealth(table, cfg.market_curves, cfg.simulation)
+        first = checks.simulate_equilibrium_wealth(table, cfg.simulation)
         second = replace(first, penalty=replace(first.penalty, value=first.penalty.value + 1.0))
         monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: second)
         assert not checks.check_determinism(table, cfg, first).passed
@@ -231,7 +231,7 @@ class TestCheckCommand:
         # bitwise: two NaNs (distinct objects) are the same run, 0.0 and -0.0 are not
         cfg = parse_config(QUICK)
         table = solve_full(cfg)
-        sim = checks.simulate_equilibrium_wealth(table, cfg.market_curves, cfg.simulation)
+        sim = checks.simulate_equilibrium_wealth(table, cfg.simulation)
         again = replace(sim, min_wealth=second)
         monkeypatch.setattr(checks, "simulate_equilibrium_wealth", lambda *args: again)
         assert checks.check_determinism(table, cfg, replace(sim, min_wealth=first)).passed is same
@@ -299,15 +299,21 @@ class TestCheckCommand:
 
 class TestEveryTable:
     """A check takes any solved table: the four variants and both
-    misspecified-value systems, on the default grid of 2,000 steps."""
+    misspecified-value systems, on the default grid of 2,000 steps, and
+    reads the market the table was solved on, whatever the config's."""
 
     TABLES = ("full", "neutral", "noskew", "basic", "mispec_u", "mispec_both")
+    MU = "[market]\nmu = 0.10\n"
 
-    @pytest.fixture(scope="class", params=["", "[market]\nmu = 0.10\n"], ids=["base", "mu-0.10"])
+    @pytest.fixture(scope="class", params=[("", ""), (MU, MU), (MU, "")],
+                    ids=["base", "mu-0.10", "mu-0.10-checked-with-base"])
     def solved(self, request):
-        cfg = parse_config(request.param + "[simulation]\nnum_paths = 4000\nnum_steps = 50\n")
-        market = cfg.market_curves
-        return cfg, solve_all(market, cfg.preferences, market.grid, cfg.solver.eps_den)
+        solve_on, check_with = (
+            parse_config(text + "[simulation]\nnum_paths = 4000\nnum_steps = 50\n")
+            for text in request.param)
+        market = solve_on.market_curves
+        return check_with, solve_all(market, solve_on.preferences, market.grid,
+                                     solve_on.solver.eps_den)
 
     @pytest.mark.parametrize("table", TABLES)
     @pytest.mark.parametrize("check", ["terminal_conditions", "closed_form_consistency",
@@ -329,7 +335,7 @@ class TestEveryTable:
         a2 = model.mispec_both.a2.copy()
         a2[1000] *= 1.0 + 1e-6
         table = replace(model.mispec_both, a2=a2)
-        sim = checks.simulate_equilibrium_wealth(table, cfg.market_curves, cfg.simulation)
+        sim = checks.simulate_equilibrium_wealth(table, cfg.simulation)
         failed = [fn.__name__ for fn in checks.ALL_CHECKS
                   if fn is not checks.check_oracle_equivalence
                   and not fn(table, cfg, sim).passed]
@@ -377,25 +383,36 @@ class TestSimulateCommand:
 
 
 class TestTailBuilds:
-    """A moment read builds its tail curves once, for all its orders."""
+    """A moment read builds its tail curves once, for all its orders, and
+    builds no time's curves twice."""
 
     @staticmethod
-    def count_builds(monkeypatch, run) -> int:
-        real, calls = simulate._curves, []
-        monkeypatch.setattr(simulate, "_curves", lambda *a: calls.append(1) or real(*a))
+    def builds(monkeypatch, run) -> list[int]:
+        """How many times each ``_curves`` call made while ``run`` ran was given."""
+        real, sizes = simulate._curves, []
+        monkeypatch.setattr(simulate, "_curves", lambda *a: sizes.append(a[1].size) or real(*a))
         run()
-        return len(calls)
+        return sizes
 
     def test_check_lognormal_moments_builds_once(self, monkeypatch):
         cfg = parse_config(QUICK)
         table = solve_full(cfg)
-        assert self.count_builds(monkeypatch,
-                                 lambda: check_lognormal_moments(table, cfg, None)) == 1
+        assert len(self.builds(monkeypatch,
+                               lambda: check_lognormal_moments(table, cfg, None))) == 1
 
     def test_simulate_builds_sim_grid_and_one_tail(self, monkeypatch, tmp_path):
         cfg = write(tmp_path, "c.cfg", QUICK)
         argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
-        assert self.count_builds(monkeypatch, lambda: main(argv)) == 2
+        assert len(self.builds(monkeypatch, lambda: main(argv))) == 2
+
+    def test_check_moment_bound_builds_sim_times_once(self, monkeypatch):
+        # the sim curves, then their steps' midpoints alone: 2 n + 1 times, not 3 n + 2
+        cfg = parse_config(QUICK)
+        table = solve_full(cfg)
+        sim = checks.simulate_equilibrium_wealth(table, cfg.simulation)
+        n = cfg.simulation.num_steps
+        sizes = self.builds(monkeypatch, lambda: checks.check_moment_bound(table, cfg, sim))
+        assert sizes == [n + 1, n]
 
 
 class TestMarketBuilds:
@@ -478,7 +495,7 @@ class TestSweepCommand:
             grid = mkt.grid
             model = solve_all(mkt, cfg.preferences, grid, cfg.solver.eps_den)
             w0 = cfg.simulation.start_wealth
-            pol = equilibrium_policy(model.full, mkt, 0.0, w0)
+            pol = equilibrium_policy(model.full, 0.0, w0)
             rep = value_at(model, 0.0, w0)
             one = mkt.num_assets == 1
             want = {

@@ -24,14 +24,14 @@ from conftest import BASE, make_market
 
 
 class TestEquilibriumPolicy:
-    def test_allocation_at_horizon(self, base_model, base_market):
+    def test_allocation_at_horizon(self, base_model):
         # w/(xi+1) * beta/sigma^2 * f(T) = 4/2 * 1.6 * 0.5
-        p = equilibrium_policy(base_model.full, base_market, BASE["T"], 4.0)
+        p = equilibrium_policy(base_model.full, BASE["T"], 4.0)
         assert p.allocation[0] == pytest.approx(1.6, rel=1e-12)
 
-    def test_distortion_constant(self, base_model, base_market):
+    def test_distortion_constant(self, base_model):
         vals = [
-            equilibrium_policy(base_model.full, base_market, t, w).distortion[0]
+            equilibrium_policy(base_model.full, t, w).distortion[0]
             for t in (0.0, 1.3, 4.9)
             for w in (1.0, 4.0, 50.0)
         ]
@@ -41,7 +41,7 @@ class TestEquilibriumPolicy:
         rng = np.random.default_rng(5)
         xi = base_model.full.xi
         for t in rng.uniform(0.0, BASE["T"], 20):
-            p = equilibrium_policy(base_model.full, base_market, t, 4.0)
+            p = equilibrium_policy(base_model.full, t, 4.0)
             beta = base_market.excess_at(t)
             sig = base_market.volatility_at(t)
             expected = -(xi / (xi + 1.0)) * (sig @ base_market.gram_solve(t, beta))
@@ -53,26 +53,26 @@ class TestEquilibriumPolicy:
         market = build_market(5.0, 0.05, [0.12, 0.15, 0.18], sigma, num_steps=200)
         table = solve_system(market, Preferences(2.0, 0.5, 1.5), market.grid)
         for t in (0.0, 2.6):
-            q = equilibrium_policy(table, market, t, 4.0).distortion
+            q = equilibrium_policy(table, t, 4.0).distortion
             assert q @ q == pytest.approx(0.36 * market.theta_at(t), rel=1e-12)
 
-    def test_allocation_linear_in_wealth(self, base_model, base_market):
-        p1 = equilibrium_policy(base_model.full, base_market, 2.0, 4.0)
-        p2 = equilibrium_policy(base_model.full, base_market, 2.0, 8.0)
+    def test_allocation_linear_in_wealth(self, base_model):
+        p1 = equilibrium_policy(base_model.full, 2.0, 4.0)
+        p2 = equilibrium_policy(base_model.full, 2.0, 8.0)
         assert p2.allocation[0] == 2.0 * p1.allocation[0]
 
-    def test_allocation_fraction_wealth_invariant(self, base_model, base_market):
+    def test_allocation_fraction_wealth_invariant(self, base_model):
         fracs = [
-            equilibrium_policy(base_model.full, base_market, 1.0, w).allocation[0] / w
+            equilibrium_policy(base_model.full, 1.0, w).allocation[0] / w
             for w in (1.0, 4.0, 100.0)
         ]
         assert fracs[0] == pytest.approx(fracs[1], rel=1e-14)
         assert fracs[0] == pytest.approx(fracs[2], rel=1e-14)
 
-    def test_delta_identities(self, base_model, base_market):
+    def test_delta_identities(self, base_model):
         for t in (0.0, 2.5, 5.0):
             for w in (1.0, 4.0, 25.0):
-                p = equilibrium_policy(base_model.full, base_market, t, w)
+                p = equilibrium_policy(base_model.full, t, w)
                 # the aggregates are assembled termwise, so these are checks
                 assert p.delta3 == pytest.approx(-w * p.delta2, rel=1e-12)
                 assert p.ambiguity_pref * p.delta1**2 == pytest.approx(-p.delta2, rel=1e-12)
@@ -82,7 +82,7 @@ class TestEquilibriumPolicy:
     def test_allocation_consistent_with_delta_ratio(self, base_model, base_market):
         xi = base_model.full.xi
         for t in (0.3, 3.1):
-            p = equilibrium_policy(base_model.full, base_market, t, 4.0)
+            p = equilibrium_policy(base_model.full, t, 4.0)
             beta = base_market.excess_at(t)
             from_deltas = (
                 -(1.0 / (xi + 1.0))
@@ -91,26 +91,26 @@ class TestEquilibriumPolicy:
             )
             np.testing.assert_allclose(p.allocation, from_deltas, rtol=1e-11)
 
-    def test_ambiguity_pref_positive(self, base_model, base_market):
-        p = equilibrium_policy(base_model.full, base_market, 1.0, 4.0)
+    def test_ambiguity_pref_positive(self, base_model):
+        p = equilibrium_policy(base_model.full, 1.0, 4.0)
         assert p.ambiguity_pref > 0.0 and p.delta3 > 0.0
 
-    def test_rejects_bad_inputs(self, base_model, base_market):
+    def test_rejects_bad_inputs(self, base_model):
         with pytest.raises(NonPositiveWealth):
-            equilibrium_policy(base_model.full, base_market, 1.0, 0.0)
+            equilibrium_policy(base_model.full, 1.0, 0.0)
         with pytest.raises(NonPositiveWealth):
-            equilibrium_policy(base_model.full, base_market, 1.0, -3.0)
+            equilibrium_policy(base_model.full, 1.0, -3.0)
         with pytest.raises(OutOfHorizon):
-            equilibrium_policy(base_model.full, base_market, 5.5, 4.0)
+            equilibrium_policy(base_model.full, 5.5, 4.0)
         with pytest.raises(OutOfHorizon):
-            equilibrium_policy(base_model.full, base_market, np.nan, 4.0)
+            equilibrium_policy(base_model.full, np.nan, 4.0)
         with pytest.raises(OutOfHorizon):
             value_bracket(base_model.full, np.nan)
         with pytest.raises(OutOfHorizon):
             value_at(base_model, np.nan, 4.0)
 
-    def test_neutral_variant_has_zero_distortion(self, base_model, base_market):
-        p = equilibrium_policy(base_model.neutral, base_market, 1.0, 4.0)
+    def test_neutral_variant_has_zero_distortion(self, base_model):
+        p = equilibrium_policy(base_model.neutral, 1.0, 4.0)
         assert p.distortion[0] == 0.0
 
 
@@ -161,7 +161,7 @@ class TestValueReport:
         # crafted coefficients force the full-value bracket to zero
         ones = np.ones(base_grid.num_steps + 1)
         crafted = CoefficientTable(
-            variant=ModelVariant.FULL, grid=base_grid,
+            variant=ModelVariant.FULL, grid=base_grid, market=base_model.full.market,
             gamma0=2.0, phi0=0.0, xi=0.0,
             f=0.5 * ones, h1=1.0 * ones, h2=2.0 * ones, h3=ones,
             g1=1.0 * ones, delta3=2.0 * ones,
@@ -178,9 +178,9 @@ class TestValueReport:
 
 
 @pytest.mark.parametrize("w", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
-def test_every_wealth_entry_rejects_non_finite_or_nonpositive_wealth(base_model, base_market, w):
+def test_every_wealth_entry_rejects_non_finite_or_nonpositive_wealth(base_model, w):
     with pytest.raises(NonPositiveWealth, match="wealth must be positive"):
-        equilibrium_policy(base_model.full, base_market, 0.0, w)
+        equilibrium_policy(base_model.full, 0.0, w)
     with pytest.raises(NonPositiveWealth, match="wealth must be positive"):
         value_at(base_model, 0.0, w)
     with pytest.raises(ConfigError, match="start_wealth must be positive"):

@@ -17,8 +17,7 @@ from mvs_robust import (
     Preferences,
     Scheme,
     SimConfig,
-    UnsolvedTable,
-    build_market,
+    TimeGrid,
     lognormal_moments,
     moment_bound_check,
     simulate_equilibrium_wealth,
@@ -26,6 +25,8 @@ from mvs_robust import (
     verify_value,
 )
 from mvs_robust import simulate
+from mvs_robust.checks import check_closed_form_consistency
+from mvs_robust.config import RunConfig
 from mvs_robust.policy import value_bracket
 from mvs_robust.simulate import _CHUNK, _LEAF, _MIN_UNIFORM
 
@@ -111,7 +112,7 @@ def reference_simulate(table, curves, cfg):
                               min_wealth=float(min_w), penalty=penalty, objective=objective)
 
 
-def leaf_tasks(monkeypatch, table, market, cfg, workers):
+def leaf_tasks(monkeypatch, table, cfg, workers):
     """Simulate ``cfg`` on ``workers`` threads.  Each leaf task's first path and size,
     sorted; whether its normals equal a single-chunk ``path_normals`` fill; the normals
     buffers alive as it filled; and the paths merged chunk by chunk, then the paths
@@ -130,7 +131,7 @@ def leaf_tasks(monkeypatch, table, market, cfg, workers):
     monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
     monkeypatch.setattr(simulate, "_fill_normals", recording_fill)
     monkeypatch.setattr(simulate, "_merge", lambda *a: merged.append(a[-1].copy()) or merge(*a))
-    curves = simulate._sim_curves(table, market, cfg)
+    curves = simulate._sim_curves(table, cfg)
     simulate._simulate(table, curves, cfg)
     monkeypatch.setattr(simulate, "_fill_normals", fill)
     got = merged[:]
@@ -148,7 +149,7 @@ def assert_leaf_tasks(leaves, got, ref, expected_leaves, workers):
     assert len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
-def fail_second_merge(monkeypatch, table, market, workers):
+def fail_second_merge(monkeypatch, table, workers):
     """Simulate three chunks on ``workers`` threads with ``_merge`` raising on the second.
     The raise, the threads left over, and the first path of each leaf task that started."""
     started, merged, fill, merge = [], [], simulate._fill_normals, simulate._merge
@@ -165,16 +166,16 @@ def fail_second_merge(monkeypatch, table, market, workers):
     before = threading.active_count()
     cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
     with pytest.raises(RuntimeError, match="second chunk") as raised:
-        simulate_equilibrium_wealth(table, market, cfg)
+        simulate_equilibrium_wealth(table, cfg)
     return raised, threading.active_count() - before, started
 
 
 @pytest.fixture(scope="module")
 def steep():
-    """Table and market of a solvable config with a steep f, where plain
+    """Table of a solvable config with a steep f, where plain
     trapezoid oracles are 1e-7 to 3e-4 off."""
     market = make_market(mu=0.27903, sigma=0.32978)
-    return solve_system(market, Preferences(2.27791, 2.62057, 1.41690), market.grid), market
+    return solve_system(market, Preferences(2.27791, 2.62057, 1.41690), market.grid)
 
 
 class TestRandomSource:
@@ -194,8 +195,7 @@ class TestRandomSource:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_steps", [199, 200])
     @pytest.mark.parametrize("n_paths", [2, 50])
-    def test_worker_count_invariance(self, monkeypatch, base_table, base_market, workers,
-                                     n_steps, n_paths):
+    def test_worker_count_invariance(self, monkeypatch, base_table, workers, n_steps, n_paths):
         # 199 steps leave the last Philox block padded; 2 paths leave a worker idle, and
         # 50 paths in five leaves of at most 16 keep leaves in flight while others fold
         from scipy.special import ndtri
@@ -208,7 +208,7 @@ class TestRandomSource:
         assert np.array_equal(
             np.vstack([path_normals(42, first, n, n_steps) for first, n in expected]), serial)
         cfg = SimConfig(num_paths=n_paths, seed=42, num_steps=n_steps)
-        assert_leaf_tasks(*leaf_tasks(monkeypatch, base_table, base_market, cfg, workers),
+        assert_leaf_tasks(*leaf_tasks(monkeypatch, base_table, cfg, workers),
                           expected, workers)
 
     def test_workers_without_affinity(self, monkeypatch):
@@ -221,12 +221,12 @@ class TestRandomSource:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_steps", [13, 200])
     @pytest.mark.parametrize("num_paths", [2 * _CHUNK + 1, 40_000])
-    def test_leaves_match_single_chunk_fills(self, monkeypatch, base_table, base_market, workers,
+    def test_leaves_match_single_chunk_fills(self, monkeypatch, base_table, workers,
                                              n_steps, num_paths):
         # at least three chunks and a short last one; 2 * _CHUNK + 1 leaves a worker idle.
         # Each leaf task fills its paths as if they were a chunk of their own.
         cfg = SimConfig(num_paths=num_paths, seed=9, num_steps=n_steps)
-        leaves, got, ref = leaf_tasks(monkeypatch, base_table, base_market, cfg, workers)
+        leaves, got, ref = leaf_tasks(monkeypatch, base_table, cfg, workers)
         expected = [leaf for first in range(0, num_paths, _CHUNK)
                     for leaf in pairwise_leaves(first, min(_CHUNK, num_paths - first))]
         assert_leaf_tasks(leaves, got, ref, expected, workers)
@@ -258,14 +258,13 @@ class TestLeafMarch:
     @pytest.mark.parametrize("measure", list(Measure))
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("num_paths", [7, _CHUNK + 9, _CHUNK + 8_200])
-    def test_matches_chunk_at_a_time_march(self, base_table, base_market, num_paths, scheme,
-                                           measure):
+    def test_matches_chunk_at_a_time_march(self, base_table, num_paths, scheme, measure):
         # a short last chunk of one leaf, and one of 8,200 paths ending in leaves of 512 and
         # 520; 13 steps march in one block, 57 in two whole blocks and a short one
         for num_steps in (13, 57):
             cfg = SimConfig(num_paths=num_paths, seed=4, num_steps=num_steps, scheme=scheme,
                             measure=measure)
-            curves = simulate._sim_curves(base_table, base_market, cfg)
+            curves = simulate._sim_curves(base_table, cfg)
             got = simulate._simulate(base_table, curves, cfg)
             assert repr(got) == repr(reference_simulate(base_table, curves, cfg))
 
@@ -285,7 +284,7 @@ class TestLeafMarch:
             assert low[k] == np.min(W[k])
             assert np.array_equal(e[k], np.exp(L[k])) and np.array_equal(in_place[k], e[k])
 
-    def test_march_memory_peak(self, monkeypatch, base_table, base_market):
+    def test_march_memory_peak(self, monkeypatch, base_table):
         # two workers each fill and march one leaf of 1,024 paths x 200 steps at a time, so
         # two normals buffers of 1.6 MB are alive at most
         from scipy.special import ndtri  # noqa: F401  imported before tracing starts
@@ -293,7 +292,7 @@ class TestLeafMarch:
         cfg = SimConfig(num_paths=100_000, seed=1, num_steps=200)
         tracemalloc.start()
         try:
-            simulate_equilibrium_wealth(base_table, base_market, cfg)
+            simulate_equilibrium_wealth(base_table, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,37 +300,36 @@ class TestLeafMarch:
 
 
 class TestSimulation:
-    def test_worker_count_invariance(self, monkeypatch, base_table, base_market):
+    def test_worker_count_invariance(self, monkeypatch, base_table):
         # three chunks, the last one partial, and padded Philox blocks
         cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
         results = []
         for workers in (1, 2):
             monkeypatch.setattr(simulate, "_normal_workers", lambda: workers)
-            results.append(simulate_equilibrium_wealth(base_table, base_market, cfg))
+            results.append(simulate_equilibrium_wealth(base_table, cfg))
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_failed_march_stops_the_fill_pool(self, monkeypatch, base_table, base_market,
-                                              workers):
+    def test_failed_march_stops_the_fill_pool(self, monkeypatch, base_table, workers):
         # the pool must not outlive a raise, even while the traceback holds its frames and
         # leaf tasks are in flight
-        raised, threads_left, _ = fail_second_merge(monkeypatch, base_table, base_market, workers)
+        raised, threads_left, _ = fail_second_merge(monkeypatch, base_table, workers)
         assert raised.traceback and threads_left == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_leaves_in_flight_stay_bounded(self, monkeypatch, base_table, base_market, workers):
+    def test_leaves_in_flight_stay_bounded(self, monkeypatch, base_table, workers):
         # the raise comes once the 32 leaves of two whole chunks are folded; by then at most
         # ``workers`` of the other 8 leaves may have started
-        _, threads_left, started = fail_second_merge(monkeypatch, base_table, base_market, workers)
+        _, threads_left, started = fail_second_merge(monkeypatch, base_table, workers)
         assert threads_left == 0 and len(started) <= 2 * _CHUNK // _LEAF + workers
 
-    def test_centred_accumulator_matches_two_pass(self, monkeypatch, base_table, base_market):
+    def test_centred_accumulator_matches_two_pass(self, monkeypatch, base_table):
         # three chunks, the last one partial: the merged standard errors against a
         # long-double two-pass over the kept per-path (W, W^2, W^3, W^4, penalty)
         kept, merge = [], simulate._merge
         monkeypatch.setattr(simulate, "_merge", lambda *a: kept.append(a[-1].copy()) or merge(*a))
         cfg = SimConfig(num_paths=40_000, seed=3, num_steps=13)
-        res = simulate_equilibrium_wealth(base_table, base_market, cfg)
+        res = simulate_equilibrium_wealth(base_table, cfg)
         assert [x.shape[1] for x in kept] == [16384, 16384, 7232]
         plain = sum(x.sum(axis=1) for x in kept) / cfg.num_paths
         assert [m.value for m in res.moments] + [res.penalty.value] == plain.tolist()
@@ -348,9 +346,9 @@ class TestSimulation:
         rel = np.abs(np.array(got, dtype=np.longdouble) / ref - 1.0)
         assert np.all(rel[:5] <= 1e-15) and rel[5] <= 2e-14, rel
 
-    def test_determinism(self, base_table, base_market, quick_sim):
-        a = simulate_equilibrium_wealth(base_table, base_market, quick_sim)
-        b = simulate_equilibrium_wealth(base_table, base_market, quick_sim)
+    def test_determinism(self, base_table, quick_sim):
+        a = simulate_equilibrium_wealth(base_table, quick_sim)
+        b = simulate_equilibrium_wealth(base_table, quick_sim)
         for i in range(4):
             assert a.moments[i].value == b.moments[i].value
             assert a.moments[i].std_error == b.moments[i].std_error
@@ -358,23 +356,23 @@ class TestSimulation:
         assert a.penalty.value == b.penalty.value
         assert a.objective.value == b.objective.value
 
-    def test_moments_match_coefficients(self, base_table, base_market):
+    def test_moments_match_coefficients(self, base_table):
         cfg = SimConfig(num_paths=40_000, seed=7, num_steps=100)
-        res = simulate_equilibrium_wealth(base_table, base_market, cfg)
+        res = simulate_equilibrium_wealth(base_table, cfg)
         w0 = cfg.start_wealth
         targets = (base_table.g1[0] * w0, base_table.h2[0] * w0**2)
         for est, target in zip(res.moments[:2], targets):
             assert abs(est.value - target) <= 3.0 * est.std_error
 
-    def test_paths_positive_under_exact_scheme(self, base_table, base_market, quick_sim):
-        res = simulate_equilibrium_wealth(base_table, base_market, quick_sim)
+    def test_paths_positive_under_exact_scheme(self, base_table, quick_sim):
+        res = simulate_equilibrium_wealth(base_table, quick_sim)
         assert res.min_wealth > 0.0
 
     def test_zero_theta_deterministic_growth(self, base_grid):
         market = make_market(mu=BASE["r"])
         table = solve_system(market, Preferences(2.0, 0.5, 1.0), base_grid)
         cfg = SimConfig(num_paths=500, seed=3, num_steps=50)
-        res = simulate_equilibrium_wealth(table, market, cfg)
+        res = simulate_equilibrium_wealth(table, cfg)
         target = 4.0 * np.exp(BASE["r"] * BASE["T"])
         assert res.moments[0].value == pytest.approx(target, rel=1e-12)
         variance = res.moments[1].value - res.moments[0].value ** 2
@@ -387,59 +385,62 @@ class TestSimulation:
         market = make_market(mu=BASE["r"])
         table = solve_system(market, Preferences(2.0, 0.5, 1.0), base_grid)
         cfg = SimConfig(num_paths=40_000, seed=3, num_steps=5)
-        res = simulate_equilibrium_wealth(table, market, cfg)
+        res = simulate_equilibrium_wealth(table, cfg)
         errors = [m.std_error for m in res.moments + (res.penalty, res.objective)]
         assert errors == [0.0] * 6
 
-    def test_standard_error_scaling(self, base_table, base_market):
+    def test_standard_error_scaling(self, base_table):
         small = simulate_equilibrium_wealth(
-            base_table, base_market, SimConfig(num_paths=10_000, seed=11, num_steps=50)
+            base_table, SimConfig(num_paths=10_000, seed=11, num_steps=50)
         )
         big = simulate_equilibrium_wealth(
-            base_table, base_market, SimConfig(num_paths=40_000, seed=11, num_steps=50)
+            base_table, SimConfig(num_paths=40_000, seed=11, num_steps=50)
         )
         ratio = small.moments[0].std_error / big.moments[0].std_error
         assert 1.6 < ratio < 2.4
 
-    def test_scheme_agreement(self, base_table, base_market):
+    def test_scheme_agreement(self, base_table):
         exact = simulate_equilibrium_wealth(
-            base_table, base_market, SimConfig(num_paths=20_000, seed=5, num_steps=100)
+            base_table, SimConfig(num_paths=20_000, seed=5, num_steps=100)
         )
         euler = simulate_equilibrium_wealth(
-            base_table, base_market,
+            base_table,
             SimConfig(num_paths=5_000, seed=6, num_steps=4000, scheme=Scheme.EULER_MARUYAMA),
         )
         gap = abs(exact.moments[0].value - euler.moments[0].value)
         band = 3.0 * np.hypot(exact.moments[0].std_error, euler.moments[0].std_error)
         assert gap <= band
 
-    def test_reference_measure_drops_penalty(self, base_table, base_market):
+    def test_reference_measure_drops_penalty(self, base_table):
         cfg = SimConfig(num_paths=2_000, seed=9, num_steps=50, measure=Measure.REFERENCE)
-        res = simulate_equilibrium_wealth(base_table, base_market, cfg)
+        res = simulate_equilibrium_wealth(base_table, cfg)
         assert res.penalty is None and res.objective is None
 
-    def test_grid_mismatch_rejected(self, base_table):
-        other = build_market(5.0, 0.05, 0.15, 0.25, num_steps=500)
-        with pytest.raises(UnsolvedTable):
-            simulate_equilibrium_wealth(base_table, other, SimConfig(num_paths=100, num_steps=10))
+    def test_table_on_coarser_grid_than_its_market_simulates(self, base_market, base_prefs):
+        # RK4 read the base market between the 500 nodes, and the simulation reads it too
+        table = solve_system(base_market, base_prefs, TimeGrid(BASE["T"], 500))
+        res = simulate_equilibrium_wealth(table, SimConfig(num_paths=100, num_steps=10))
+        assert np.isfinite(res.objective.value) and res.min_wealth > 0.0
+        check = check_closed_form_consistency(table, RunConfig(), None)
+        assert check.passed, check.summary_line()
 
-    def test_start_at_horizon_rejected(self, base_table, base_market):
+    def test_start_at_horizon_rejected(self, base_table):
         cfg = SimConfig(num_paths=100, num_steps=10, start_time=base_table.grid.horizon)
         with pytest.raises(OutOfHorizon, match="outside"):
-            simulate_equilibrium_wealth(base_table, base_market, cfg)
+            simulate_equilibrium_wealth(base_table, cfg)
 
 
 class TestLognormalMoments:
-    def test_orders_match_solved_coefficients(self, base_table, base_market):
+    def test_orders_match_solved_coefficients(self, base_table):
         w = 4.0
         targets = (base_table.g1[0] * w, base_table.h2[0] * w**2, base_table.h3[0] * w**3)
-        got = lognormal_moments(base_table, base_market, 0.0, w, (1, 2, 3))
+        got = lognormal_moments(base_table, 0.0, w, (1, 2, 3))
         assert len(got) == 3
         for moment, target in zip(got, targets):
             assert abs(moment / target - 1.0) < 1e-7
 
-    def test_terminal_time_returns_powers(self, base_table, base_market):
-        got = lognormal_moments(base_table, base_market, 5.0, 3.0, (1, 2, 3, 4))
+    def test_terminal_time_returns_powers(self, base_table):
+        got = lognormal_moments(base_table, 5.0, 3.0, (1, 2, 3, 4))
         assert got == tuple(3.0**order for order in (1, 2, 3, 4))
 
     def test_measure_gap_is_girsanov_correction(self, base_table, base_market, base_grid):
@@ -450,37 +451,36 @@ class TestLognormalMoments:
         gap = xi * base_market.theta_at(half) * f / (xi + 1.0) ** 2
         fine, coarse = np.trapezoid(gap, half), np.trapezoid(gap[::2], base_grid.nodes)
         expected = np.exp((4.0 * fine - coarse) / 3.0)
-        (mp,) = lognormal_moments(base_table, base_market, 0.0, 1.0, (1,), Measure.REFERENCE)
-        (mq,) = lognormal_moments(base_table, base_market, 0.0, 1.0, (1,), Measure.DISTORTED)
+        (mp,) = lognormal_moments(base_table, 0.0, 1.0, (1,), Measure.REFERENCE)
+        (mq,) = lognormal_moments(base_table, 0.0, 1.0, (1,), Measure.DISTORTED)
         assert mp / mq == pytest.approx(expected, rel=1e-12)
         assert mp > mq  # reference drift dominates under ambiguity aversion
 
     @pytest.mark.parametrize("t", [0.0, 0.0013])
     @pytest.mark.parametrize("measure", list(Measure))
-    def test_orders_in_one_build_match_single_orders_bitwise(self, base_table, base_market,
-                                                             t, measure):
-        rows = simulate.log_moment_growth(base_table, base_market, t, (1, 2, 3, 4), measure)
+    def test_orders_in_one_build_match_single_orders_bitwise(self, base_table, t, measure):
+        rows = simulate.log_moment_growth(base_table, t, (1, 2, 3, 4), measure)
         for row, n in zip(rows, (1, 2, 3, 4)):
-            single = simulate.log_moment_growth(base_table, base_market, t, (n,), measure)
+            single = simulate.log_moment_growth(base_table, t, (n,), measure)
             assert single.shape == (1, row.size) and np.array_equal(row, single[0])
         # and the moments of one build are the single-order moments, bit for bit
         w = 2.718
-        moments = lognormal_moments(base_table, base_market, t, w, (1, 2, 3, 4), measure)
-        singles = [lognormal_moments(base_table, base_market, t, w, (n,), measure)[0]
+        moments = lognormal_moments(base_table, t, w, (1, 2, 3, 4), measure)
+        singles = [lognormal_moments(base_table, t, w, (n,), measure)[0]
                    for n in (1, 2, 3, 4)]
         assert [m.hex() for m in moments] == [m.hex() for m in singles]
 
-    def test_bad_inputs(self, base_table, base_market):
+    def test_bad_inputs(self, base_table):
         for orders in ((5,), (1, 5), ()):
             with pytest.raises(ConfigError):
-                lognormal_moments(base_table, base_market, 0.0, 4.0, orders)
+                lognormal_moments(base_table, 0.0, 4.0, orders)
         with pytest.raises(OutOfHorizon):
-            lognormal_moments(base_table, base_market, 6.0, 4.0, (1,))
+            lognormal_moments(base_table, 6.0, 4.0, (1,))
 
 
 class TestVerifyValue:
-    def test_analytic_assembly_hits_value(self, base_table, base_market, quick_sim):
-        res = verify_value(base_table, base_market, 0.0, 4.0, quick_sim)
+    def test_analytic_assembly_hits_value(self, base_table, quick_sim):
+        res = verify_value(base_table, 0.0, 4.0, quick_sim)
         assert res.value == pytest.approx(value_bracket(base_table, 0.0) * 4.0)
         assert res.analytic_rel_err < 1e-6
         assert abs(res.mc_z) <= 3.0
@@ -488,31 +488,31 @@ class TestVerifyValue:
     @pytest.mark.parametrize("t", [0.0, 0.0013])
     def test_steep_config_analytic_assembly(self, steep, t):
         # plain trapezoid penalty quadrature was 1.5e-7 off here
-        res = verify_value(*steep, t, 4.0, SimConfig(num_paths=2_000, seed=1, num_steps=20))
+        res = verify_value(steep, t, 4.0, SimConfig(num_paths=2_000, seed=1, num_steps=20))
         assert res.analytic_rel_err < 1e-8
 
-    def test_given_sim_reused_only_for_its_config(self, base_table, base_market):
+    def test_given_sim_reused_only_for_its_config(self, base_table):
         cfg = SimConfig(num_paths=2_000, seed=5, num_steps=20)
-        own = verify_value(base_table, base_market, 0.0, 4.0, cfg)
-        shared = simulate_equilibrium_wealth(base_table, base_market, cfg)
-        assert verify_value(base_table, base_market, 0.0, 4.0, cfg, sim=shared).sim is shared
-        foreign = simulate_equilibrium_wealth(base_table, base_market, dataclasses.replace(cfg, seed=6))
+        own = verify_value(base_table, 0.0, 4.0, cfg)
+        shared = simulate_equilibrium_wealth(base_table, cfg)
+        assert verify_value(base_table, 0.0, 4.0, cfg, sim=shared).sim is shared
+        foreign = simulate_equilibrium_wealth(base_table, dataclasses.replace(cfg, seed=6))
         assert foreign.objective != own.sim.objective
-        assert verify_value(base_table, base_market, 0.0, 4.0, cfg, sim=foreign) == own
+        assert verify_value(base_table, 0.0, 4.0, cfg, sim=foreign) == own
 
-    def test_terminal_time_is_out_of_horizon(self, base_table, base_market):
+    def test_terminal_time_is_out_of_horizon(self, base_table):
         # no path starts at the horizon, as in simulate_equilibrium_wealth
         cfg = SimConfig(num_paths=200, seed=1, num_steps=4)
         with pytest.raises(OutOfHorizon, match=r"start_time 5\.0 outside \[0, 5\.0\)"):
-            verify_value(base_table, base_market, 5.0, 4.0, cfg)
+            verify_value(base_table, 5.0, 4.0, cfg)
 
-    def test_near_terminal_time(self, base_table, base_market):
+    def test_near_terminal_time(self, base_table):
         cfg = SimConfig(num_paths=200, seed=1, num_steps=4)
-        res = verify_value(base_table, base_market, 4.999, 4.0, cfg)
+        res = verify_value(base_table, 4.999, 4.0, cfg)
         assert res.value == pytest.approx(4.0, rel=1e-3)
 
-    def test_misspecified_value_verifies(self, base_model, base_market, quick_sim):
-        res = verify_value(base_model.mispec_u, base_market, 0.0, 4.0, quick_sim)
+    def test_misspecified_value_verifies(self, base_model, quick_sim):
+        res = verify_value(base_model.mispec_u, 0.0, 4.0, quick_sim)
         assert res.analytic_rel_err < 1e-6
         assert abs(res.mc_z) <= 3.0
 
@@ -520,54 +520,54 @@ class TestVerifyValue:
         bad_delta3 = np.asarray(base_table.delta3).copy()
         bad_delta3[100] = -1.0
         crafted = CoefficientTable(
-            variant=ModelVariant.FULL, grid=base_grid,
+            variant=ModelVariant.FULL, grid=base_grid, market=base_market,
             gamma0=base_table.gamma0, phi0=base_table.phi0, xi=base_table.xi,
             f=base_table.f, h1=base_table.h1, h2=base_table.h2,
             h3=base_table.h3, g1=base_table.g1, delta3=bad_delta3,
         )
         with pytest.raises(PenaltyUndefined):
-            verify_value(crafted, base_market, 0.0, 4.0, SimConfig(num_paths=100, num_steps=10))
+            verify_value(crafted, 0.0, 4.0, SimConfig(num_paths=100, num_steps=10))
 
     def test_zero_ambiguity_has_no_penalty_error(self, base_market, base_grid):
         prefs = Preferences(2.0, 0.5, 0.0)
         table = solve_system(base_market, prefs, base_grid)
         cfg = SimConfig(num_paths=5_000, seed=2, num_steps=50)
-        res = verify_value(table, base_market, 0.0, 4.0, cfg)
+        res = verify_value(table, 0.0, 4.0, cfg)
         assert res.sim.penalty.value == 0.0
         assert res.analytic_rel_err < 1e-6
 
 
 class TestMomentBound:
-    def test_base_parameters(self, base_table, base_market, quick_sim):
-        res = moment_bound_check(base_table, base_market, quick_sim)
+    def test_base_parameters(self, base_table, quick_sim):
+        res = moment_bound_check(base_table, quick_sim)
         assert res.finite
         assert res.analytic_argmax_time == pytest.approx(BASE["T"])
         assert res.consistent
 
-    def test_given_sim_reused_only_for_its_config(self, base_table, base_market):
+    def test_given_sim_reused_only_for_its_config(self, base_table):
         cfg = SimConfig(num_paths=2_000, seed=5, num_steps=20)
-        own = moment_bound_check(base_table, base_market, cfg)
-        shared = simulate_equilibrium_wealth(base_table, base_market, cfg)
-        assert moment_bound_check(base_table, base_market, cfg, sim=shared) == own
-        foreign = simulate_equilibrium_wealth(base_table, base_market, dataclasses.replace(cfg, seed=6))
+        own = moment_bound_check(base_table, cfg)
+        shared = simulate_equilibrium_wealth(base_table, cfg)
+        assert moment_bound_check(base_table, cfg, sim=shared) == own
+        foreign = simulate_equilibrium_wealth(base_table, dataclasses.replace(cfg, seed=6))
         assert foreign.sup_fourth_moment != shared.sup_fourth_moment
-        assert moment_bound_check(base_table, base_market, cfg, sim=foreign) == own
+        assert moment_bound_check(base_table, cfg, sim=foreign) == own
 
-    def test_sup_at_horizon_is_fourth_lognormal_moment(self, base_table, base_market, steep):
+    def test_sup_at_horizon_is_fourth_lognormal_moment(self, base_table, steep):
         # the analytic curve on the 200-step sim grid against the solver grid's
         # closed form; plain trapezoid rules were 4.2e-7 and 3.1e-4 off
         cfg = SimConfig(num_paths=200, seed=3, num_steps=200)
-        for (table, market), rel in (((base_table, base_market), 1e-10), (steep, 1e-5)):
-            res = moment_bound_check(table, market, cfg)
+        for table, rel in ((base_table, 1e-10), (steep, 1e-5)):
+            res = moment_bound_check(table, cfg)
             assert res.analytic_argmax_time == BASE["T"]
-            (fourth,) = lognormal_moments(table, market, 0.0, cfg.start_wealth, (4,))
+            (fourth,) = lognormal_moments(table, 0.0, cfg.start_wealth, (4,))
             assert res.analytic_sup == pytest.approx(fourth, rel=rel)
 
-    def test_overflow_is_not_finite_without_warning(self, base_table, base_market):
+    def test_overflow_is_not_finite_without_warning(self, base_table):
         # just below load's bound both fourth moments overflow; the suite's
         # warning filter makes any overflow warning an error
         cfg = SimConfig(num_paths=2_000, seed=0, num_steps=20, start_wealth=1.15e77)
-        res = moment_bound_check(base_table, base_market, cfg)
+        res = moment_bound_check(base_table, cfg)
         assert not res.finite and not res.consistent
         assert res.analytic_sup == res.mc_sup == np.inf and np.isnan(res.ratio)
 
@@ -575,7 +575,7 @@ class TestMomentBound:
         market = make_market(mu=BASE["r"])
         table = solve_system(market, Preferences(2.0, 0.5, 1.0), base_grid)
         cfg = SimConfig(num_paths=200, seed=4, num_steps=20)
-        res = moment_bound_check(table, market, cfg)
+        res = moment_bound_check(table, cfg)
         assert res.analytic_sup == pytest.approx(
             4.0**4 * np.exp(4 * BASE["r"] * BASE["T"]), rel=1e-12
         )
