@@ -53,6 +53,13 @@ from .solver import DEFAULT_EPS_DEN, DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL
 
 Matrix = tuple[tuple[float, ...], ...]
 
+# Load's caps on run size, so that a run too large to hold fails at load on every
+# machine.  Each keeps its key's share of the traced peak (tracemalloc) under 1 GB, the
+# other keys at their defaults: ``check`` takes 1.21 kB a solver step, and a sweep
+# 227 kB a cell when each cell has a market of its own (at 2,000 steps).
+MAX_SOLVER_STEPS = 500_000
+MAX_SWEEP_CELLS = 2_000
+
 
 @dataclass(frozen=True)
 class MarketSection:
@@ -132,6 +139,9 @@ class RunConfig:
         """Check what no section checks alone, and build the market and then
         the sweep cells, so that bad values fail at load.  The preferences and
         the simulation settings checked themselves when they were built."""
+        if self.solver.num_steps > MAX_SOLVER_STEPS:
+            raise ConfigError(f"[solver] num_steps must be at most {MAX_SOLVER_STEPS}, "
+                              f"got {self.solver.num_steps}")
         self.market_curves
         if not self.solver.picard_tol > 0.0:  # NaN fails too
             raise ConfigError(f"picard_tol must be positive, got {self.solver.picard_tol}")
@@ -160,6 +170,9 @@ class RunConfig:
                 raise ConfigError(f"sweep count for {name!r} must be >= 1")
             if name in ("mu", "sigma") and len(self.market.mu) != 1:
                 raise ConfigError(f"sweeping {name!r} requires a single risky asset")
+        if (cells := sw.count * (sw.count2 or 1)) > MAX_SWEEP_CELLS:
+            raise ConfigError(f"[sweep] count x count2 must be at most {MAX_SWEEP_CELLS}, "
+                              f"got {cells}")
         self.cells
         return self
 

@@ -12,7 +12,7 @@ integrator's order; exact at the nodes, ``OutOfHorizon`` past either end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -128,14 +128,8 @@ def value_at(model: SolvedModel, t: float, w: float) -> ValueReport:
     Losses are formed from the wealth-free brackets, so they are
     independent of ``w`` by construction.
     """
-    return value_report(t, w, (
-        value_bracket(model.full, t),
-        value_bracket(model.neutral, t),
-        value_bracket(model.noskew, t),
-        value_bracket(model.basic, t),
-        value_bracket(model.mispec_u, t),
-        value_bracket(model.mispec_both, t),
-    ))
+    return value_report(t, w, tuple(value_bracket(getattr(model, field.name), t)
+                                    for field in fields(model)))
 
 
 def value_report(t: float, w: float, brackets: tuple[float, ...]) -> ValueReport:

@@ -55,6 +55,9 @@ _STEP_BLOCK = 25        # steps marched per numpy call on a leaf; only speed dep
 _MIN_UNIFORM = 5e-324   # keeps ndtri finite if a raw uniform is exactly 0
 _MAX_WEALTH = float(np.finfo(float).max) ** 0.25  # a start wealth's w ** 4 overflows from here
 FOURTH_MOMENT_BAND = (0.8, 1.25)  # sampled / analytic running fourth moment
+# Caps on a simulation's size, each keeping its share of the traced peak under 1 GB:
+MAX_PATHS = 5_000_000_000  # 0.114 bytes a path, the queue of leaves
+MAX_STEPS = 20_000         # 33 kB a step, four workers' normals in flight
 
 
 class Scheme(enum.Enum):
@@ -80,10 +83,10 @@ class SimConfig:
     num_steps: int = 200
 
     def __post_init__(self):
-        if self.num_paths < 2:
-            raise ConfigError(f"num_paths must be >= 2, got {self.num_paths}")
-        if self.num_steps < 1:
-            raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
+        if not 2 <= self.num_paths <= MAX_PATHS:
+            raise ConfigError(f"num_paths must be in [2, {MAX_PATHS}], got {self.num_paths}")
+        if not 1 <= self.num_steps <= MAX_STEPS:
+            raise ConfigError(f"num_steps must be in [1, {MAX_STEPS}], got {self.num_steps}")
         if not 0.0 < self.start_wealth < _MAX_WEALTH:  # NaN fails too
             raise ConfigError(f"start_wealth must be positive and below {_MAX_WEALTH:.5g}, "
                               f"got {self.start_wealth}")
@@ -389,12 +392,16 @@ def simulate_equilibrium_wealth(table: SolvedTable, cfg: SimConfig) -> SimResult
     return _simulate(table, _sim_curves(table, cfg), cfg)
 
 
+def _growth_rates(c: _Curves, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """``n*drift + n(n-1)/2 * vol2``, the rate of ``log E[W ** n]``, for each order ``n``."""
+    return [n * c.drift + 0.5 * n * (n - 1) * c.vol2 for n in orders]
+
+
 def log_moment_growth(table: SolvedTable, t: float, orders: tuple[int, ...],
                       measure: Measure = Measure.DISTORTED) -> np.ndarray:
-    """``log(E[W_T ** n] / w ** n)`` from t and each node after it, a row per
-    order ``n``: ``n*drift + n(n-1)/2 * vol2`` integrated to the horizon."""
-    return _tail_integrals(table, _tail_times(table, t), measure, lambda c: np.array(
-        [n * c.drift + 0.5 * n * (n - 1) * c.vol2 for n in orders]))
+    """``log(E[W_T ** n] / w ** n)`` from t and each node after it, a row per order ``n``."""
+    return _tail_integrals(table, _tail_times(table, t), measure,
+                           lambda c: np.array(_growth_rates(c, orders)))
 
 
 def lognormal_moments(
@@ -420,7 +427,6 @@ class ValueCheck:
     """Objective reassembly compared against the solved value function."""
 
     value: float
-    analytic_objective: float
     analytic_rel_err: float
     mc_z: float
     sim: SimResult
@@ -435,12 +441,12 @@ def verify_value(
 ) -> ValueCheck:
     """Reassemble the objective from moments plus the penalty quadrature.
 
-    The analytic route integrates the moments and the penalty along the
-    expected wealth curve by ``_tail_integrals``; the Monte Carlo route
-    assembles the same objective from sample moments.  Both are
-    compared against the value function implied by the solved table,
-    a coefficient table or a misspecified-strategy one, simulated under
-    the distorted dynamics that table describes.  A given ``sim`` is
+    The analytic route integrates the moments of orders 1..3 and the penalty
+    along the expected wealth curve in one ``_tail_integrals`` call; the
+    Monte Carlo route assembles the same objective from sample moments.
+    Both are compared against the value function implied by the solved
+    table, a coefficient table or a misspecified-strategy one, simulated
+    under the distorted dynamics that table describes.  A given ``sim`` is
     reused when it ran ``cfg`` from (t, w) under the distorted measure.
     A ``t`` outside ``[0, T)`` raises ``OutOfHorizon``.
     """
@@ -453,20 +459,17 @@ def verify_value(
             f"(min delta3 = {d3_floor:g})"
         )
 
-    m1, m2, m3 = lognormal_moments(table, t, w, (1, 2, 3))
-    penalty = _tail_integrals(table, _tail_times(table, t), Measure.DISTORTED,
-                              lambda c: c.pen_rate * np.exp(_cumtrapz(c.drift, c.times)))[0]
-    analytic = _objective(m1, m2, m3, w * penalty, w, table.gamma0, table.phi0)
+    tails = _tail_integrals(table, _tail_times(table, t), Measure.DISTORTED, lambda c: np.array(
+        [*_growth_rates(c, (1, 2, 3)), c.pen_rate * np.exp(_cumtrapz(c.drift, c.times))]))[:, 0]
+    m1, m2, m3 = (w ** n * float(np.exp(g)) for n, g in zip((1, 2, 3), tails))
+    analytic = _objective(m1, m2, m3, w * tails[3], w, table.gamma0, table.phi0)
 
     value = value_bracket(table, t) * w
     rel_err = abs(analytic - value) / abs(value)
 
     if sim is None or sim.config != cfg:
         sim = _simulate(table, paths, cfg)
-    return ValueCheck(
-        value=value, analytic_objective=float(analytic), analytic_rel_err=float(rel_err),
-        mc_z=sim.objective.z_score(value), sim=sim,
-    )
+    return ValueCheck(value, float(rel_err), sim.objective.z_score(value), sim)
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,6 @@ class CoefficientTable(SolvedTable):
 
     COLUMNS = ("f", "h1", "h2", "h3", "g1", "delta3")
 
-    variant: ModelVariant
     grid: TimeGrid
     market: MarketCurves
     gamma0: float
@@ -167,7 +166,6 @@ class MispecTable(SolvedTable):
 
     COLUMNS = ("a", "a1", "a2", "a3", "b1", "delta3", "driver_f")
 
-    kind: MispecKind
     grid: TimeGrid
     market: MarketCurves
     gamma0: float
@@ -522,9 +520,10 @@ def integrate_lanes(
 
 def _tables(market: MarketCurves, prefs: Preferences, grid: TimeGrid, eps_den: float,
             kinds: Sequence[ModelVariant | MispecKind]) -> list[SolvedTable]:
-    """A table per kind (model variant or misspecified kind) from one batch: its
-    lane's path rows and a misspecified kind's driver's ratio row.  Raises the
-    first failure in ``kinds`` order, a misspecified kind's driver's first."""
+    """A table per kind (model variant or misspecified kind) from one batch, of
+    the kind's class but not labelled with it: its lane's weights and path rows
+    and a misspecified kind's driver's ratio row.  Raises the first failure in
+    ``kinds`` order, a misspecified kind's driver's first."""
     plan = LanePlan()
     ids = [plan.add_mispec(0, prefs, kind) if isinstance(kind, MispecKind)
            else plan.add_variant(0, prefs, kind) for kind in kinds]
@@ -535,7 +534,7 @@ def _tables(market: MarketCurves, prefs: Preferences, grid: TimeGrid, eps_den: f
         if isinstance(kind, MispecKind):
             cls, rows = MispecTable, (res[lane.driver].check().path[0],)
         columns = dict(zip(cls.COLUMNS, (*res[i].check().path, *rows)))
-        tables.append(cls(kind, grid, market, lane.gamma0, lane.phi0, lane.xi, **columns))
+        tables.append(cls(grid, market, lane.gamma0, lane.phi0, lane.xi, **columns))
     return tables
 
 
@@ -669,10 +668,10 @@ def solve_mispec_system(
 
 @dataclass(frozen=True)
 class SolvedModel:
-    """All tables needed to evaluate values and losses at one parameter set."""
+    """The six tables of one parameter set, in the order every reader takes
+    them (``value_at``, ``LanePlan.add_model``).  Each carries its grid and
+    market; FULL's effective weights are the preferences solved at."""
 
-    prefs: Preferences
-    grid: TimeGrid
     full: CoefficientTable
     neutral: CoefficientTable
     noskew: CoefficientTable
@@ -692,5 +691,4 @@ def solve_all(
     Raises the first failure in field order (full, neutral, noskew,
     basic, mispec_u, mispec_both).
     """
-    return SolvedModel(prefs, grid, *_tables(market, prefs, grid, eps_den,
-                                             [*ModelVariant, *MispecKind]))
+    return SolvedModel(*_tables(market, prefs, grid, eps_den, [*ModelVariant, *MispecKind]))

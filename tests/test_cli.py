@@ -117,6 +117,14 @@ class TestExitCodes:
         assert main(["check", "--config", cfg]) == 2
         assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
+    def test_solver_steps_past_cap_is_2_before_any_market(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(config, "build_market", lambda *a, **k: calls.append(1))
+        cfg = write(tmp_path, "big.cfg", "[solver]\nnum_steps = 200000000\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "num_steps must be at most 500000, got 200000000" in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -413,6 +421,15 @@ class TestTailBuilds:
         n = cfg.simulation.num_steps
         sizes = self.builds(monkeypatch, lambda: checks.check_moment_bound(table, cfg, sim))
         assert sizes == [n + 1, n]
+
+    def test_check_value_verification_builds_one_tail(self, monkeypatch):
+        # the sim curves, then one tail for the moments and the penalty: not a tail each
+        cfg = parse_config(QUICK)
+        table = solve_full(cfg)
+        sim = checks.simulate_equilibrium_wealth(table, cfg.simulation)
+        sizes = self.builds(monkeypatch,
+                            lambda: checks.check_value_verification(table, cfg, sim))
+        assert sizes == [cfg.simulation.num_steps + 1, 2 * cfg.solver.num_steps + 1]
 
 
 class TestMarketBuilds:

@@ -174,6 +174,11 @@ class TestValidation:
         "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 2\n"
         "param2 = w0\nmin2 = 2\nmax2 = 6\ncount2 = 0\n",
         "[simulation]\nseed = -1\n",
+        "[solver]\nnum_steps = 500001\n",
+        "[simulation]\nnum_steps = 20001\n",
+        "[simulation]\nnum_paths = 5000000001\n",
+        "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 41\n"
+        "param2 = w0\nmin2 = 2\nmax2 = 6\ncount2 = 49\n",
     ])
     def test_rejected_at_load(self, text):
         # non-finite numbers, start times outside [0, T), ragged matrices,
@@ -181,8 +186,8 @@ class TestValidation:
         # section), a sweep axis given twice (the cell would keep only
         # the second value), a second axis given in part (the sweep
         # would run on one axis), Picard settings that allow no
-        # iteration, empty sweep axes and a negative seed never reach a
-        # solver
+        # iteration, empty sweep axes, a negative seed and a run past
+        # one of load's size caps never reach a solver
         with pytest.raises(ConfigError):
             parse_config(text)
 

@@ -161,13 +161,12 @@ class TestValueReport:
         # crafted coefficients force the full-value bracket to zero
         ones = np.ones(base_grid.num_steps + 1)
         crafted = CoefficientTable(
-            variant=ModelVariant.FULL, grid=base_grid, market=base_model.full.market,
+            grid=base_grid, market=base_model.full.market,
             gamma0=2.0, phi0=0.0, xi=0.0,
             f=0.5 * ones, h1=1.0 * ones, h2=2.0 * ones, h3=ones,
             g1=1.0 * ones, delta3=2.0 * ones,
         )
         model = SolvedModel(
-            prefs=Preferences(2.0, 0.0, 0.0), grid=base_grid,
             full=crafted, neutral=base_model.neutral,
             noskew=base_model.noskew, basic=base_model.basic,
             mispec_u=base_model.mispec_u, mispec_both=base_model.mispec_both,

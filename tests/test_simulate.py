@@ -11,7 +11,6 @@ from mvs_robust import (
     CoefficientTable,
     ConfigError,
     Measure,
-    ModelVariant,
     OutOfHorizon,
     PenaltyUndefined,
     Preferences,
@@ -520,7 +519,7 @@ class TestVerifyValue:
         bad_delta3 = np.asarray(base_table.delta3).copy()
         bad_delta3[100] = -1.0
         crafted = CoefficientTable(
-            variant=ModelVariant.FULL, grid=base_grid, market=base_market,
+            grid=base_grid, market=base_market,
             gamma0=base_table.gamma0, phi0=base_table.phi0, xi=base_table.xi,
             f=base_table.f, h1=base_table.h1, h2=base_table.h2,
             h3=base_table.h3, g1=base_table.g1, delta3=bad_delta3,

@@ -372,9 +372,8 @@ def test_table_columns_are_lane_path_rows(base_prefs, base_grid, mu):
     idx = plan.add_model(0, base_prefs)
     res = integrate_lanes(plan.lanes, [market], base_grid, keep_paths=True)
     model = solve_all(market, base_prefs, base_grid)
-    tables = (model.full, model.neutral, model.noskew, model.basic,
-              model.mispec_u, model.mispec_both)
-    for i, table in zip(idx, tables):
+    for i, field in zip(idx, dataclasses.fields(model), strict=True):
+        table = getattr(model, field.name)
         rows, driver = list(res[i].path), plan.lanes[i].driver
         if driver is not None:
             rows.append(res[driver].path[0])
