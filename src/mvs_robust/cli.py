@@ -87,6 +87,8 @@ def _z_line(name: str, est, analytic: float) -> str:
 
 
 def cmd_check(config: RunConfig) -> int:
+    if config.sweep is not None:
+        print("note: check covers the base point only, not the [sweep] cells", file=sys.stderr)
     results = run_checks(config)
     for res in results:
         print(res.summary_line())

@@ -54,11 +54,15 @@ from .solver import DEFAULT_EPS_DEN, DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL
 Matrix = tuple[tuple[float, ...], ...]
 
 # Load's caps on run size, so that a run too large to hold fails at load on every
-# machine.  Each keeps its key's share of the traced peak (tracemalloc) under 1 GB, the
-# other keys at their defaults: ``check`` takes 1.21 kB a solver step, and a sweep
-# 227 kB a cell when each cell has a market of its own (at 2,000 steps).
+# machine, before any market is built.  Each keeps its share of the traced peak
+# (tracemalloc) under 1 GB, the other keys at their defaults: ``check`` takes 1.21 kB
+# a solver step; a sweep takes 64 bytes a node of each distinct market (its curves
+# and half-grid rates), 146 kB a cell with a market of its own at 2,000 steps, and
+# at most 24 kB a cell beyond its market's nodes.  So 14,000,000 market-nodes and
+# 2,000 cells take at most 0.94 GB.
 MAX_SOLVER_STEPS = 500_000
 MAX_SWEEP_CELLS = 2_000
+MAX_MARKET_NODES = 14_000_000  # a sweep's distinct markets x (num_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -136,12 +140,40 @@ class RunConfig:
         return self.preferences
 
     def validate(self) -> "RunConfig":
-        """Check what no section checks alone, and build the market and then
-        the sweep cells, so that bad values fail at load.  The preferences and
-        the simulation settings checked themselves when they were built."""
-        if self.solver.num_steps > MAX_SOLVER_STEPS:
+        """Check what no section checks alone: the run's size and the sweep's
+        axes before any market is built, then the market, the solver settings
+        and ``start_time``, and last the sweep cells, so that bad values fail at
+        load.  The preferences and the simulation settings checked themselves
+        when they were built."""
+        steps = self.solver.num_steps
+        if steps > MAX_SOLVER_STEPS:
             raise ConfigError(f"[solver] num_steps must be at most {MAX_SOLVER_STEPS}, "
-                              f"got {self.solver.num_steps}")
+                              f"got {steps}")
+        sw = self.sweep
+        if sw is not None:
+            if (sw.param2, sw.min2, sw.max2, sw.count2).count(None) not in (0, 4):
+                raise ConfigError("[sweep] second axis needs param2, min2, max2 and count2, "
+                                  "or none")
+            if sw.param2 == sw.param:
+                raise ConfigError(f"sweep parameter {sw.param!r} given as both param and param2")
+            for name, count in ((sw.param, sw.count), (sw.param2, sw.count2)):
+                if name is None:
+                    continue
+                if name not in SWEEPABLE:
+                    raise ConfigError(f"sweep parameter {name!r} not in {SWEEPABLE}")
+                if count < 1:
+                    raise ConfigError(f"sweep count for {name!r} must be >= 1")
+                if name in ("mu", "sigma") and len(self.market.mu) != 1:
+                    raise ConfigError(f"sweeping {name!r} requires a single risky asset")
+            if (cells := sw.count * (sw.count2 or 1)) > MAX_SWEEP_CELLS:
+                raise ConfigError(f"[sweep] count x count2 must be at most {MAX_SWEEP_CELLS}, "
+                                  f"got {cells}")
+            # cells share a market where they agree on the market's axes (mu, sigma, r)
+            axes = [k for k in (sw.param, sw.param2) if k and _OVERRIDES[k][0] == "market"]
+            markets = len({tuple(values[k] for k in axes) for values in sweep_grid(self)})
+            if markets * (steps + 1) > MAX_MARKET_NODES:
+                raise ConfigError(f"[sweep] distinct markets x (num_steps + 1) must be at most "
+                                  f"{MAX_MARKET_NODES}, got {markets} x {steps + 1}")
         self.market_curves
         if not self.solver.picard_tol > 0.0:  # NaN fails too
             raise ConfigError(f"picard_tol must be positive, got {self.solver.picard_tol}")
@@ -154,26 +186,8 @@ class RunConfig:
                 f"start_time must lie in [0, T) = [0, {self.market.T:g}), "
                 f"got {self.simulation.start_time}"
             )
-        sw = self.sweep
-        if sw is None:
-            return self
-        if (sw.param2, sw.min2, sw.max2, sw.count2).count(None) not in (0, 4):
-            raise ConfigError("[sweep] second axis needs param2, min2, max2 and count2, or none")
-        if sw.param2 == sw.param:
-            raise ConfigError(f"sweep parameter {sw.param!r} given as both param and param2")
-        for name, count in ((sw.param, sw.count), (sw.param2, sw.count2)):
-            if name is None:
-                continue
-            if name not in SWEEPABLE:
-                raise ConfigError(f"sweep parameter {name!r} not in {SWEEPABLE}")
-            if count < 1:
-                raise ConfigError(f"sweep count for {name!r} must be >= 1")
-            if name in ("mu", "sigma") and len(self.market.mu) != 1:
-                raise ConfigError(f"sweeping {name!r} requires a single risky asset")
-        if (cells := sw.count * (sw.count2 or 1)) > MAX_SWEEP_CELLS:
-            raise ConfigError(f"[sweep] count x count2 must be at most {MAX_SWEEP_CELLS}, "
-                              f"got {cells}")
-        self.cells
+        if sw is not None:
+            self.cells
         return self
 
     def with_overrides(self, values: dict[str, float]) -> "RunConfig":

@@ -5,8 +5,10 @@ risky assets with drift vector ``mu(t)`` and volatility matrix
 ``sigma(t)``, whose column ``i`` holds asset ``i``'s loadings on the
 Brownian motions.  Curves are either constants or piecewise-linear
 tables over a uniform time grid; evaluation between nodes interpolates
-linearly.  Every reader between nodes goes through ``TimeGrid.locate``,
-which raises ``OutOfHorizon`` for a time outside ``[0, horizon]``.
+linearly.  A constant ``r`` or ``sigma`` is stored once, as a read-only
+view that repeats it at every node, not copied to each node.  Every
+reader between nodes goes through ``TimeGrid.locate``, which raises
+``OutOfHorizon`` for a time outside ``[0, horizon]``.
 
 Derived quantities cached at every grid node:
 
@@ -92,21 +94,19 @@ class Preferences:
 
 
 def _as_node_curve(value, grid: TimeGrid, shape: tuple, name: str) -> np.ndarray:
-    """Broadcast a constant or per-node table to shape (N+1, *shape)."""
+    """A constant or per-node table as shape (N+1, *shape): a constant is
+    stored once, as a read-only view that repeats it on the node axis (stride
+    0), and a per-node table as its own copy."""
     n = grid.num_steps + 1
-    arr = np.asarray(value, dtype=float)
-    if arr.shape == shape:
-        out = np.broadcast_to(arr, (n, *shape)).copy()
-    elif arr.shape == (n, *shape):
-        out = arr.copy()
-    else:
+    arr = np.array(value, dtype=float)  # a copy: the caller's array may change
+    if arr.shape not in (shape, (n, *shape)):
         raise ConfigError(
             f"{name} must have shape {shape} (constant) or {(n, *shape)} "
             f"(per-node table), got {arr.shape}"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} contains non-finite values")
-    return out
+    return np.broadcast_to(arr, (n, *shape)) if arr.shape == shape else arr
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -125,6 +126,18 @@ class TestExitCodes:
         assert "num_steps must be at most 500000, got 200000000" in capsys.readouterr().err
         assert calls == []
 
+    def test_sweep_markets_x_nodes_past_cap_is_2_before_any_market(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        # 2,000 markets of 500,001 nodes: each key is under its own cap, the product is not
+        calls = []
+        monkeypatch.setattr(config, "build_market", lambda *a, **k: calls.append(1))
+        cfg = write(tmp_path, "big.cfg", "[solver]\nnum_steps = 500000\n"
+                    "[sweep]\nparam = mu\nmin = 0.05\nmax = 0.25\ncount = 2000\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ("distinct markets x (num_steps + 1) must be at most 14000000, "
+                "got 2000 x 500001") in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -187,6 +200,18 @@ class TestCheckCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 9
         assert all("status=pass" in line for line in lines)
+
+    def test_sweep_config_notes_base_point_only(self, tmp_path, capsys):
+        # the same report as without [sweep], and one note on standard error
+        plain = write(tmp_path, "c.cfg", QUICK)
+        swept = write(tmp_path, "s.cfg", QUICK + XI_R_SWEEP)
+        main(["check", "--config", plain])
+        alone = capsys.readouterr()
+        main(["check", "--config", swept])
+        noted = capsys.readouterr()
+        assert alone.err == ""
+        assert noted.err == "note: check covers the base point only, not the [sweep] cells\n"
+        assert noted.out == alone.out
 
     def test_unsolvable_table_fails_every_check(self, tmp_path, capsys):
         # gamma0 = 1 drives the FULL denominator under its guard: no check runs,
@@ -527,6 +552,19 @@ class TestSweepCommand:
             assert row.fields.keys() == want.keys()
             assert {k: v.hex() for k, v in row.fields.items()} == \
                 {k: float(v).hex() for k, v in want.items()}, row.values
+
+    def test_memory_peak_per_market(self):
+        # every cell has a market of its own: load and the sweep hold its curves,
+        # its half-grid rates and one block of its lanes' rates
+        text = ("[preferences]\ngamma0 = 3.0\nphi0 = 0.3\nxi = 2.0\n"
+                "[sweep]\nparam = mu\nmin = 0.10\nmax = 0.32\ncount = 48\n")
+        tracemalloc.start()
+        try:
+            run_sweep(parse_config(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 48 < 175e3, peak / 48
 
     def test_cell_outside_domain_raises_in_code(self):
         # a config built in code meets the same domain checks as a loaded one

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvs_robust import ConfigError, NonPositiveHorizon, SingularGram
+from mvs_robust import ConfigError, NonPositiveHorizon, SingularGram, config
 from mvs_robust.checks import run_checks
 from mvs_robust.config import RunConfig, SolverSection, SweepSection, parse_config
 from mvs_robust.market import Preferences
@@ -210,6 +210,29 @@ class TestValidation:
     def test_run_sweep_without_sweep_section(self):
         with pytest.raises(ConfigError, match=r"^config has no \[sweep\] section$"):
             run_sweep(RunConfig())
+
+    @pytest.mark.parametrize("steps, sweep, refused", [
+        (6999, "param = mu\nmin = 0.05\nmax = 0.25\ncount = 2000\n", False),
+        (7000, "param = mu\nmin = 0.05\nmax = 0.25\ncount = 2000\n", True),
+        (500000, "param = xi\nmin = 0.5\nmax = 3\ncount = 2000\n", False),
+        (500000, "param = mu\nmin = 0.05\nmax = 0.25\ncount = 27\n"
+                 "param2 = gamma0\nmin2 = 1\nmax2 = 4\ncount2 = 74\n", False),
+        (500000, "param = gamma0\nmin = 1\nmax = 4\ncount = 2\n"
+                 "param2 = sigma\nmin2 = 0.1\nmax2 = 0.4\ncount2 = 28\n", True),
+    ], ids=["2000-markets-at-cap", "2000-markets-past-cap", "one-market",
+            "27-markets", "28-markets"])
+    def test_sweep_markets_x_nodes_cap(self, monkeypatch, steps, sweep, refused):
+        # the cap counts the markets cells share, not the cells, and is checked
+        # before any market is built; a build ends the load, so no checkout allocates
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(config, "build_market", build)
+        with pytest.raises(ConfigError if refused else Built):
+            parse_config(f"[solver]\nnum_steps = {steps}\n[sweep]\n{sweep}")
 
     def test_w0_axis_past_fourth_power_overflow(self):
         # every cell's SimConfig checks its start wealth at load

@@ -144,6 +144,22 @@ class TestBuildMarket:
         np.testing.assert_array_equal(m.risk_free_at(base_grid.nodes), r)
         np.testing.assert_array_equal(m.excess_at(base_grid.nodes)[:, 0], m.excess_nodes[:, 0])
 
+    def test_constant_curves_stored_once(self):
+        # a constant r and sigma repeat one stored value (stride 0 on the node axis);
+        # a per-node table keeps its own copy, and neither follows the caller's array
+        sig = np.array([[0.20, 0.0], [0.06, 0.22]])
+        r = np.linspace(0.02, 0.06, 11)
+        const = build_market(1.0, 0.05, [0.12, 0.15], sig, num_steps=10)
+        table = build_market(1.0, r, [0.12, 0.15], sig, num_steps=10)
+        assert const.risk_free_nodes.strides[0] == 0
+        assert const.volatility_nodes.strides[0] == 0
+        assert table.risk_free_nodes.strides[0] == 8
+        sig[0, 0], r[3] = 9.0, 9.0
+        np.testing.assert_array_equal(const.volatility_nodes[7], [[0.20, 0.0], [0.06, 0.22]])
+        assert table.risk_free_nodes[3] == 0.032
+        with pytest.raises(ValueError, match="read-only"):
+            const.risk_free_nodes[0] = 0.0
+
     @pytest.mark.parametrize("mu, sigma", [
         (0.15, 0.25),
         ((0.12, 0.15, 0.18), ((0.20, 0.0, 0.0), (0.06, 0.22, 0.0), (0.04, 0.05, 0.25))),
