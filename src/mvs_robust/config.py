@@ -56,10 +56,11 @@ Matrix = tuple[tuple[float, ...], ...]
 # Load's caps on run size, so that a run too large to hold fails at load on every
 # machine, before any market is built.  Each keeps its share of the traced peak
 # (tracemalloc) under 1 GB, the other keys at their defaults: ``check`` takes 1.21 kB
-# a solver step; a sweep takes 64 bytes a node of each distinct market (its curves
-# and half-grid rates), 146 kB a cell with a market of its own at 2,000 steps, and
-# at most 24 kB a cell beyond its market's nodes.  So 14,000,000 market-nodes and
-# 2,000 cells take at most 0.94 GB.
+# a solver step; a sweep takes 8 bytes a node of each distinct market (its grid's
+# nodes: a market constant in time, as every config's is, holds one row of each
+# curve and of its half-grid rates), 32 kB a cell with a market of its own at 2,000
+# steps, and at most 24 kB a cell beyond its market's nodes.  So 14,000,000
+# market-nodes and 2,000 cells take at most 0.16 GB.
 MAX_SOLVER_STEPS = 500_000
 MAX_SWEEP_CELLS = 2_000
 MAX_MARKET_NODES = 14_000_000  # a sweep's distinct markets x (num_steps + 1)

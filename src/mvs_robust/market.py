@@ -10,13 +10,18 @@ view that repeats it at every node, not copied to each node.  Every
 reader between nodes goes through ``TimeGrid.locate``, which raises
 ``OutOfHorizon`` for a time outside ``[0, horizon]``.
 
-Derived quantities cached at every grid node:
+Derived quantities cached at every grid node, each finite:
 
 * excess return ``beta = mu - r * 1``
 * Gram matrix ``Sigma = sigma' sigma``, the assets' return covariance
   (must be symmetric positive definite)
 * squared market price of risk ``theta = beta' Sigma^{-1} beta``, by the
   formula (``_theta``) that ``theta_at`` applies between nodes
+
+A market constant in time (constant ``mu``, ``sigma`` and ``r``, the only
+market a config can give) derives them at node 0 alone and stores each
+once, like its inputs; a row is derived by the same operations either way,
+so the values are bitwise those of per-node tables of equal rows.
 """
 
 from __future__ import annotations
@@ -132,6 +137,11 @@ class MarketCurves:
         ):
             getattr(self, name).flags.writeable = False
 
+    @property
+    def constant_in_time(self) -> bool:
+        """Whether every curve is stored once (``build_market`` of constants)."""
+        return self.theta_nodes.strides[0] == 0
+
     # -- interpolation ------------------------------------------------
 
     def _interp(self, t, nodes: np.ndarray) -> np.ndarray:
@@ -197,9 +207,14 @@ def build_market(
     vector of per-asset volatilities (diagonal matrix), an ``(M, M)``
     matrix, or an ``(N+1, M, M)`` table.
 
-    Raises ``NonPositiveHorizon`` for ``horizon <= 0`` and
-    ``SingularGram`` if ``sigma' sigma`` fails a Cholesky factorization
-    at any node.
+    When ``drift``, ``volatility`` and ``risk_free`` are all constant, the
+    excess return, Gram matrix and theta are derived at node 0 and stored
+    once, as read-only views that repeat that row at every node.
+
+    Raises ``NonPositiveHorizon`` for ``horizon <= 0``, ``SingularGram``
+    if ``sigma' sigma`` fails a Cholesky factorization at any node, and
+    ``ConfigError`` naming the first node where the excess return, Gram
+    matrix or theta is not finite (an overflow).
     """
     grid = TimeGrid(horizon, num_steps)
     n = grid.num_steps + 1
@@ -228,28 +243,35 @@ def build_market(
 
     r_nodes = _as_node_curve(risk_free, grid, (), "risk_free")
 
-    excess = mu_nodes - r_nodes[:, None]
-    gram = np.einsum("tji,tjk->tik", vol_nodes, vol_nodes)
-    gram = 0.5 * (gram + np.transpose(gram, (0, 2, 1)))  # enforce exact symmetry
-
-    try:
-        theta = _checked_theta(excess, gram)
-    except np.linalg.LinAlgError:
-        for bad in range(n):  # the first node whose Sigma fails alone
-            try:
-                _checked_theta(excess[bad:bad + 1], gram[bad:bad + 1])
-            except np.linalg.LinAlgError:
-                raise SingularGram(
-                    f"Gram matrix singular or not positive definite at node {bad} "
-                    f"(t = {grid.nodes[bad]:g})"
-                ) from None
+    # a market constant in time derives its curves at node 0 alone
+    rows = 1 if all(a.strides[0] == 0 for a in (mu_nodes, vol_nodes, r_nodes)) else n
+    with np.errstate(all="ignore"):  # an overflow is refused below, by node
+        excess = mu_nodes[:rows] - r_nodes[:rows, None]
+        gram = np.einsum("tji,tjk->tik", vol_nodes[:rows], vol_nodes[:rows])
+        gram = 0.5 * (gram + np.transpose(gram, (0, 2, 1)))  # enforce exact symmetry
+        try:
+            theta = _checked_theta(excess, gram)
+        except np.linalg.LinAlgError:
+            for bad in range(rows):  # the first node whose Sigma fails alone
+                try:
+                    _checked_theta(excess[bad:bad + 1], gram[bad:bad + 1])
+                except np.linalg.LinAlgError:
+                    raise SingularGram(
+                        f"Gram matrix singular or not positive definite at node {bad} "
+                        f"(t = {grid.nodes[bad]:g})"
+                    ) from None
+    finite = np.isfinite(excess).all(1) & np.isfinite(gram).all((1, 2)) & np.isfinite(theta)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ConfigError(f"excess return, Gram matrix or theta not finite at node {bad} "
+                          f"(t = {grid.nodes[bad]:g})")
 
     return MarketCurves(
         num_assets=num_assets,
         grid=grid,
         risk_free_nodes=r_nodes,
         volatility_nodes=vol_nodes,
-        excess_nodes=excess,
-        gram_nodes=gram,
-        theta_nodes=theta,
+        excess_nodes=np.broadcast_to(excess, (n, num_assets)),
+        gram_nodes=np.broadcast_to(gram, vol_nodes.shape),
+        theta_nodes=np.broadcast_to(theta, (n,)),
     )

@@ -467,13 +467,17 @@ def _march(batch: list[Lane], rates, grid: TimeGrid, eps_den: float, keep: bool)
 
 
 def _half_grid_rates(markets: Sequence[MarketCurves], grid: TimeGrid) -> np.ndarray:
-    """``(2N+1, 2, n_markets)``: risk-free rate and theta at nodes and midpoints."""
+    """``(2N+1, 2, n_markets)``: risk-free rate and theta at nodes and midpoints.
+    When every market of the batch is ``constant_in_time`` they are read at
+    time 0 alone, and that row is repeated as a read-only view (stride 0 on
+    the time axis)."""
     times = grid.half_times()
-    rates = np.empty((times.size, 2, len(markets)))
+    rows = 1 if all(m.constant_in_time for m in markets) else times.size
+    rates = np.empty((rows, 2, len(markets)))
     for i, m in enumerate(markets):
-        rates[:, 0, i] = m.risk_free_at(times)
-        rates[:, 1, i] = m.theta_at(times)
-    return rates
+        rates[:, 0, i] = m.risk_free_at(times[:rows])
+        rates[:, 1, i] = m.theta_at(times[:rows])
+    return np.broadcast_to(rates, (times.size, 2, len(markets)))
 
 
 def integrate_lanes(

@@ -554,8 +554,8 @@ class TestSweepCommand:
                 {k: float(v).hex() for k, v in want.items()}, row.values
 
     def test_memory_peak_per_market(self):
-        # every cell has a market of its own: load and the sweep hold its curves,
-        # its half-grid rates and one block of its lanes' rates
+        # every cell has a market of its own: load and the sweep hold its grid's
+        # nodes, each curve's one row and one block of its lanes' rates
         text = ("[preferences]\ngamma0 = 3.0\nphi0 = 0.3\nxi = 2.0\n"
                 "[sweep]\nparam = mu\nmin = 0.10\nmax = 0.32\ncount = 48\n")
         tracemalloc.start()
@@ -564,7 +564,7 @@ class TestSweepCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 48 < 175e3, peak / 48
+        assert peak / 48 < 45e3, peak / 48
 
     def test_cell_outside_domain_raises_in_code(self):
         # a config built in code meets the same domain checks as a loaded one

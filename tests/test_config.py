@@ -179,6 +179,12 @@ class TestValidation:
         "[simulation]\nnum_paths = 5000000001\n",
         "[sweep]\nparam = xi\nmin = 0.5\nmax = 3\ncount = 41\n"
         "param2 = w0\nmin2 = 2\nmax2 = 6\ncount2 = 49\n",
+        "[market]\nmu = 1e300\n",
+        "[market]\nmu = 1e160\n",
+        "[market]\nr = -1e300\n",
+        "[market]\nsigma = 1e-160\n",
+        "[market]\nsigma = 1e200\n",
+        "[market]\nmu = 1e300, 0.1\nsigma = 0.25, 0.2\n",
     ])
     def test_rejected_at_load(self, text):
         # non-finite numbers, start times outside [0, T), ragged matrices,
@@ -186,8 +192,9 @@ class TestValidation:
         # section), a sweep axis given twice (the cell would keep only
         # the second value), a second axis given in part (the sweep
         # would run on one axis), Picard settings that allow no
-        # iteration, empty sweep axes, a negative seed and a run past
-        # one of load's size caps never reach a solver
+        # iteration, empty sweep axes, a negative seed, a run past one of
+        # load's size caps and a market whose excess return, Gram matrix or
+        # theta overflows never reach a solver
         with pytest.raises(ConfigError):
             parse_config(text)
 

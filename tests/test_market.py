@@ -12,8 +12,12 @@ from mvs_robust import (
     TimeGrid,
     build_market,
 )
+from mvs_robust import solver
 
 from conftest import BASE, make_market
+
+NODE_ARRAYS = ("risk_free_nodes", "volatility_nodes", "excess_nodes", "gram_nodes",
+               "theta_nodes")
 
 
 class TestTimeGrid:
@@ -92,6 +96,17 @@ class TestBuildMarket:
         sig[5] = 0.0
         with pytest.raises(SingularGram, match=r"at node 5 \(t = 0\.5\)"):
             build_market(1.0, 0.05, 0.15, sig, num_steps=10)
+        # a constant market is derived at node 0 alone, and fails there
+        with pytest.raises(SingularGram, match=r"at node 0 \(t = 0\)"):
+            build_market(1.0, 0.05, 0.15, 0.0, num_steps=10)
+
+    def test_overflowing_curves_name_first_bad_node(self):
+        # theta = beta^2 / Sigma overflows where r = -1e300 makes beta = 1e300
+        r = np.full(11, 0.05)
+        r[4] = -1e300
+        with pytest.raises(ConfigError, match=r"^excess return, Gram matrix or theta not "
+                                              r"finite at node 4 \(t = 0\.4\)$"):
+            build_market(1.0, r, 0.15, 0.25, num_steps=10)
 
     def test_zero_excess_means_zero_theta(self):
         m = make_market(mu=0.05, num_steps=50)
@@ -145,20 +160,67 @@ class TestBuildMarket:
         np.testing.assert_array_equal(m.excess_at(base_grid.nodes)[:, 0], m.excess_nodes[:, 0])
 
     def test_constant_curves_stored_once(self):
-        # a constant r and sigma repeat one stored value (stride 0 on the node axis);
-        # a per-node table keeps its own copy, and neither follows the caller's array
+        # a market constant in time stores each curve once, derived ones too: a
+        # read-only view repeats it (stride 0 on the node axis); a per-node table
+        # keeps its own copy, and neither follows the caller's array
         sig = np.array([[0.20, 0.0], [0.06, 0.22]])
         r = np.linspace(0.02, 0.06, 11)
         const = build_market(1.0, 0.05, [0.12, 0.15], sig, num_steps=10)
         table = build_market(1.0, r, [0.12, 0.15], sig, num_steps=10)
-        assert const.risk_free_nodes.strides[0] == 0
-        assert const.volatility_nodes.strides[0] == 0
-        assert table.risk_free_nodes.strides[0] == 8
+        for name in NODE_ARRAYS:
+            nodes = getattr(const, name)
+            assert nodes.shape[0] == 11 and nodes.strides[0] == 0, name
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0] = 0.0
+        assert table.volatility_nodes.strides[0] == 0
+        assert table.risk_free_nodes.strides[0] == table.theta_nodes.strides[0] == 8
+        assert table.excess_nodes.strides[0] == 16 and table.gram_nodes.strides[0] == 32
         sig[0, 0], r[3] = 9.0, 9.0
         np.testing.assert_array_equal(const.volatility_nodes[7], [[0.20, 0.0], [0.06, 0.22]])
         assert table.risk_free_nodes[3] == 0.032
+        # half-grid rates: one row for a batch of constant markets, a row per
+        # time as soon as one market of the batch varies in time
+        rates = solver._half_grid_rates([const, const], const.grid)
+        assert rates.shape == (21, 2, 2) and rates.strides[0] == 0
         with pytest.raises(ValueError, match="read-only"):
-            const.risk_free_nodes[0] = 0.0
+            rates[0, 0, 0] = 0.0
+        mixed = solver._half_grid_rates([const, table], const.grid)
+        assert mixed.strides[0] != 0
+        np.testing.assert_array_equal(mixed[:, :, :1], rates[:, :, :1])
+        np.testing.assert_array_equal(mixed[:, :, 1:],
+                                      solver._half_grid_rates([table], const.grid))
+
+    @pytest.mark.parametrize("mu, sigma", [
+        ((0.15,), ((0.25,),)),
+        ((0.12, 0.15), ((0.20, 0.0), (0.06, 0.22))),
+        ((0.12, 0.15, 0.18), ((0.20, 0.0, 0.0), (0.06, 0.22, 0.0), (0.04, 0.05, 0.25))),
+    ], ids=["one_asset", "two_asset", "three_asset"])
+    def test_constant_market_is_its_per_node_table(self, mu, sigma):
+        # a constant market, derived at one node, and the same market given as
+        # per-node tables of equal rows, derived at every node, agree bitwise
+        grid = TimeGrid(BASE["T"], 2 * solver._BLOCK + 3)
+        n = grid.num_steps + 1
+        const = build_market(grid.horizon, BASE["r"], mu, sigma, num_steps=grid.num_steps)
+        table = build_market(grid.horizon, np.full(n, BASE["r"]), np.tile(mu, (n, 1)),
+                             np.tile(sigma, (n, 1, 1)), num_steps=grid.num_steps)
+        assert const.constant_in_time and not table.constant_in_time
+        for name in NODE_ARRAYS:
+            np.testing.assert_array_equal(getattr(const, name), getattr(table, name), name)
+        times = grid.half_times()
+        for read in ("risk_free_at", "theta_at"):
+            np.testing.assert_array_equal(getattr(const, read)(times), getattr(table, read)(times))
+        np.testing.assert_array_equal(solver._half_grid_rates([const], grid),
+                                      solver._half_grid_rates([table], grid))
+        plan = solver.LanePlan()
+        plan.add_model(0, Preferences(BASE["gamma0"], BASE["phi0"], BASE["xi"]))
+        for keep in (False, True):
+            for lanes in (plan.lanes, plan.lanes[:1]):  # a batch, and a lone lane on floats
+                got = [solver.integrate_lanes(lanes, [m], grid, keep_paths=keep)
+                       for m in (const, table)]
+                for a, b in zip(*got, strict=True):
+                    assert a.error is b.error is None
+                    assert (a.ratio0, a.state0, a.den_min) == (b.ratio0, b.state0, b.den_min)
+                    assert keep == (a.path is not None) and np.array_equal(a.path, b.path)
 
     @pytest.mark.parametrize("mu, sigma", [
         (0.15, 0.25),

@@ -69,6 +69,8 @@ CONFIGS = {
     "degenerate": "[preferences]\ngamma0 = 1.0\n",
     # a start wealth whose fourth power overflows, which load rejects
     "huge-wealth": "[simulation]\nstart_wealth = 1.16e77\n",
+    # theta = beta^2 / sigma^2 overflows, which load rejects
+    "huge-theta": "[market]\nsigma = 1e-160\n",
     # the sampled third and fourth moments' standard errors are not finite,
     # so those bands and the objective's fail
     "wealth-1e70": "[simulation]\nstart_wealth = 1e70\nnum_paths = 2000\nnum_steps = 20\n",
