@@ -55,15 +55,12 @@ Matrix = tuple[tuple[float, ...], ...]
 
 # Load's caps on run size, so that a run too large to hold fails at load on every
 # machine, before any market is built.  Each keeps its share of the traced peak
-# (tracemalloc) under 1 GB, the other keys at their defaults: ``check`` takes 1.21 kB
-# a solver step; a sweep takes 8 bytes a node of each distinct market (its grid's
-# nodes: a market constant in time, as every config's is, holds one row of each
-# curve and of its half-grid rates), 32 kB a cell with a market of its own at 2,000
-# steps, and at most 24 kB a cell beyond its market's nodes.  So 14,000,000
-# market-nodes and 2,000 cells take at most 0.16 GB.
+# (tracemalloc) under 1 GB, the other keys at their defaults: ``check`` takes 0.43 kB
+# a solver step, and a sweep 16 kB a cell with a market of its own at any num_steps
+# (equal grids share their nodes, and a constant market, as every config's is, holds
+# one row of each curve and of its half-grid rates).  So 2,000 cells take 32 MB.
 MAX_SOLVER_STEPS = 500_000
 MAX_SWEEP_CELLS = 2_000
-MAX_MARKET_NODES = 14_000_000  # a sweep's distinct markets x (num_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,7 @@ class RunConfig:
         and ``start_time``, and last the sweep cells, so that bad values fail at
         load.  The preferences and the simulation settings checked themselves
         when they were built."""
-        steps = self.solver.num_steps
-        if steps > MAX_SOLVER_STEPS:
+        if (steps := self.solver.num_steps) > MAX_SOLVER_STEPS:
             raise ConfigError(f"[solver] num_steps must be at most {MAX_SOLVER_STEPS}, "
                               f"got {steps}")
         sw = self.sweep
@@ -169,12 +165,6 @@ class RunConfig:
             if (cells := sw.count * (sw.count2 or 1)) > MAX_SWEEP_CELLS:
                 raise ConfigError(f"[sweep] count x count2 must be at most {MAX_SWEEP_CELLS}, "
                                   f"got {cells}")
-            # cells share a market where they agree on the market's axes (mu, sigma, r)
-            axes = [k for k in (sw.param, sw.param2) if k and _OVERRIDES[k][0] == "market"]
-            markets = len({tuple(values[k] for k in axes) for values in sweep_grid(self)})
-            if markets * (steps + 1) > MAX_MARKET_NODES:
-                raise ConfigError(f"[sweep] distinct markets x (num_steps + 1) must be at most "
-                                  f"{MAX_MARKET_NODES}, got {markets} x {steps + 1}")
         self.market_curves
         if not self.solver.picard_tol > 0.0:  # NaN fails too
             raise ConfigError(f"picard_tol must be positive, got {self.solver.picard_tol}")
@@ -256,9 +246,10 @@ class SweepCell:
 def sweep_cells(config: RunConfig) -> tuple[list[MarketCurves], list[SweepCell]]:
     """Each distinct market, built once, and each cell in ``sweep_grid``
     order; a cell on the base market reuses ``config.market_curves``.
-    Neither ``T`` nor ``num_steps`` is sweepable, so every market is on
-    ``config.market_curves.grid``.  A cell outside a parameter's domain
-    raises ``ConfigError``, so what passes load is what runs."""
+    Neither ``T`` nor ``num_steps`` is sweepable, so every market's grid
+    equals ``config.market_curves.grid`` and shares its nodes.  A cell
+    outside a parameter's domain raises ``ConfigError``, so what passes
+    load is what runs."""
     index: dict[MarketSection, int] = {}
     markets, cells = [], []
     for values in sweep_grid(config):

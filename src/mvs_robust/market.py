@@ -21,11 +21,14 @@ Derived quantities cached at every grid node, each finite:
 A market constant in time (constant ``mu``, ``sigma`` and ``r``, the only
 market a config can give) derives them at node 0 alone and stores each
 once, like its inputs; a row is derived by the same operations either way,
-so the values are bitwise those of per-node tables of equal rows.
+so the values are bitwise those of per-node tables of equal rows.  Equal
+grids share one nodes array, so such a market holds nothing per node.
 """
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +42,13 @@ from .errors import (
 
 DEFAULT_NUM_STEPS = 2000
 
+_NODES = weakref.WeakValueDictionary()  # (horizon, num_steps) -> live grids' nodes
+
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``num_steps + 1`` nodes spanning ``[0, horizon]``."""
+    """Uniform grid of ``num_steps + 1`` nodes spanning ``[0, horizon]``;
+    equal grids share one read-only ``nodes`` array while any of them lives."""
 
     horizon: float
     num_steps: int = DEFAULT_NUM_STEPS
@@ -53,8 +59,10 @@ class TimeGrid:
             raise NonPositiveHorizon(f"horizon must be positive, got {self.horizon}")
         if self.num_steps < 1:
             raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
-        nodes = np.linspace(0.0, float(self.horizon), self.num_steps + 1)
-        nodes.flags.writeable = False
+        key = (float(self.horizon), operator.index(self.num_steps))  # no float num_steps
+        if (nodes := _NODES.get(key)) is None:
+            nodes = _NODES[key] = np.linspace(0.0, key[0], self.num_steps + 1)
+            nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
     @property

@@ -126,17 +126,20 @@ class TestExitCodes:
         assert "num_steps must be at most 500000, got 200000000" in capsys.readouterr().err
         assert calls == []
 
-    def test_sweep_markets_x_nodes_past_cap_is_2_before_any_market(self, tmp_path, monkeypatch,
-                                                                     capsys):
-        # 2,000 markets of 500,001 nodes: each key is under its own cap, the product is not
-        calls = []
-        monkeypatch.setattr(config, "build_market", lambda *a, **k: calls.append(1))
-        cfg = write(tmp_path, "big.cfg", "[solver]\nnum_steps = 500000\n"
-                    "[sweep]\nparam = mu\nmin = 0.05\nmax = 0.25\ncount = 2000\n")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert ("distinct markets x (num_steps + 1) must be at most 14000000, "
-                "got 2000 x 500001") in capsys.readouterr().err
-        assert calls == []
+    @pytest.mark.parametrize("command", ["solve", "sweep", "simulate", "figures"])
+    def test_out_under_a_file_is_2(self, tmp_path, capsys, command):
+        # every command writes through one function, which names the path it cannot write
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [command, "--out", str(blocker / "sub")]
+        if command != "figures":
+            text = QUICK + "\n[sweep]\nparam = xi\nmin = 0.5\nmax = 1.0\ncount = 2\n"
+            argv += ["--config", write(tmp_path, "c.cfg", text)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: cannot write {blocker / 'sub'}/"), err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert blocker.read_text() == ""
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -564,7 +567,22 @@ class TestSweepCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 48 < 45e3, peak / 48
+        assert peak / 48 < 23e3, peak / 48
+
+    def test_memory_peak_flat_in_steps(self):
+        # equal grids share their nodes, so a sweep's markets hold nothing per node
+        peaks = []
+        for steps in (2000, 8000):
+            text = (f"[solver]\nnum_steps = {steps}\n"
+                    "[sweep]\nparam = sigma\nmin = 0.18\nmax = 0.36\ncount = 40\n")
+            tracemalloc.start()
+            try:
+                run_sweep(parse_config(text))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_market_node = (peaks[1] - peaks[0]) / (40 * 6000)
+        assert per_market_node < 1.0, per_market_node
 
     def test_cell_outside_domain_raises_in_code(self):
         # a config built in code meets the same domain checks as a loaded one

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from mvs_robust import (
     TimeGrid,
     build_market,
 )
-from mvs_robust import solver
+from mvs_robust import market, solver
 
 from conftest import BASE, make_market
 
@@ -39,6 +41,39 @@ class TestTimeGrid:
             TimeGrid(-1.0, 10)
         with pytest.raises(ConfigError):
             TimeGrid(1.0, 0)
+
+    def test_equal_grids_share_nodes(self):
+        a = TimeGrid(5.0, 2000)
+        assert TimeGrid(5.0, 2000).nodes is a.nodes
+        assert TimeGrid(5, 2000).nodes is a.nodes
+        assert TimeGrid(np.float64(5.0), np.int64(2000)).nodes is a.nodes
+        assert build_market(5.0, 0.05, 0.15, 0.25, 2000).grid.nodes is a.nodes
+        with pytest.raises(TypeError):  # as np.linspace refuses it, a live grid or not
+            TimeGrid(5.0, 2000.0)
+
+    @pytest.mark.parametrize("horizon, num_steps", [(4.0, 2000), (np.nextafter(5.0, 6.0), 2000),
+                                                    (5.0, 1999), (5.0, 2001)])
+    def test_unequal_grids_do_not_share_nodes(self, horizon, num_steps):
+        a, b = TimeGrid(5.0, 2000), TimeGrid(horizon, num_steps)
+        assert b.nodes is not a.nodes and b != a
+        assert TimeGrid(horizon, num_steps).nodes is b.nodes  # its own key's nodes
+        assert b.nodes.tobytes() == np.linspace(0.0, horizon, num_steps + 1).tobytes()
+
+    def test_shared_nodes_read_only_and_equality_unchanged(self):
+        a, b = TimeGrid(5.0, 2000), TimeGrid(5, 2000)
+        assert b.nodes is a.nodes and not b.nodes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            b.nodes[1] = 1.0
+        assert a.nodes.tobytes() == np.linspace(0.0, 5.0, 2001).tobytes()
+        assert a == b and hash(a) == hash(b) and repr(a) == "TimeGrid(horizon=5.0, num_steps=2000)"
+        assert a != TimeGrid(5.0, 2001) and a != TimeGrid(4.0, 2000)
+
+    def test_shared_nodes_go_with_their_last_grid(self):
+        grids = [TimeGrid(3.25, 1234), TimeGrid(3.25, 1234)]
+        assert (3.25, 1234) in market._NODES
+        del grids
+        gc.collect()
+        assert (3.25, 1234) not in market._NODES
 
 
 class TestPreferences:
